@@ -13,7 +13,12 @@ fixed polynomials, and bounds on auxiliary slowly-varying functions.
 Each claim is registered under a stable id and checked over an explicit
 finite parameter range (dense n up to 500, spot checks at 1e3/1e4/1e6
 where the original statement is unbounded); the report always states the
-range actually checked.
+range actually checked.  The registry is declared as data: each row of
+_TABLE gives the id, that range text and the check steps the claim runs in
+order, and one runner turns a row into its report.  The checks the general
+and convex ratios share (adjacent decrease, 0 < ratio < 1 at the offset,
+the limit spot check) are single steps that read the family's log ratio,
+offset, dense orders, limit and tolerance from its _RATIO_FAMILIES entry.
 
 Large-n evaluation of the ratios accumulates logarithms and exponentiates
 once, and the general ratio's N and D are evaluated in scaled form (see
@@ -26,12 +31,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .polyroots import RealPolynomial, isolate_real_roots
-from .radius import distortion_floor_general, log_offset_convex, log_offset_general
+from .radius import FamilyClass, distortion_floor_general, log_offset_convex, log_offset_general
 
 DENSE_GENERAL = range(15, 501)
 DENSE_CONVEX = range(7, 501)
@@ -316,76 +322,87 @@ class _Margins:
         return ClaimReport(claim_id, parameter_range, verdict, self.value, self.witness)
 
 
-def _general_orders() -> list[int]:
-    return list(DENSE_GENERAL) + list(SPOT_ORDERS)
+# Check steps: each adds its margins to the running claim's _Margins.
 
 
-def _convex_orders() -> list[int]:
-    return list(DENSE_CONVEX) + list(SPOT_ORDERS)
+@dataclass(frozen=True)
+class _RatioFamily:
+    """What the shared ratio steps need of one family's tail-to-floor ratio."""
+
+    log_ratio: Callable
+    offset: Callable[[int], float]
+    dense: range
+    limit: float
+    limit_text: str
+    tol: str  # text, so the report states the tolerance as written
+
+    def orders(self) -> list[int]:
+        return list(self.dense) + list(SPOT_ORDERS)
+
+    def ratio_at_offset(self, n: int) -> float:
+        return np.exp(self.log_ratio(self.offset(n), n))
 
 
-def _claim_general_ratio_decreasing() -> ClaimReport:
-    m = _Margins()
-    for n in _general_orders():
-        xs = np.linspace(log_offset_general(n), n, 257)
-        logs = log_tail_ratio_general(xs, n)
+_RATIO_FAMILIES = {
+    FamilyClass.GENERAL: _RatioFamily(
+        log_tail_ratio_general, log_offset_general, DENSE_GENERAL, GENERAL_RATIO_LIMIT, "64/2401", "1e-3"
+    ),
+    FamilyClass.CONVEX: _RatioFamily(log_tail_ratio_convex, log_offset_convex, DENSE_CONVEX, 0.5, "1/2", "1e-2"),
+}
+
+
+def _ratio_decreasing(family: FamilyClass, m: _Margins) -> None:
+    """Adjacent decrease of the log ratio on [offset_n, n]; convex also checks its derivative bracket."""
+    fam = _RATIO_FAMILIES[family]
+    for n in fam.orders():
+        xs = np.linspace(fam.offset(n), n, 257)
+        logs = fam.log_ratio(xs, n)
         m.add_array(logs[:-1] - logs[1:], xs[:-1], n, "log-ratio decrease")
-    return m.report(
-        "t-decreasing",
-        "n in {15..500} u {1e3,1e4,1e6}; 257-point x grid on [offset_n, n]; "
-        "adjacent strict decrease of the log ratio",
-    )
+        if family is FamilyClass.CONVEX:
+            brackets = convex_slope_bracket(xs, n) / (2.0 * float(n) ** 2 * (8.0 + 8.0 * xs + 4.0 * xs**2 + xs**3))
+            m.add_array(brackets, xs, n, "derivative bracket > 0 (normalized)")
 
 
-def _claim_general_ratio_at_n() -> ClaimReport:
-    m = _Margins()
+def _ratio_below_one(family: FamilyClass, m: _Margins) -> None:
+    fam = _RATIO_FAMILIES[family]
+    for n in fam.orders():
+        value = fam.ratio_at_offset(n)
+        m.add(1.0 - value, n=n, check="ratio < 1")
+        m.add(value, n=n, check="ratio > 0")
+
+
+def _ratio_limit(family: FamilyClass, m: _Margins) -> None:
+    fam = _RATIO_FAMILIES[family]
+    n = LIMIT_SPOT_ORDER
+    value = fam.ratio_at_offset(n)
+    m.add(float(fam.tol) - abs(value - fam.limit), n=n, value=value,
+          check=f"|ratio - {fam.limit_text}| < {fam.tol}")
+
+
+_SUMMAND_BOUNDS = ((1.0 / 32.0, "1/32"), (1.0 / 6.0, "1/6"), (19.0 / 24.0, "19/24"))
+
+
+def _summand_bounds(word: str, m: _Margins) -> None:
+    checks = [(bound, f"{word} {i} < {text}") for i, (bound, text) in enumerate(_SUMMAND_BOUNDS, start=1)]
+    for n in range(16, 501):
+        for t, (bound, label) in zip(_convex_ratio_parts(n), checks):
+            m.add(bound - t, n=n, check=label)
+
+
+def _on_grid(orders, grid, margin, label: str, m: _Margins) -> None:
+    """Smallest margin(xs, n) over xs = grid(n), for each order n."""
+    for n in orders:
+        xs = grid(n)
+        m.add_array(margin(xs, n), xs, n, label)
+
+
+def _ratio_at_n(m: _Margins) -> None:
     for n in range(1, 501):
         value = tail_ratio_general(n, n)
         closed = math.exp(-n) * (2.0 * n**3 + 6.0 * n**2 + 7.0 * n + 3.0) / 3.0
         m.add(min(value, closed), n=n, check="positivity")
         rel = abs(value - closed) / closed
         m.add(1e-12 - rel, n=n, check="closed form, tol 1e-12")
-    return m.report(
-        "t-at-n-positive",
-        "n in {1..500}; ratio at x = n positive and equal to "
-        "e^-n (2n^3+6n^2+7n+3)/3 within 1e-12 relative",
-    )
-
-
-def _claim_general_ratio_below_one() -> ClaimReport:
-    m = _Margins()
-    for n in _general_orders():
-        value = tail_ratio_general(log_offset_general(n), n)
-        m.add(1.0 - value, n=n, check="ratio < 1")
-        m.add(value, n=n, check="ratio > 0")
-    return m.report(
-        "t-gamma-lt-1",
-        "n in {15..500} u {1e3,1e4,1e6}; 0 < ratio(offset_n, n) < 1",
-    )
-
-
-def _claim_bracket_positive() -> ClaimReport:
-    m = _Margins()
-    for n in _general_orders():
-        xs = np.linspace(n / 1000.0, n, 1000)
-        vals = slope_bracket_general(xs, n) / (2688.0 * float(n) ** 7)
-        m.add_array(vals, xs, n, "bracket / 2688 n^7 > 0")
-    return m.report(
-        "q2-positive",
-        "n in {15..500} u {1e3,1e4,1e6}; 1000-point x grid on (0, n]; "
-        "bracket normalized by its constant term",
-    )
-
-
-def _claim_prefactor_negative() -> ClaimReport:
-    m = _Margins()
-    for n in range(15, 101):
-        xs = np.linspace(n / 512.0, n, 512)
-        m.add_array(-slope_prefactor_general(xs, n), xs, n, "prefactor < 0")
-    return m.report(
-        "q1-negative",
-        "n in {15..100}; 512-point x grid on (0, n]",
-    )
 
 
 _EXPECTED_PART_ROOTS: tuple[tuple[float, ...], ...] = (
@@ -397,8 +414,7 @@ _EXPECTED_PART_ROOTS: tuple[tuple[float, ...], ...] = (
 )
 
 
-def _claim_part_roots() -> ClaimReport:
-    m = _Margins()
+def _part_roots(m: _Margins) -> None:
     ks = np.linspace(1.0, 3.0, 401)
     for idx, (part, expected) in enumerate(zip(SCALED_BRACKET_PARTS, _EXPECTED_PART_ROOTS), start=1):
         roots = isolate_real_roots(part, -10.0, 10.0)
@@ -412,87 +428,9 @@ def _claim_part_roots() -> ClaimReport:
         vals = part(ks) / part(1.0)
         m.add(part(1.0), part=idx, check="value at 1 > 0")
         m.add_array(vals, ks, idx, "positive on [1, 3] (relative to value at 1)")
-    return m.report(
-        "Q-roots",
-        "each scaled-bracket part: real roots on [-10, 10] vs catalogued "
-        "values (tol 1e-5; exact-root residual 1e-12); sign constant and "
-        "positive on [1, 3]",
-    )
 
 
-def _claim_scaled_identity() -> ClaimReport:
-    m = _Margins()
-    ks = np.linspace(1.0, 3.0, 201)
-    for n in range(15, 61):
-        direct = slope_bracket_general(n / ks, n)
-        assembled = slope_bracket_scaled(ks, n)
-        rel = np.abs(assembled - direct) / np.abs(direct)
-        m.add_array(1e-10 - rel, ks, n, "assembled vs direct, tol 1e-10")
-    return m.report(
-        "Q-identity",
-        "n in {15..60}; 201-point k grid on [1, 3]; "
-        "|assembled - direct| / |direct| < 1e-10",
-    )
-
-
-def _claim_convex_ratio_decreasing() -> ClaimReport:
-    m = _Margins()
-    for n in _convex_orders():
-        beta = log_offset_convex(n)
-        xs = np.linspace(beta, n, 257)
-        logs = log_tail_ratio_convex(xs, n)
-        m.add_array(logs[:-1] - logs[1:], xs[:-1], n, "log-ratio decrease")
-        brackets = convex_slope_bracket(xs, n) / (2.0 * float(n) ** 2 * (8.0 + 8.0 * xs + 4.0 * xs**2 + xs**3))
-        m.add_array(brackets, xs, n, "derivative bracket > 0 (normalized)")
-    return m.report(
-        "T-decreasing",
-        "n in {7..500} u {1e3,1e4,1e6}; 257-point x grid on [offset_n, n]; "
-        "log decrease and derivative-bracket positivity",
-    )
-
-
-def _claim_convex_ratio_below_one() -> ClaimReport:
-    m = _Margins()
-    for n in _convex_orders():
-        value = tail_ratio_convex(log_offset_convex(n), n)
-        m.add(1.0 - value, n=n, check="ratio < 1")
-        m.add(value, n=n, check="ratio > 0")
-    for n in range(16, 501):
-        t1, t2, t3 = _convex_ratio_parts(n)
-        m.add(1.0 / 32.0 - t1, n=n, check="part 1 < 1/32")
-        m.add(1.0 / 6.0 - t2, n=n, check="part 2 < 1/6")
-        m.add(19.0 / 24.0 - t3, n=n, check="part 3 < 19/24")
-    return m.report(
-        "T-beta-lt-1",
-        "direct 0 < ratio(offset_n, n) < 1 for n in {7..500} u {1e3,1e4,1e6}; "
-        "summand bound route (1/32, 1/6, 19/24) for n in {16..500}",
-    )
-
-
-def _claim_convex_ratio_limit() -> ClaimReport:
-    m = _Margins()
-    n = LIMIT_SPOT_ORDER
-    value = tail_ratio_convex(log_offset_convex(n), n)
-    m.add(1e-2 - abs(value - 0.5), n=n, value=value, check="|ratio - 1/2| < 1e-2")
-    return m.report(
-        "T-limit-half",
-        f"single spot check at n = {LIMIT_SPOT_ORDER}; |ratio(offset_n, n) - 1/2| < 1e-2",
-    )
-
-
-def _claim_general_ratio_limit() -> ClaimReport:
-    m = _Margins()
-    n = LIMIT_SPOT_ORDER
-    value = tail_ratio_general(log_offset_general(n), n)
-    m.add(1e-3 - abs(value - GENERAL_RATIO_LIMIT), n=n, value=value, check="|ratio - 64/2401| < 1e-3")
-    return m.report(
-        "t-limit-64-2401",
-        f"single spot check at n = {LIMIT_SPOT_ORDER}; |ratio(offset_n, n) - 64/2401| < 1e-3",
-    )
-
-
-def _claim_bound_helpers() -> ClaimReport:
-    m = _Margins()
+def _bound_helpers(m: _Margins) -> None:
     m.add(_aux_a(9) - math.sqrt(2.0), n=9, check="helper a(9) > sqrt(2)")
     m.add(1e-4 - abs(_aux_b(16) - 2.2627), n=16, check="helper b(16), tol 1e-4")
     m.add(1e-5 - abs(_aux_c(16) - 1.63219), n=16, check="helper c(16), tol 1e-5")
@@ -501,50 +439,82 @@ def _claim_bound_helpers() -> ClaimReport:
         m.add(_aux_b(n + 1) - _aux_b(n), n=n, check="helper b increasing")
     for n in range(16, 500):
         m.add(_aux_c(n + 1) - _aux_c(n), n=n, check="helper c increasing")
-    for n in range(16, 501):
-        t1, t2, t3 = _convex_ratio_parts(n)
-        m.add(1.0 / 32.0 - t1, n=n, check="summand 1 < 1/32")
-        m.add(1.0 / 6.0 - t2, n=n, check="summand 2 < 1/6")
-        m.add(19.0 / 24.0 - t3, n=n, check="summand 3 < 19/24")
+
+
+def _summand_decomposition(m: _Margins) -> None:
     for n in range(7, 501):
         t1, t2, t3 = _convex_ratio_parts(n)
         direct = tail_ratio_convex(log_offset_convex(n), n)
         rel = abs((t1 + t2 + t3) - direct) / direct
         m.add(1e-12 - rel, n=n, check="summand decomposition, tol 1e-12")
-    return m.report(
-        "abc-bounds",
-        "helper values at 9/16 with stated tolerances; helpers increasing on "
-        "{7..500} (a, b) and {16..500} (c); summand bounds on {16..500}; "
-        "summand decomposition identity on {7..500}",
-    )
 
 
-def _claim_distortion_floor_min() -> ClaimReport:
+_K_GRID = np.linspace(1.0, 3.0, 201)
+
+
+def _scaled_identity_gap(ks, n: int):
+    direct = slope_bracket_general(n / ks, n)
+    return 1e-10 - np.abs(slope_bracket_scaled(ks, n) - direct) / np.abs(direct)
+
+
+def _floor_gap(rs, n: int):
+    return (1.0 - rs) ** 2 / (1.0 + rs) ** 4 - distortion_floor_general(rs)
+
+
+# The registry: id, the range text its report states, then the steps it runs
+# in order.  CLAIMS maps each id to one run of its row.
+_TABLE: tuple[tuple, ...] = (
+    ("t-decreasing", "n in {15..500} u {1e3,1e4,1e6}; 257-point x grid on [offset_n, n]; "
+     "adjacent strict decrease of the log ratio",
+     partial(_ratio_decreasing, FamilyClass.GENERAL)),
+    ("t-at-n-positive", "n in {1..500}; ratio at x = n positive and equal to "
+     "e^-n (2n^3+6n^2+7n+3)/3 within 1e-12 relative",
+     _ratio_at_n),
+    ("t-gamma-lt-1", "n in {15..500} u {1e3,1e4,1e6}; 0 < ratio(offset_n, n) < 1",
+     partial(_ratio_below_one, FamilyClass.GENERAL)),
+    ("q2-positive", "n in {15..500} u {1e3,1e4,1e6}; 1000-point x grid on (0, n]; "
+     "bracket normalized by its constant term",
+     partial(_on_grid, _RATIO_FAMILIES[FamilyClass.GENERAL].orders(),
+             lambda n: np.linspace(n / 1000.0, n, 1000),
+             lambda xs, n: slope_bracket_general(xs, n) / (2688.0 * float(n) ** 7), "bracket / 2688 n^7 > 0")),
+    ("q1-negative", "n in {15..100}; 512-point x grid on (0, n]",
+     partial(_on_grid, range(15, 101), lambda n: np.linspace(n / 512.0, n, 512),
+             lambda xs, n: -slope_prefactor_general(xs, n), "prefactor < 0")),
+    ("Q-roots", "each scaled-bracket part: real roots on [-10, 10] vs catalogued "
+     "values (tol 1e-5; exact-root residual 1e-12); sign constant and positive on [1, 3]",
+     _part_roots),
+    ("Q-identity", "n in {15..60}; 201-point k grid on [1, 3]; |assembled - direct| / |direct| < 1e-10",
+     partial(_on_grid, range(15, 61), lambda n: _K_GRID, _scaled_identity_gap, "assembled vs direct, tol 1e-10")),
+    ("T-decreasing", "n in {7..500} u {1e3,1e4,1e6}; 257-point x grid on [offset_n, n]; "
+     "log decrease and derivative-bracket positivity",
+     partial(_ratio_decreasing, FamilyClass.CONVEX)),
+    ("T-beta-lt-1", "direct 0 < ratio(offset_n, n) < 1 for n in {7..500} u {1e3,1e4,1e6}; "
+     "summand bound route (1/32, 1/6, 19/24) for n in {16..500}",
+     partial(_ratio_below_one, FamilyClass.CONVEX), partial(_summand_bounds, "part")),
+    ("T-limit-half", f"single spot check at n = {LIMIT_SPOT_ORDER}; |ratio(offset_n, n) - 1/2| < 1e-2",
+     partial(_ratio_limit, FamilyClass.CONVEX)),
+    ("t-limit-64-2401", f"single spot check at n = {LIMIT_SPOT_ORDER}; |ratio(offset_n, n) - 64/2401| < 1e-3",
+     partial(_ratio_limit, FamilyClass.GENERAL)),
+    ("abc-bounds", "helper values at 9/16 with stated tolerances; helpers increasing on "
+     "{7..500} (a, b) and {16..500} (c); summand bounds on {16..500}; "
+     "summand decomposition identity on {7..500}",
+     _bound_helpers, partial(_summand_bounds, "summand"), _summand_decomposition),
+    ("distortion-min-rule", "r in {0.01..0.99} step 0.01; general two-point floor below the "
+     "local-univalence floor (1-r)^2/(1+r)^4",
+     partial(_on_grid, (0,), lambda n: np.arange(1, 100) / 100.0, _floor_gap,
+             "local floor - two-point floor >= 0")),
+)
+
+
+def _run(claim_id: str, parameter_range: str, steps) -> ClaimReport:
     m = _Margins()
-    rs = np.arange(1, 100) / 100.0
-    gap = (1.0 - rs) ** 2 / (1.0 + rs) ** 4 - distortion_floor_general(rs)
-    m.add_array(gap, rs, 0, "local floor - two-point floor >= 0")
-    return m.report(
-        "distortion-min-rule",
-        "r in {0.01..0.99} step 0.01; general two-point floor below the "
-        "local-univalence floor (1-r)^2/(1+r)^4",
-    )
+    for step in steps:
+        step(m)
+    return m.report(claim_id, parameter_range)
 
 
 CLAIMS: dict[str, Callable[[], ClaimReport]] = {
-    "t-decreasing": _claim_general_ratio_decreasing,
-    "t-at-n-positive": _claim_general_ratio_at_n,
-    "t-gamma-lt-1": _claim_general_ratio_below_one,
-    "q2-positive": _claim_bracket_positive,
-    "q1-negative": _claim_prefactor_negative,
-    "Q-roots": _claim_part_roots,
-    "Q-identity": _claim_scaled_identity,
-    "T-decreasing": _claim_convex_ratio_decreasing,
-    "T-beta-lt-1": _claim_convex_ratio_below_one,
-    "T-limit-half": _claim_convex_ratio_limit,
-    "t-limit-64-2401": _claim_general_ratio_limit,
-    "abc-bounds": _claim_bound_helpers,
-    "distortion-min-rule": _claim_distortion_floor_min,
+    claim_id: partial(_run, claim_id, parameter_range, steps) for claim_id, parameter_range, *steps in _TABLE
 }
 
 

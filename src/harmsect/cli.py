@@ -1,7 +1,8 @@
 """Command-line surface: radii, tables, thresholds, claim checks, scans, plots.
 
 Exit codes are a stable contract: 0 success, 1 at least one claim failed,
-2 usage or domain error, 3 I/O error.  Output formats: text (default),
+2 usage or domain error (including an order whose margin root the solver
+cannot bracket), 3 I/O error.  Output formats: text (default),
 csv (header row, comma separated, LF line endings, numbers at 12
 significant digits), json (snake_case keys).  SVG is produced only by the
 plot subcommand.  The environment variable HS_GRID_SCALE (integer) scales
@@ -20,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .claims import CLAIMS, UnknownClaimError, verify_claim
+from .claims import UnknownClaimError, verify_all, verify_claim
 from .harmonic import (
     ExtremalCoefficients,
     IdentityCoefficients,
@@ -31,6 +32,7 @@ from .harmonic import (
 )
 from .radius import (
     FamilyClass,
+    NoBracketError,
     margin_fn,
     solve_radius,
     threshold_order,
@@ -72,24 +74,13 @@ def _print_report(rows: list[dict], header: list[str], fmt: str, text_lines: lis
             print(line)
 
 
-def _family(name: str) -> FamilyClass:
-    return FamilyClass(name)
-
-
-def _int_list(text: str) -> list[int]:
-    if not text.strip():
-        return []
-    return [int(part) for part in text.split(",") if part.strip()]
-
-
-def _float_list(text: str) -> list[float]:
-    if not text.strip():
-        return []
-    return [float(part) for part in text.split(",") if part.strip()]
+def _parse_list(text: str, kind) -> list:
+    """Comma-separated values converted by `kind`; empty items are skipped."""
+    return [kind(part) for part in text.split(",") if part.strip()]
 
 
 def cmd_radius(args) -> int:
-    family = _family(args.family)
+    family = FamilyClass(args.family)
     result = solve_radius(family, args.n, args.m)
     row = {
         "family": family.value,
@@ -115,10 +106,10 @@ def cmd_radius(args) -> int:
 
 
 def cmd_table(args) -> int:
-    family = _family(args.family)
+    family = FamilyClass(args.family)
     rows = []
     text = []
-    for n in _int_list(args.n_list):
+    for n in _parse_list(args.n_list, int):
         result = solve_radius(family, n, n)
         rows.append({"n": n, "radius": result.radius, "lower_bound": result.lower_bound})
         text.append(
@@ -130,10 +121,10 @@ def cmd_table(args) -> int:
 
 
 def cmd_thresholds(args) -> int:
-    family = _family(args.family)
+    family = FamilyClass(args.family)
     rows = []
     text = []
-    for target in _float_list(args.targets):
+    for target in _parse_list(args.targets, float):
         n = threshold_order(family, target)
         rows.append({"target": target, "n": n})
         text.append(f"target={target:g}  smallest n={n}")
@@ -142,10 +133,7 @@ def cmd_thresholds(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.claim == "all":
-        reports = [verify_claim(cid) for cid in CLAIMS]
-    else:
-        reports = [verify_claim(args.claim)]
+    reports = verify_all() if args.claim == "all" else [verify_claim(args.claim)]
     rows = []
     text = []
     for rep in reports:
@@ -178,9 +166,7 @@ def _grid_scale_from_env() -> int:
 
 
 def cmd_scan(args) -> int:
-    family = _family(args.family)
-    if args.n < 2 or args.m < 2:
-        raise ValueError(f"scan orders must both be >= 2, got ({args.n}, {args.m})")
+    family = FamilyClass(args.family)
     certified = solve_radius(family, args.n, args.m).radius
     source = IdentityCoefficients() if args.identity else ExtremalCoefficients(family)
     poly = section(source, args.n, args.m)
@@ -237,7 +223,7 @@ def cmd_plot(args) -> int:
         )
         print(f"wrote {args.out} (root at r = {result.radius:.9f})")
     else:
-        family = _family(args.family)
+        family = FamilyClass(args.family)
         source = IdentityCoefficients() if args.identity else ExtremalCoefficients(family)
         poly = section(source, args.n, args.m)
         if not 0.0 < args.r < 1.0:
@@ -266,21 +252,24 @@ def build_parser() -> argparse.ArgumentParser:
     def add_format(p):
         p.add_argument("--format", choices=("text", "csv", "json"), default="text")
 
+    def add_class(p, **kwargs):
+        p.add_argument("--class", dest="family", choices=[f.value for f in FamilyClass], **kwargs)
+
     p = sub.add_parser("radius", help="certified radius for one (n, m) section")
-    p.add_argument("--class", dest="family", choices=("general", "convex"), required=True)
+    add_class(p, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     add_format(p)
     p.set_defaults(func=cmd_radius)
 
     p = sub.add_parser("table", help="equal-order radii for a list of n values")
-    p.add_argument("--class", dest="family", choices=("general", "convex"), required=True)
+    add_class(p, required=True)
     p.add_argument("--n", dest="n_list", default="", help="comma-separated orders")
     add_format(p)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("thresholds", help="smallest n reaching each target radius")
-    p.add_argument("--class", dest="family", choices=("general", "convex"), required=True)
+    add_class(p, required=True)
     p.add_argument("--targets", required=True, help="comma-separated targets in (0, 1)")
     add_format(p)
     p.set_defaults(func=cmd_thresholds)
@@ -291,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("scan", help="empirical radius scan of an extremal section")
-    p.add_argument("--class", dest="family", choices=("general", "convex"), required=True)
+    add_class(p, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--radial", type=int, default=64)
@@ -303,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plot", help="emit a standalone SVG")
     p.add_argument("kind", choices=("psi-curve", "mu-curve", "boundary-image"))
-    p.add_argument("--class", dest="family", choices=("general", "convex"), default="general")
+    add_class(p, default="general")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--r", type=float, default=0.5, help="circle radius for boundary-image")
@@ -320,7 +309,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, UnknownClaimError) as exc:
+    except (ValueError, UnknownClaimError, NoBracketError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -38,44 +38,10 @@ class NoBracketError(RuntimeError):
 
 
 class FamilyClass(enum.Enum):
-    """Geometric family governing coefficient bounds and the distortion floor.
-
-    The `alpha` value is the order of the associated linear-invariant
-    family; it fixes the exponents in the distortion floor.
-    """
+    """Geometric family governing coefficient bounds and the distortion floor."""
 
     GENERAL = "general"
     CONVEX = "convex"
-
-    @property
-    def alpha(self) -> float:
-        return 3.0 if self is FamilyClass.GENERAL else 2.0
-
-
-_TAILS = {
-    FamilyClass.GENERAL: (TailClass.GENERAL_ANALYTIC, TailClass.GENERAL_CO_ANALYTIC),
-    FamilyClass.CONVEX: (TailClass.CONVEX_ANALYTIC, TailClass.CONVEX_CO_ANALYTIC),
-}
-
-
-@dataclass(frozen=True)
-class SectionSpec:
-    """Pair of truncation orders: n for the analytic part, m for the co-analytic."""
-
-    n: int
-    m: int
-
-    def __post_init__(self) -> None:
-        if self.n < 2 or self.m < 2:
-            raise ValueError(f"section orders must both be >= 2, got ({self.n}, {self.m})")
-
-    @property
-    def low(self) -> int:
-        return min(self.n, self.m)
-
-    @property
-    def high(self) -> int:
-        return max(self.n, self.m)
 
 
 @dataclass(frozen=True)
@@ -124,8 +90,7 @@ def distortion_floor_convex(r):
 
 def margin_general(n: int, m: int, r):
     """General-family univalence margin at radius r for the (n, m) section."""
-    _check_orders(n, m)
-    _check_r_open(r)
+    _check_orders(n, m)  # r is checked by the distortion floor, which runs first
     return (
         distortion_floor_general(r)
         - tail_weighted(TailClass.GENERAL_ANALYTIC, n, r)
@@ -147,8 +112,7 @@ def margin_general_diag(n: int, r):
 
 def margin_convex(n: int, m: int, r):
     """Convex-family univalence margin at radius r for the (n, m) section."""
-    _check_orders(n, m)
-    _check_r_open(r)
+    _check_orders(n, m)  # r is checked by the distortion floor, which runs first
     return (
         distortion_floor_convex(r)
         - tail_weighted(TailClass.CONVEX_ANALYTIC, n, r)
@@ -312,10 +276,6 @@ def threshold_order(family: FamilyClass, target: float) -> int:
                 stacklevel=2,
             )
         if radius >= target:
-            if prev is not None and prev >= target:
-                # cannot happen with an upward scan that stops at first
-                # success; kept as a tripwire for the monotonicity assumption
-                warnings.warn(f"threshold scan overshot at n={n}", stacklevel=2)
             return n
         prev = radius
     raise RuntimeError(

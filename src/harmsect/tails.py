@@ -102,11 +102,11 @@ def tail_weighted(cls: TailClass, n: int, r):
     """sum_{k=n+1..inf} w(k) r^(k-1) for the weight of `cls`, in closed form.
 
     Requires n >= 1 and 0 <= r < 1.  At r = 0 the tail is exactly 0 and is
-    returned without touching the rational forms.
+    returned without touching the rational forms; any other r is checked by
+    tail_linear, which runs first.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    _check_r_halfopen(r)
     if np.isscalar(r) and r == 0:
         return 0.0
     c1, c2, c3 = _COMBINATION[cls]

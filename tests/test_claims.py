@@ -33,6 +33,26 @@ from harmsect.radius import log_offset_convex, log_offset_general
 # the acceptance gate checks on a ladder of orders
 EXPECTED_FAILING = {"T-limit-half", "t-limit-64-2401"}
 
+# every registered report, frozen: verdict, the check that set the worst
+# margin, and that margin (to rel 1e-6).  The minima of Q-identity and
+# abc-bounds are tolerance minus a roundoff-sized error, so only their label
+# and sign are pinned (None)
+FROZEN_REPORTS = {
+    "t-decreasing": ("Pass", "log-ratio decrease", 0.00020960330249053527),
+    "t-at-n-positive": ("Pass", "positivity", 5.9728530789552874e-210),
+    "t-gamma-lt-1": ("Pass", "ratio > 0", 0.000883102744833063),
+    "q2-positive": ("Pass", "bracket / 2688 n^7 > 0", 1.0120772799591793),
+    "q1-negative": ("Pass", "prefactor < 0", 4.1334177511342626e-61),
+    "Q-roots": ("Pass", "residual, tol 1e-12", 1e-12),
+    "Q-identity": ("Pass", "assembled vs direct, tol 1e-10", None),
+    "T-decreasing": ("Pass", "log-ratio decrease", 0.0037466255136182625),
+    "T-beta-lt-1": ("Pass", "part 1 < 1/32", 0.024483046756828934),
+    "T-limit-half": ("Fail", "|ratio - 1/2| < 1e-2", -0.12537959025392442),
+    "t-limit-64-2401": ("Fail", "|ratio - 64/2401| < 1e-3", -0.016057924155037078),
+    "abc-bounds": ("Pass", "summand decomposition, tol 1e-12", None),
+    "distortion-min-rule": ("Pass", "local floor - two-point floor >= 0", 6.3658969574815376e-06),
+}
+
 
 def fd_derivative(f, x, h):
     return (f(x + h) - f(x - h)) / (2.0 * h)
@@ -270,6 +290,17 @@ class TestRegistry:
         assert failing == EXPECTED_FAILING
         for rep in reports:
             assert rep.parameter_range  # checked range always stated
+
+    @pytest.mark.parametrize("claim_id", list(FROZEN_REPORTS))
+    def test_frozen_report(self, claim_id):
+        verdict, check, worst = FROZEN_REPORTS[claim_id]
+        rep = verify_claim(claim_id)
+        assert rep.verdict == verdict
+        assert rep.witness["check"] == check
+        if worst is None:
+            assert rep.worst_margin > 0
+        else:
+            assert rep.worst_margin == pytest.approx(worst, rel=1e-6)
 
     def test_reports_reproducible(self):
         a = verify_claim("q2-positive")

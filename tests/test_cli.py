@@ -41,6 +41,16 @@ class TestRadius:
         assert code == 2
         assert ">= 2" in err
 
+    def test_unbracketed_order_is_a_domain_error(self, capsys):
+        # the forward scan ends at r = 0.999, below the n = 1e5 root, so the
+        # solver raises NoBracketError; the CLI reports it, not a traceback
+        code, out, err = run(
+            capsys, "radius", "--class", "general", "--n", "100000", "--m", "100000"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: no positive-to-nonpositive change")
+
     def test_json_round_trip(self, capsys):
         code, out, _ = run(
             capsys, "radius", "--class", "convex", "--n", "7", "--m", "9", "--format", "json"

@@ -9,7 +9,6 @@ import pytest
 from harmsect.radius import (
     FamilyClass,
     RadiusResult,
-    SectionSpec,
     close_to_convex_radius,
     distortion_floor_convex,
     distortion_floor_general,
@@ -122,8 +121,9 @@ class TestMargins:
 
     @pytest.mark.parametrize("r", [0.0, 1.0, -0.1])
     def test_r_guards(self, r):
-        with pytest.raises(ValueError):
-            margin_general(2, 2, r)
+        for fn in (margin_general, margin_convex):
+            with pytest.raises(ValueError, match=r"r must lie in \(0, 1\)"):
+                fn(2, 2, r)
 
 
 class TestConvexPolyForm:
@@ -276,17 +276,6 @@ class TestThresholds:
 
 
 class TestTypes:
-    def test_section_spec(self):
-        spec = SectionSpec(3, 9)
-        assert spec.low == 3
-        assert spec.high == 9
-        with pytest.raises(ValueError):
-            SectionSpec(1, 5)
-
-    def test_family_alpha(self):
-        assert FamilyClass.GENERAL.alpha == 3.0
-        assert FamilyClass.CONVEX.alpha == 2.0
-
     def test_radius_result_is_frozen(self):
         res = RadiusResult(0.5, 0.4999, 0.5001, 0.0, 10, None)
         with pytest.raises(Exception):

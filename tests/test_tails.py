@@ -126,9 +126,9 @@ class TestWeightedTails:
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             tail_weighted(TailClass.GENERAL_ANALYTIC, 0, 0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"r must lie in \[0, 1\)"):
             tail_weighted(TailClass.GENERAL_ANALYTIC, 2, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"r must lie in \[0, 1\)"):
             tail_weighted(TailClass.GENERAL_ANALYTIC, 2, -0.2)
 
 
