@@ -152,8 +152,8 @@ def slope_bracket_general(x, n: int):
     )
 
 
-# Catalogued parts of the scaled bracket under x = n/k.  Their root sets are
-# certified by the Q-roots claim; each is positive on k in [1, 3].
+# Catalogued parts of the scaled bracket under x = n/k.  The Q-roots claim proves
+# their real roots on [-10, 10] exactly and, from them, that each is positive on [1, 3].
 SCALED_BRACKET_PARTS: tuple[RealPolynomial, ...] = (
     RealPolynomial((27, -92, 204, -224, 112)).scaled(6.0),
     RealPolynomial((-3, 57, -390, 1424, -3096, 4384, -3552, 1344)).scaled(2.0),
@@ -311,7 +311,7 @@ class _Margins:
         margin = float(margin)
         if margin < self.value:
             self.value = margin
-            self.witness = {k: (float(v) if isinstance(v, (int, float, np.floating)) else v) for k, v in witness.items()}
+            self.witness = {k: (float(v) if isinstance(v, np.floating) else v) for k, v in witness.items()}
 
     def add_array(self, margins: np.ndarray, xs: np.ndarray, n: int, label: str) -> None:
         i = int(np.argmin(margins))
@@ -415,7 +415,7 @@ _EXPECTED_PART_ROOTS: tuple[tuple[float, ...], ...] = (
 
 
 def _part_roots(m: _Margins) -> None:
-    ks = np.linspace(1.0, 3.0, 401)
+    """Proven root lists on [-10, 10]; positive on [1, 3] = no root there and positive at 1."""
     for idx, (part, expected) in enumerate(zip(SCALED_BRACKET_PARTS, _EXPECTED_PART_ROOTS), start=1):
         roots = isolate_real_roots(part, -10.0, 10.0)
         if len(roots) != len(expected):
@@ -425,9 +425,8 @@ def _part_roots(m: _Margins) -> None:
             m.add(1e-5 - abs(root - target), part=idx, root=root, check="root location, tol 1e-5")
         if idx == 5 and roots:
             m.add(1e-12 - abs(part(roots[0])), part=idx, residual=abs(part(roots[0])), check="residual, tol 1e-12")
-        vals = part(ks) / part(1.0)
         m.add(part(1.0), part=idx, check="value at 1 > 0")
-        m.add_array(vals, ks, idx, "positive on [1, 3] (relative to value at 1)")
+        m.add(min((max(1.0 - r, r - 3.0) for r in roots), default=math.inf), part=idx, check="no root in [1, 3]")
 
 
 def _bound_helpers(m: _Margins) -> None:

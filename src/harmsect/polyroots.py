@@ -1,21 +1,21 @@
-"""Real-root isolation for low-degree polynomials by sign-change scanning.
+"""Exact real-root isolation for polynomials with double coefficients.
 
-Good enough for the handful of fixed degree <= 8 polynomials this package
-has to certify: scan a bracket at 1e-5 of its width, bisect every sign
-change, then polish with guarded Newton steps.  Points where the value is
-tiny but the sign does not change are reported as suspected even-order
-roots via a warning and included in the result.
+Every double is a rational number, so the roots can be counted exactly: the
+Sturm sequence of the square-free part of p, built in fractions.Fraction,
+gives the number of distinct real roots in any interval.  Intervals without
+a root are dropped, the rest are halved until each holds one root, and each
+root, a simple one of the square-free part, is then narrowed by that part's
+exact sign until it is known to the nearest double.  No step samples,
+tolerates or polishes anything.
 """
 
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
-
-SCAN_POINTS = 100_000
-NEAR_ZERO = 1e-12
 
 
 @dataclass(frozen=True)
@@ -57,87 +57,83 @@ class RealPolynomial:
         return RealPolynomial(tuple(factor * c for c in self.coefficients))
 
 
-def _bisect(p: RealPolynomial, lo: float, hi: float, flo: float) -> float:
-    while hi - lo > 1e-13 * max(1.0, abs(lo), abs(hi)):
-        mid = 0.5 * (lo + hi)
-        fmid = p(mid)
-        if fmid == 0.0:
-            return mid
-        if (fmid > 0.0) == (flo > 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _value(f: list[Fraction], x: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(f):
+        acc = acc * x + c
+    return acc
 
 
-def _newton_polish(p: RealPolynomial, x: float, lo: float, hi: float) -> float:
-    dp = p.derivative()
-    best, best_val = x, abs(p(x))
-    for _ in range(4):
-        d = dp(x)
-        if d == 0.0:
-            break
-        step = p(x) / d
-        x = x - step
-        if not lo <= x <= hi:
-            break
-        val = abs(p(x))
-        if val < best_val:
-            best, best_val = x, val
-        if val == 0.0:
-            break
-    return best
+def _divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of a by b; coefficients ascending, b[-1] != 0, [] is zero."""
+    a, quotient = list(a), []
+    for i in range(len(a) - len(b), -1, -1):
+        quotient.append(a[i + len(b) - 1] / b[-1])
+        for j, c in enumerate(b):
+            a[i + j] -= quotient[-1] * c
+    del a[len(b) - 1 :]
+    while a and a[-1] == 0:
+        a.pop()
+    return quotient[::-1], a
+
+
+def _sturm(f: list[Fraction]) -> list[list[Fraction]]:
+    """The Sturm sequence f, f', -rem(f, f'), ... down to its last nonzero term."""
+    chain = [f, [i * c for i, c in enumerate(f)][1:]]
+    while rem := _divmod(chain[-2], chain[-1])[1]:
+        chain.append([-c for c in rem])
+    return chain
+
+
+def _count(chain: list[list[Fraction]], a: Fraction, b: Fraction) -> int:
+    """Number of roots in the open interval (a, b) of chain[0], whose roots are all simple."""
+    signs = [[v > 0 for v in (_value(f, x) for f in chain) if v != 0] for x in (a, b)]
+    at_a, at_b = (sum(s != t for s, t in zip(row, row[1:])) for row in signs)
+    return at_a - at_b - (_value(chain[0], b) == 0)
+
+
+def _narrow(f: list[Fraction], a: Fraction, b: Fraction) -> float:
+    """The one root of f in (a, b), a simple one, rounded to the nearest double."""
+    left_positive = _value(f, a) > 0
+    while (x := float(a)) != (y := float(b)):
+        tie = (Fraction(x) + Fraction(y)) / 2  # for adjacent doubles, its side decides the rounding
+        mid = tie if math.nextafter(x, y) == y and a < tie < b else (a + b) / 2
+        v = _value(f, mid)
+        if v == 0:
+            return float(mid)
+        a, b = (mid, b) if (v > 0) == left_positive else (a, mid)
+    return x
 
 
 def isolate_real_roots(p: RealPolynomial, lo: float, hi: float) -> list[float]:
-    """All real roots of p in [lo, hi], to ~1e-8 or better.
+    """The distinct real roots of p in [lo, hi], ascending, each rounded to the nearest double.
 
-    Sign-change scan at step (hi-lo)/1e5, bisection on each change, Newton
-    polish afterwards.  An even-order root that touches zero without a sign
-    change is caught by the near-zero test |p| < 1e-12 * scale and included
-    with a warning, since the scan alone cannot certify it.
+    The count is exact: a multiple root comes back once, and a root at lo
+    or hi is included.  Raises ValueError for the zero polynomial, for a
+    non-finite bound or coefficient, and unless lo < hi.
     """
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    xs = np.linspace(lo, hi, SCAN_POINTS + 1)
-    vals = p(xs)
-
-    roots: list[float] = []
-
-    exact = np.nonzero(vals == 0.0)[0]
-    for i in exact:
-        roots.append(float(xs[i]))
-
-    sgn = np.sign(vals)
-    change = np.nonzero((sgn[:-1] * sgn[1:]) < 0)[0]
-    step = (hi - lo) / SCAN_POINTS
-    for i in change:
-        a, b = float(xs[i]), float(xs[i + 1])
-        root = _bisect(p, a, b, float(vals[i]))
-        roots.append(_newton_polish(p, root, a - step, b + step))
-
-    # near-zero dips without a sign change anywhere nearby: suspected
-    # even-order roots (absolute threshold; a simple root's neighbours sit
-    # orders of magnitude above it)
-    taken = set(exact) | {j for i in change for j in (i - 1, i, i + 1, i + 2)}
-    near = np.nonzero((np.abs(vals) < NEAR_ZERO) & (vals != 0.0))[0]
-    for i in near:
-        if i in taken:
-            continue
-        left = vals[i - 1] if i > 0 else vals[i]
-        right = vals[i + 1] if i < SCAN_POINTS else vals[i]
-        if np.sign(left) == np.sign(right) and np.sign(left) != 0:
-            x = _newton_polish(p, float(xs[i]), float(xs[i]) - step, float(xs[i]) + step)
-            warnings.warn(
-                f"near-zero value without sign change at x={x}; "
-                f"reporting a suspected even-order root",
-                stacklevel=2,
-            )
-            roots.append(x)
-
-    roots.sort()
-    merged: list[float] = []
-    for root in roots:
-        if not merged or abs(root - merged[-1]) > 2.0 * step:
-            merged.append(root)
-    return merged
+    if not (all(map(math.isfinite, (lo, hi, *p.coefficients))) and lo < hi):
+        raise ValueError(f"need finite lo < hi and finite coefficients, got [{lo}, {hi}] for {p.coefficients}")
+    f = [Fraction(c) for c in p.coefficients[: p.degree + 1]]
+    if f == [0]:
+        raise ValueError("the zero polynomial has no isolated roots")
+    if len(f) == 1:
+        return []
+    chain = _sturm(f)
+    if len(chain[-1]) > 1:  # f / gcd(f, f') has the same roots, all of them simple
+        chain = _sturm(_divmod(f, chain[-1])[0])
+    f = chain[0]
+    ends = (Fraction(lo), Fraction(hi))
+    roots = [float(x) for x in ends if _value(f, x) == 0]
+    todo = [ends]
+    while todo:
+        a, b = todo.pop()
+        count = _count(chain, a, b)
+        if count == 1:
+            roots.append(_narrow(f, a, b))
+        elif count > 1:
+            mid = (a + b) / 2
+            if _value(f, mid) == 0:
+                roots.append(float(mid))
+            todo += [(a, mid), (mid, b)]
+    return sorted(roots)

@@ -190,6 +190,13 @@ class TestScaledBracket:
             assert part(1.0) > 0
             assert np.all(part(ks) > 0)
 
+    def test_parts_positive_on_k_interval_from_roots(self):
+        # the Q-roots proof: the root list on [-10, 10] is exact and complete,
+        # so a part with no root in [1, 3] that is positive at 1 is positive there
+        for part in SCALED_BRACKET_PARTS:
+            assert not [r for r in isolate_real_roots(part, -10.0, 10.0) if 1.0 <= r <= 3.0]
+            assert part(1.0) > 0
+
     def test_k_domain(self):
         with pytest.raises(ValueError):
             slope_bracket_scaled(0.5, 20)

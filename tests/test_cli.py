@@ -127,6 +127,13 @@ class TestVerify:
         assert payload["claim_id"] == "Q-roots"
         assert payload["verdict"] == "Pass"
 
+    def test_integer_witness_stays_integer(self, capsys):
+        code, out, _ = run(capsys, "verify", "t-decreasing", "--format", "json")
+        assert code == 0
+        assert '"n": 15,' in out
+        (payload,) = json.loads(out)
+        assert payload["witness"]["n"] == 15 and isinstance(payload["witness"]["n"], int)
+
     def test_all_reports_thirteen_and_exit_one(self, capsys):
         # two registered limit spot checks fail by construction, so the
         # aggregate run reports 13 claims and exits 1

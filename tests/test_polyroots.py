@@ -1,4 +1,9 @@
-"""Sign-change root isolation against direct constructions and numpy.roots."""
+"""Exact Sturm root isolation against exact constructions and numpy.roots."""
+
+import math
+import random
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -54,10 +59,10 @@ class TestIsolation:
             assert a == pytest.approx(b, abs=1e-9)
 
     def test_newton_polish_residual(self):
-        # simple root at an awkward irrational location
+        # simple root at an awkward irrational location: the nearest double
         p = RealPolynomial((-2.0, 0.0, 1.0))  # x^2 - 2
         roots = isolate_real_roots(p, 0.0, 3.0)
-        assert len(roots) == 1
+        assert roots == [math.sqrt(2.0)]
         assert abs(p(roots[0])) < 1e-12
 
     def test_double_root_on_grid_point(self):
@@ -67,16 +72,79 @@ class TestIsolation:
         roots = isolate_real_roots(p, 0.0, 1.0)
         assert roots == [0.5]
 
-    def test_double_root_off_grid_flagged(self):
-        # double root 1e-7 off a grid point: no sign change, value ~1e-14 at
-        # the nearest sample (well above rounding noise, below the flag
-        # threshold), so the near-zero path must flag it
+    def test_double_root_is_exact_without_warning(self):
+        # a = 0.375 + 2^-20 makes a*a, -2a and 1 exact doubles, so p = (x - a)^2
+        # exactly and its one root comes back as a itself
+        a = 0.375 + 2.0**-20
+        p = RealPolynomial((a * a, -2.0 * a, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert isolate_real_roots(p, 0.0, 1.0) == [a]
+
+    def test_close_roots_stay_apart(self):
+        # roots 0.3 and 0.3000001, 1e-7 apart; rounding the coefficients moves
+        # each by about 2e-10
+        r, s = 0.3, 0.3000001
+        roots = isolate_real_roots(RealPolynomial((r * s, -(r + s), 1.0)), 0.0, 1.0)
+        assert roots == pytest.approx([r, s], abs=1e-9)
+
+    def test_near_double_root_count_follows_discriminant(self):
+        # the coefficients of (x - c)^2 round, so the double root splits or
+        # vanishes; the exact discriminant of the rounded coefficients decides
         c = 0.5 + 1e-7
-        p = RealPolynomial((c * c, -2.0 * c, 1.0))
-        with pytest.warns(UserWarning, match="without sign change"):
-            roots = isolate_real_roots(p, 0.0, 1.0)
-        assert len(roots) == 1
-        assert roots[0] == pytest.approx(c, abs=1e-6)
+        coeffs = (c * c, -2.0 * c, 1.0)
+        c0, c1, c2 = (Fraction(v) for v in coeffs)
+        disc = c1 * c1 - 4 * c2 * c0
+        expected = 2 if disc > 0 else 1 if disc == 0 else 0
+        assert expected == 2
+        roots = isolate_real_roots(RealPolynomial(coeffs), 0.0, 1.0)
+        assert len(roots) == expected
+        assert roots == pytest.approx([c, c], abs=1e-7)
+
+    def test_roots_at_both_ends_reported_once(self):
+        # (x + 1)(x - 2)(x - 1/2) on [-1, 2]
+        p = RealPolynomial((1.0, -1.5, -1.5, 1.0))
+        assert isolate_real_roots(p, -1.0, 2.0) == [-1.0, 0.5, 2.0]
+        assert isolate_real_roots(p, -1.0, 0.0) == [-1.0]
+        assert isolate_real_roots(p, 1.0, 2.0) == [2.0]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_dyadic_products_give_their_distinct_roots(self, seed):
+        # products of (x - k/4) with |k| <= 32 and multiplicities 1-3: at most
+        # 45 significant bits per coefficient, so every coefficient is an exact
+        # double and the distinct roots must come back exactly, here from an
+        # interval that is not aligned with the quarter grid
+        rng = random.Random(seed)
+        distinct = sorted({Fraction(rng.randint(-32, 32), 4) for _ in range(rng.randint(1, 3))})
+        coeffs = [Fraction(1)]
+        for root in distinct:
+            for _ in range(rng.randint(1, 3)):
+                coeffs = [a - root * b for a, b in zip([0] + coeffs, coeffs + [0])]
+        assert all(Fraction(float(c)) == c for c in coeffs)
+        p = RealPolynomial(tuple(float(c) for c in coeffs))
+        assert isolate_real_roots(p, -9.7, 9.9) == [float(r) for r in distinct]
+
+    def test_root_on_a_rounding_tie(self):
+        # 8x - 3 * 2^-1072 has its root at 1.5 * 2^-1074, halfway between two
+        # subnormals: it rounds to the even one, 2^-1073
+        p = RealPolynomial((-3.0 * 2.0**-1072, 8.0))
+        assert isolate_real_roots(p, -1.0, 2.0) == [2.0**-1073]
+
+    def test_zero_polynomial_rejected(self):
+        with pytest.raises(ValueError, match="zero polynomial"):
+            isolate_real_roots(RealPolynomial((0.0,)), -1.0, 1.0)
+
+    @pytest.mark.parametrize("lo, hi", [(-np.inf, 2.0), (-2.0, np.inf), (np.nan, 2.0)])
+    def test_non_finite_bounds_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match="finite"):
+            isolate_real_roots(RealPolynomial((-1.0, 0.0, 1.0)), lo, hi)
+
+    def test_non_finite_coefficient_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            isolate_real_roots(RealPolynomial((np.inf, 1.0)), -1.0, 1.0)
+
+    def test_nonzero_constant_has_no_roots(self):
+        assert isolate_real_roots(RealPolynomial((3.0, 0.0)), -1.0, 1.0) == []
 
     def test_bad_interval(self):
         with pytest.raises(ValueError):
