@@ -92,9 +92,10 @@ def _count(chain: list[list[Fraction]], a: Fraction, b: Fraction) -> int:
     return at_a - at_b - (_value(chain[0], b) == 0)
 
 
-def _narrow(f: list[Fraction], a: Fraction, b: Fraction) -> float:
-    """The one root of f in (a, b), a simple one, rounded to the nearest double."""
-    left_positive = _value(f, a) > 0
+def _narrow(chain: list[list[Fraction]], a: Fraction, b: Fraction) -> float:
+    """The one root of f = chain[0] in (a, b), a simple one, rounded to the nearest double."""
+    f = chain[0]
+    left_positive = (_value(f, a) or _value(chain[1], a)) > 0  # if a is a root, f' gives f's sign right of it
     while (x := float(a)) != (y := float(b)):
         tie = (Fraction(x) + Fraction(y)) / 2  # for adjacent doubles, its side decides the rounding
         mid = tie if math.nextafter(x, y) == y and a < tie < b else (a + b) / 2
@@ -130,7 +131,7 @@ def isolate_real_roots(p: RealPolynomial, lo: float, hi: float) -> list[float]:
         a, b = todo.pop()
         count = _count(chain, a, b)
         if count == 1:
-            roots.append(_narrow(f, a, b))
+            roots.append(_narrow(chain, a, b))
         elif count > 1:
             mid = (a + b) / 2
             if _value(f, mid) == 0:

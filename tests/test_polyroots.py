@@ -108,12 +108,23 @@ class TestIsolation:
         assert isolate_real_roots(p, -1.0, 0.0) == [-1.0]
         assert isolate_real_roots(p, 1.0, 2.0) == [2.0]
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_dyadic_products_give_their_distinct_roots(self, seed):
-        # products of (x - k/4) with |k| <= 32 and multiplicities 1-3: at most
+    def test_root_at_lo_with_positive_right_side(self):
+        # x - x^2 is 0 at lo and positive just right of it
+        assert isolate_real_roots(RealPolynomial((0.0, 1.0, -1.0)), 0.0, 3.0) == [0.0, 1.0]
+        assert isolate_real_roots(RealPolynomial((0.0, -1.0, 1.0)), 0.0, 3.0) == [0.0, 1.0]
+
+    def test_root_at_a_split_point(self):
+        # +-(x^3 - x) on [-3, 3]: the first split lands on the root 0, which
+        # then becomes the left end of the interval holding 1
+        for sign in (1.0, -1.0):
+            p = RealPolynomial((0.0, -sign, 0.0, sign))
+            assert isolate_real_roots(p, -3.0, 3.0) == [-1.0, 0.0, 1.0]
+
+    @staticmethod
+    def _dyadic_product(seed):
+        # a product of (x - k/4) with |k| <= 32 and multiplicities 1-3: at most
         # 45 significant bits per coefficient, so every coefficient is an exact
-        # double and the distinct roots must come back exactly, here from an
-        # interval that is not aligned with the quarter grid
+        # double; returns it with its distinct roots
         rng = random.Random(seed)
         distinct = sorted({Fraction(rng.randint(-32, 32), 4) for _ in range(rng.randint(1, 3))})
         coeffs = [Fraction(1)]
@@ -121,8 +132,23 @@ class TestIsolation:
             for _ in range(rng.randint(1, 3)):
                 coeffs = [a - root * b for a, b in zip([0] + coeffs, coeffs + [0])]
         assert all(Fraction(float(c)) == c for c in coeffs)
-        p = RealPolynomial(tuple(float(c) for c in coeffs))
+        return RealPolynomial(tuple(float(c) for c in coeffs)), distinct
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_dyadic_products_give_their_distinct_roots(self, seed):
+        # the distinct roots come back exactly from an interval that is not
+        # aligned with the quarter grid
+        p, distinct = self._dyadic_product(seed)
         assert isolate_real_roots(p, -9.7, 9.9) == [float(r) for r in distinct]
+
+    def test_dyadic_products_on_the_quarter_grid(self):
+        # on [-8, 8] and [0, 8] the ends and every split point lie on the
+        # quarter grid, so roots at ends and at split points are common
+        for seed in range(200):
+            p, distinct = self._dyadic_product(seed)
+            for lo, hi in ((-8.0, 8.0), (0.0, 8.0)):
+                expected = [float(r) for r in distinct if lo <= r <= hi]
+                assert isolate_real_roots(p, lo, hi) == expected, (seed, lo, hi)
 
     def test_root_on_a_rounding_tie(self):
         # 8x - 3 * 2^-1072 has its root at 1.5 * 2^-1074, halfway between two
