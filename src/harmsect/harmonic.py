@@ -16,7 +16,9 @@ Grid scans are one-sided evidence: a positive minimum of |K| at a given
 resolution is consistent with univalence but proves nothing, while a zero
 or sign change is a concrete violation witness.  The empirical radius
 conjoins kernel nonvanishing with Jacobian positivity and records which
-predicate failed first.
+predicate failed first.  The Jacobian is checked first at each radius, and
+the far costlier kernel pass runs only where it passes; the witness is the
+kernel pass at the last radius that passed both.
 """
 
 from __future__ import annotations
@@ -29,7 +31,9 @@ import numpy as np
 
 from .radius import FamilyClass
 
-_Z_BLOCK = 8192
+# z points per kernel block: small enough that the (block, K) and (block, T)
+# complex temporaries stay in cache instead of being freshly allocated
+_Z_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -48,6 +52,13 @@ class HarmonicPolynomial:
         b = np.atleast_1d(np.asarray(self.b, dtype=complex))
         if a.size < 1 or b.size < 1:
             raise ValueError("need at least one coefficient in each part")
+        for name, part in (("a", a), ("b", b)):
+            bad = np.flatnonzero(~np.isfinite(part))
+            if bad.size:
+                k = int(bad[0]) + 1
+                raise ValueError(
+                    f"part {name} needs finite coefficients, got {name}_{k} = {part[k - 1]}"
+                )
         if a[0] != 1:
             raise ValueError(f"normalization requires a_1 = 1, got {a[0]}")
         if b[0] != 0:
@@ -273,8 +284,11 @@ class EmpiricalScan:
 
     `binding` names the predicate that failed just above the returned
     radius ("jacobian" wins when both fail, since sense-preservation loss
-    already implies a kernel zero at t = 0); None when nothing failed below
-    the unit disk.  `witness` is the kernel minimum at the returned radius.
+    already implies a kernel zero at t = 0, and the kernel is then not
+    evaluated); None when nothing failed below the unit disk.  `witness`
+    is the kernel minimum at the returned radius, taken from the last
+    bisection step that passed (or from a pass at radius 1e-6 when none
+    did), and `min_jacobian` is the Jacobian minimum of that same pass.
     """
 
     radius: float
@@ -286,30 +300,32 @@ class EmpiricalScan:
 def empirical_scan(p: HarmonicPolynomial, grid: ProbeGrid) -> EmpiricalScan:
     """Binary search for the largest grid-clean radius, to 1e-3.
 
-    The predicate at radius r is [min |kernel| > 0 and min Jacobian > 0]
-    over the grid rescaled to r.  Semantics are "no violation found at
-    this resolution": the result is an upper-style estimate that must
-    dominate the certified radius, never a certificate.
+    The predicate at radius r is [min Jacobian > 0 and min |kernel| > 0]
+    over the grid rescaled to r.  The Jacobian is evaluated first, and the
+    kernel pass runs only at radii where it is positive, so a step whose
+    Jacobian fails costs no kernel evaluation.  Semantics are "no violation
+    found at this resolution": the result is an upper-style estimate that
+    must dominate the certified radius, never a certificate.
     """
     lo, hi = 0.0, 1.0
     binding = None
+    last_clean = None
     while hi - lo > 1e-3:
         mid = 0.5 * (lo + hi)
         probe = dataclasses.replace(grid, radius=mid)
         jac_min = _jacobian_min(p, probe)
-        kern_min = kernel_min_modulus(p, probe).min_modulus
-        if jac_min > 0.0 and kern_min > 0.0:
+        scan = kernel_min_modulus(p, probe) if jac_min > 0.0 else None
+        if scan is not None and scan.min_modulus > 0.0:
             lo = mid
+            last_clean = (scan, jac_min)
         else:
             hi = mid
             binding = "jacobian" if jac_min <= 0.0 else "kernel"
-    at = dataclasses.replace(grid, radius=lo if lo > 0.0 else 1e-6)
-    return EmpiricalScan(
-        radius=lo,
-        binding=binding,
-        witness=kernel_min_modulus(p, at),
-        min_jacobian=_jacobian_min(p, at),
-    )
+    if last_clean is None:
+        at = dataclasses.replace(grid, radius=1e-6)
+        last_clean = (kernel_min_modulus(p, at), _jacobian_min(p, at))
+    witness, min_jacobian = last_clean
+    return EmpiricalScan(radius=lo, binding=binding, witness=witness, min_jacobian=min_jacobian)
 
 
 def empirical_radius(p: HarmonicPolynomial, grid: ProbeGrid) -> float:

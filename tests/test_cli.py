@@ -163,6 +163,22 @@ class TestScan:
         assert payload["binding"] == "jacobian"
         assert payload["min_kernel_modulus"] > 0
 
+    def test_general_two_json_is_frozen(self, capsys, monkeypatch):
+        # the full record, bit for bit, as the scan with a kernel pass at
+        # every bisection step printed it
+        monkeypatch.delenv("HS_GRID_SCALE", raising=False)
+        code, out, _ = run(
+            capsys, "scan", "--class", "general", "--n", "2", "--m", "2", "--format", "json"
+        )
+        assert code == 0
+        assert out == (
+            '{"family": "general", "n": 2, "m": 2, "model": "extremal", '
+            '"certified_radius": 0.10819284382974731, "empirical_radius": 0.166015625, '
+            '"binding": "jacobian", "min_kernel_modulus": 0.0025648229823690824, '
+            '"witness_z_re": -0.0021208102147791934, "witness_z_im": 0.0014936430746617696, '
+            '"witness_t": 0.0, "min_jacobian": 0.001312255859375}\n'
+        )
+
     def test_identity_override(self, capsys):
         code, out, _ = run(
             capsys, "scan", "--class", "general", "--n", "2", "--m", "2",

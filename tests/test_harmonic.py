@@ -1,14 +1,18 @@
 """Sections, kernel/divided-difference identities, and empirical radius scans."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from harmsect import harmonic
 from harmsect.harmonic import (
+    EmpiricalScan,
     ExtremalCoefficients,
     HarmonicPolynomial,
     IdentityCoefficients,
+    KernelScan,
     ProbeGrid,
     divided_difference,
     empirical_radius,
@@ -72,6 +76,16 @@ class TestSection:
             HarmonicPolynomial(a=np.array([2.0 + 0j]), b=np.array([0j]))
         with pytest.raises(ValueError):
             HarmonicPolynomial(a=np.array([1.0 + 0j]), b=np.array([0.5 + 0j]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+    def test_non_finite_analytic_coefficient_rejected(self, bad):
+        with pytest.raises(ValueError, match="part a .* a_2"):
+            HarmonicPolynomial(a=[1.0, bad], b=[0.0, 0.1])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(math.inf, 1.0)])
+    def test_non_finite_co_analytic_coefficient_rejected(self, bad):
+        with pytest.raises(ValueError, match="part b .* b_3"):
+            HarmonicPolynomial(a=[1.0, 0.2], b=[0.0, 0.1, bad])
 
 
 class TestEvaluate:
@@ -284,3 +298,137 @@ class TestEmpiricalRadius:
 
         p = section(CONVEX, 5, 5)
         assert empirical_radius(p, ProbeGrid()) >= close_to_convex_radius(5) - 1e-3
+
+
+def reference_scan(p, grid):
+    """The scan loop with a kernel pass at every bisection step and a separate
+    witness pass at the returned radius: the oracle for empirical_scan."""
+    lo, hi = 0.0, 1.0
+    binding = None
+    while hi - lo > 1e-3:
+        mid = 0.5 * (lo + hi)
+        probe = dataclasses.replace(grid, radius=mid)
+        jac_min = harmonic._jacobian_min(p, probe)
+        kern_min = harmonic.kernel_min_modulus(p, probe).min_modulus
+        if jac_min > 0.0 and kern_min > 0.0:
+            lo = mid
+        else:
+            hi = mid
+            binding = "jacobian" if jac_min <= 0.0 else "kernel"
+    at = dataclasses.replace(grid, radius=lo if lo > 0.0 else 1e-6)
+    return EmpiricalScan(
+        radius=lo,
+        binding=binding,
+        witness=harmonic.kernel_min_modulus(p, at),
+        min_jacobian=harmonic._jacobian_min(p, at),
+    )
+
+
+def seeded_polynomial(seed):
+    return random_polynomial(np.random.default_rng(seed), n=10, m=10)
+
+
+EQUIVALENCE_CASES = {
+    "identity-1-1": lambda: section(IDENTITY, 1, 1),
+    "general-2": lambda: section(GENERAL, 2, 2),
+    "general-10": lambda: section(GENERAL, 10, 10),
+    "convex-5": lambda: section(CONVEX, 5, 5),
+    "random-10-seed-3": lambda: seeded_polynomial(3),
+    "random-10-seed-11": lambda: seeded_polynomial(11),
+}
+
+
+class CallLog:
+    """Counts the kernel and Jacobian passes an empirical scan makes."""
+
+    def __init__(self, monkeypatch, kernel=harmonic.kernel_min_modulus):
+        self.kernel_radii = []
+        self.jacobian_mins = []
+        jacobian_min = harmonic._jacobian_min
+
+        def kernel_spy(p, grid):
+            self.kernel_radii.append(grid.radius)
+            return kernel(p, grid)
+
+        def jacobian_spy(p, grid):
+            value = jacobian_min(p, grid)
+            self.jacobian_mins.append(value)
+            return value
+
+        monkeypatch.setattr(harmonic, "kernel_min_modulus", kernel_spy)
+        monkeypatch.setattr(harmonic, "_jacobian_min", jacobian_spy)
+
+
+BISECTION_STEPS = 10  # halving [0, 1] to width <= 1e-3
+
+
+class TestEmpiricalScanEquivalence:
+    @pytest.mark.parametrize("name", sorted(EQUIVALENCE_CASES))
+    def test_matches_kernel_pass_every_step(self, name):
+        p = EQUIVALENCE_CASES[name]()
+        grid = ProbeGrid()
+        expected = reference_scan(p, grid)
+        got = empirical_scan(p, grid)
+        assert got.radius == expected.radius
+        assert got.binding == expected.binding
+        assert got.witness == expected.witness
+        assert got.min_jacobian == expected.min_jacobian
+
+    @pytest.mark.parametrize("name", ["general-10", "random-10-seed-3"])
+    def test_block_size_does_not_change_the_minimum(self, name, monkeypatch):
+        p = EQUIVALENCE_CASES[name]()
+        grid = ProbeGrid(radius=0.4)
+        blocked = kernel_min_modulus(p, grid)
+        monkeypatch.setattr(harmonic, "_Z_BLOCK", grid.z_points().size)
+        assert kernel_min_modulus(p, grid) == blocked
+
+
+class TestEmpiricalScanPasses:
+    @pytest.mark.parametrize("name", ["identity-1-1", "general-2", "random-10-seed-3"])
+    def test_kernel_runs_only_where_jacobian_passes(self, name, monkeypatch):
+        log = CallLog(monkeypatch)
+        scan = empirical_scan(EQUIVALENCE_CASES[name](), ProbeGrid())
+        assert scan.radius > 0.0
+        assert len(log.jacobian_mins) == BISECTION_STEPS
+        assert len(log.kernel_radii) == sum(v > 0.0 for v in log.jacobian_mins)
+        # no witness pass: the last kernel pass at the returned radius is reused
+        assert max(log.kernel_radii) == scan.radius
+
+    def test_witness_pass_when_no_step_passes(self, monkeypatch):
+        # |g'| = 2000 r exceeds |h'| = 1 for r > 5e-4, below every bisection
+        # midpoint, so the Jacobian fails at all ten steps
+        p = HarmonicPolynomial(a=[1.0], b=[0.0, 1000.0])
+        log = CallLog(monkeypatch)
+        scan = empirical_scan(p, ProbeGrid())
+        assert scan.radius == 0.0
+        assert scan.binding == "jacobian"
+        assert len(log.jacobian_mins) == BISECTION_STEPS + 1
+        assert log.kernel_radii == [1e-6]
+        assert scan.witness == harmonic.kernel_min_modulus(p, ProbeGrid(radius=1e-6))
+        assert scan.min_jacobian == log.jacobian_mins[-1] > 0.0
+
+
+class TestKernelBinding:
+    CUTOFF = 0.3
+
+    @classmethod
+    def vanishing_kernel(cls, p, grid):
+        if grid.radius > cls.CUTOFF:
+            return KernelScan(min_modulus=0.0, argmin_z=grid.radius + 0j, argmin_t=0.0)
+        return kernel_min_modulus(p, grid)
+
+    @pytest.mark.parametrize("name", ["identity-1-1", "convex-5"])
+    def test_kernel_binds_and_witness_is_last_passing_step(self, name, monkeypatch):
+        p = EQUIVALENCE_CASES[name]()
+        grid = ProbeGrid()
+        log = CallLog(monkeypatch, kernel=self.vanishing_kernel)
+        scan = empirical_scan(p, grid)
+        assert scan.binding == "kernel"
+        assert self.CUTOFF - 1e-3 < scan.radius <= self.CUTOFF
+        assert len(log.kernel_radii) == sum(v > 0.0 for v in log.jacobian_mins)
+        last_pass = max(r for r in log.kernel_radii if r <= self.CUTOFF)
+        assert last_pass == scan.radius
+        at = dataclasses.replace(grid, radius=scan.radius)
+        assert scan.witness == kernel_min_modulus(p, at)
+        assert scan.min_jacobian == harmonic._jacobian_min(p, at)
+        assert scan == reference_scan(p, grid)
