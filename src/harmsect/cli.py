@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -241,7 +242,9 @@ def cmd_plot(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process and shared by every `main` call."""
     parser = argparse.ArgumentParser(
         prog="harmsect",
         description="Univalence radii of harmonic-mapping sections: solver, "
@@ -305,8 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, UnknownClaimError, NoBracketError) as exc:

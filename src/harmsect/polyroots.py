@@ -48,18 +48,6 @@ class RealPolynomial:
             acc = acc * x + c
         return acc
 
-    def derivative(self) -> "RealPolynomial":
-        """p' with coefficients i * c_i, each correctly rounded.
-
-        Each coefficient is one IEEE multiply of the exact double i by c_i,
-        so it is the double nearest the exact product: 3 * (1 + 2^-52) =
-        3 + 3 * 2^-52 gives 3 + 2^-50, a tie rounded to even.  Exact work
-        (the Sturm sequence below) differentiates in Fraction instead.
-        """
-        if len(self.coefficients) == 1:
-            return RealPolynomial((0.0,))
-        return RealPolynomial(tuple(i * c for i, c in enumerate(self.coefficients) if i > 0))
-
     def scaled(self, factor: float) -> "RealPolynomial":
         return RealPolynomial(tuple(factor * c for c in self.coefficients))
 

@@ -12,21 +12,28 @@ step 1e-3 and bisects to a 1e-12-wide interval; bisection is used instead
 of secant/Newton because the functions are cheap and the bracket invariant
 (positive on the left, nonpositive on the right) is unconditional.
 
-Evaluation at r <= 0 or r >= 1 is a hard error, not a limit value: the
-rational forms are singular at the endpoints and silent extrapolation near
-them has bitten before.
+Evaluation at r <= 0 or r >= 1 (or at NaN) is a hard error, not a limit
+value: the rational forms are singular at the endpoints and silent
+extrapolation near them has bitten before.  Orders must be integers >= 2.
+
+Arguments are checked once, at the public entry: each public floor and
+margin checks its orders and r, then evaluates the unchecked cores
+(`_floor_general`, `tails._tail_weighted`, ...).  So one margin evaluation
+makes one r check, and `solve_radius`, which calls the public margin,
+makes one per evaluation.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tails import TailClass, tail_general_pair_diag, tail_weighted
+from .tails import TailClass, _check_r_halfopen, _tail_general_pair_diag, _tail_weighted
 
 SCAN_STEP = 1e-3
 BRACKET_WIDTH = 1e-12
@@ -63,11 +70,23 @@ class RadiusResult:
 
 
 def _check_r_open(r) -> None:
-    if np.any(np.asarray(r) <= 0) or np.any(np.asarray(r) >= 1):
+    # NaN fails every comparison, so every value must be shown inside.  A
+    # float is compared directly: the numpy form costs about 5 us, as much
+    # as the rest of a scalar margin.
+    if isinstance(r, float):
+        inside = 0.0 < r < 1.0
+    else:
+        a = np.asarray(r)
+        inside = ((a > 0) & (a < 1)).all()
+    if not inside:
         raise ValueError(f"r must lie in (0, 1), got {r!r}")
 
 
 def _check_orders(n: int, m: int) -> None:
+    try:
+        operator.index(n), operator.index(m)
+    except TypeError:
+        raise ValueError(f"orders must be integers, got ({n!r}, {m!r})") from None
     if n < 2 or m < 2:
         raise ValueError(f"orders must both be >= 2, got ({n}, {m})")
 
@@ -78,6 +97,10 @@ def distortion_floor_general(r):
     (1/(12r)) u^3 (1 - u^6) with u = (1-r)/(1+r); tends to 1 as r -> 0+.
     """
     _check_r_open(r)
+    return _floor_general(r)
+
+
+def _floor_general(r):
     u = (1.0 - r) / (1.0 + r)
     return u**3 * (1.0 - u**6) / (12.0 * r)
 
@@ -85,16 +108,21 @@ def distortion_floor_general(r):
 def distortion_floor_convex(r):
     """Two-point distortion lower bound for the convex family: (1-r)/(1+r)^3."""
     _check_r_open(r)
+    return _floor_convex(r)
+
+
+def _floor_convex(r):
     return (1.0 - r) / (1.0 + r) ** 3
 
 
 def margin_general(n: int, m: int, r):
     """General-family univalence margin at radius r for the (n, m) section."""
-    _check_orders(n, m)  # r is checked by the distortion floor, which runs first
+    _check_orders(n, m)
+    _check_r_open(r)
     return (
-        distortion_floor_general(r)
-        - tail_weighted(TailClass.GENERAL_ANALYTIC, n, r)
-        - tail_weighted(TailClass.GENERAL_CO_ANALYTIC, m, r)
+        _floor_general(r)
+        - _tail_weighted(TailClass.GENERAL_ANALYTIC, n, r)
+        - _tail_weighted(TailClass.GENERAL_CO_ANALYTIC, m, r)
     )
 
 
@@ -107,16 +135,17 @@ def margin_general_diag(n: int, r):
     _check_orders(n, n)
     _check_r_open(r)
     floor = (1.0 - r) ** 3 * (3.0 + 10.0 * r**2 + 3.0 * r**4) / (3.0 * (1.0 + r) ** 9)
-    return floor - tail_general_pair_diag(n, r)
+    return floor - _tail_general_pair_diag(n, r)
 
 
 def margin_convex(n: int, m: int, r):
     """Convex-family univalence margin at radius r for the (n, m) section."""
-    _check_orders(n, m)  # r is checked by the distortion floor, which runs first
+    _check_orders(n, m)
+    _check_r_open(r)
     return (
-        distortion_floor_convex(r)
-        - tail_weighted(TailClass.CONVEX_ANALYTIC, n, r)
-        - tail_weighted(TailClass.CONVEX_CO_ANALYTIC, m, r)
+        _floor_convex(r)
+        - _tail_weighted(TailClass.CONVEX_ANALYTIC, n, r)
+        - _tail_weighted(TailClass.CONVEX_CO_ANALYTIC, m, r)
     )
 
 
@@ -137,8 +166,7 @@ def margin_convex_poly(n: int, r):
     0 <= r < 1 and equal to 1 at r = 0.
     """
     _check_orders(n, n)
-    if np.any(np.asarray(r) < 0) or np.any(np.asarray(r) >= 1):
-        raise ValueError(f"r must lie in [0, 1), got {r!r}")
+    _check_r_halfopen(r)
     s = 1.0 - r
     return s**4 - (2.0 + (2 * n - 1) * s + n**2 * s**2) * (1.0 + r) ** 3 * r**n
 

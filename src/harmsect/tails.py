@@ -11,9 +11,17 @@ linear combinations of the three elementary tails
 
     sum k r^(k-1),  sum k^2 r^(k-1),  sum k^3 r^(k-1),
 
-each of which has a closed rational form.  A brute-force truncated
-summation (`tail_brute`) is provided as an independent oracle for tests
-only; near r = 1 it converges far too slowly for production use.
+each of which has a closed rational form.
+
+Arguments are checked once, at the public entry: each public tail checks
+n and r (every value of r must lie in its domain, so NaN is rejected) and
+then calls a private core (`_tail_linear`, `_tail_weighted`, ...) that
+evaluates the closed form unchecked.  Callers that have already checked
+r, such as the margins in `radius`, call the cores directly.
+
+A brute-force truncated summation (`tail_brute`) is provided as an
+independent oracle for tests only; near r = 1 it converges far too slowly
+for production use.
 """
 
 from __future__ import annotations
@@ -51,24 +59,36 @@ def weight(cls: TailClass, k):
 
 
 def _check_r_halfopen(r) -> None:
-    if np.any(np.asarray(r) < 0) or np.any(np.asarray(r) >= 1):
+    a = np.asarray(r)
+    if not ((a >= 0) & (a < 1)).all():  # NaN fails both comparisons
         raise ValueError(f"r must lie in [0, 1), got {r!r}")
+
+
+def _check_n(n: int, least: int) -> None:
+    if n < least:
+        raise ValueError(f"n must be >= {least}, got {n}")
 
 
 def tail_linear(n: int, r):
     """sum_{k=n+1..inf} k r^(k-1) = r^n [1 + n(1-r)] / (1-r)^2."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    _check_n(n, 0)
     _check_r_halfopen(r)
+    return _tail_linear(n, r)
+
+
+def _tail_linear(n, r):
     s = 1.0 - r
     return r**n * (1.0 + n * s) / s**2
 
 
 def tail_square(n: int, r):
     """sum_{k=n+1..inf} k^2 r^(k-1) = r^n [2 + (2n-1)(1-r) + n^2 (1-r)^2] / (1-r)^3."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    _check_n(n, 0)
     _check_r_halfopen(r)
+    return _tail_square(n, r)
+
+
+def _tail_square(n, r):
     s = 1.0 - r
     return r**n * (2.0 + (2 * n - 1) * s + n**2 * s**2) / s**3
 
@@ -78,9 +98,12 @@ def tail_cube(n: int, r):
 
     Equals r^n [6 + (6n-6)(1-r) + (3n^2-3n+1)(1-r)^2 + n^3 (1-r)^3] / (1-r)^4.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    _check_n(n, 0)
     _check_r_halfopen(r)
+    return _tail_cube(n, r)
+
+
+def _tail_cube(n, r):
     s = 1.0 - r
     return r**n * (6.0 + (6 * n - 6) * s + (3 * n**2 - 3 * n + 1) * s**2 + n**3 * s**3) / s**4
 
@@ -102,17 +125,20 @@ def tail_weighted(cls: TailClass, n: int, r):
     """sum_{k=n+1..inf} w(k) r^(k-1) for the weight of `cls`, in closed form.
 
     Requires n >= 1 and 0 <= r < 1.  At r = 0 the tail is exactly 0 and is
-    returned without touching the rational forms; any other r is checked by
-    tail_linear, which runs first.
+    returned without touching the rational forms.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_n(n, 1)
+    _check_r_halfopen(r)
     if np.isscalar(r) and r == 0:
         return 0.0
+    return _tail_weighted(cls, n, r)
+
+
+def _tail_weighted(cls: TailClass, n, r):
     c1, c2, c3 = _COMBINATION[cls]
-    out = c1 * tail_linear(n, r) + c2 * tail_square(n, r)
+    out = c1 * _tail_linear(n, r) + c2 * _tail_square(n, r)
     if c3:
-        out = out + c3 * tail_cube(n, r)
+        out = out + c3 * _tail_cube(n, r)
     return out
 
 
@@ -126,9 +152,12 @@ def tail_general_pair_diag(n: int, r):
         r^n [12 + 12(n-1)(1-r) + 3(2n^2-2n+1)(1-r)^2 + (2n^3+n)(1-r)^3]
         / (3 (1-r)^4)
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_n(n, 1)
     _check_r_halfopen(r)
+    return _tail_general_pair_diag(n, r)
+
+
+def _tail_general_pair_diag(n, r):
     s = 1.0 - r
     num = 12.0 + 12.0 * (n - 1) * s + 3.0 * (2 * n**2 - 2 * n + 1) * s**2 + (2 * n**3 + n) * s**3
     return r**n * num / (3.0 * s**4)
@@ -143,8 +172,7 @@ def tail_brute(cls: TailClass, n: int, r: float, terms: int) -> float:
     """
     if terms < 1:
         raise ValueError(f"terms must be >= 1, got {terms}")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    _check_n(n, 0)
     _check_r_halfopen(r)
     ks = np.arange(n + 1, n + terms + 1, dtype=float)
     with np.errstate(under="ignore"):

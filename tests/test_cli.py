@@ -257,6 +257,45 @@ class TestPlot:
         assert code == 2
 
 
+def outcome(capsys, argv):
+    """Exit code, stdout and stderr of one `main` call, usage errors included."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:  # argparse reports a usage error this way
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+GENERAL_TWO = ("--class", "general", "--n", "2", "--m", "2")
+
+
+class TestParserReuse:
+    @pytest.mark.parametrize(
+        "sequence,codes",
+        [
+            ([("scan", *GENERAL_TWO, "--identity", "--format", "json"), ("scan", *GENERAL_TWO)],
+             [0, 0]),
+            ([("radius", *GENERAL_TWO, "--format", "json"), ("radius", *GENERAL_TWO)], [0, 0]),
+            ([("radius", "--class", "general", "--n", "two", "--m", "2"), ("radius", *GENERAL_TWO)],
+             [2, 0]),
+        ],
+        ids=["scan-identity-then-extremal", "radius-json-then-text", "usage-error-then-valid"],
+    )
+    def test_reused_parser_matches_a_fresh_one(self, capsys, monkeypatch, sequence, codes):
+        monkeypatch.delenv("HS_GRID_SCALE", raising=False)
+        fresh = []
+        for argv in sequence:
+            cli.build_parser.cache_clear()
+            fresh.append(outcome(capsys, argv))
+        cli.build_parser.cache_clear()
+        reused = [outcome(capsys, argv) for argv in sequence]
+        assert cli.build_parser.cache_info().misses == 1
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == codes
+        assert len({out for _, out, _ in reused}) == len(sequence)
+
+
 class TestEntryPoint:
     @pytest.mark.skipif(
         shutil.which("harmsect") is None,

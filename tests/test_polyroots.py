@@ -23,17 +23,6 @@ class TestRealPolynomial:
         assert RealPolynomial((1.0, 2.0, 0.0)).degree == 1
         assert RealPolynomial((0.0,)).degree == 0
 
-    def test_derivative(self):
-        p = RealPolynomial((5.0, 1.0, -3.0, 2.0))
-        assert p.derivative().coefficients == (1.0, -6.0, 6.0)
-        assert RealPolynomial((4.0,)).derivative().coefficients == (0.0,)
-        # each coefficient is one correctly rounded multiply: 3 * (1 + 2^-52)
-        # = 3 + 3 * 2^-52 lies halfway between two doubles and rounds to the
-        # even one, 3 + 2^-50
-        coefficients = RealPolynomial((0.0, 0.0, 0.0, 1 + 2**-52)).derivative().coefficients
-        assert coefficients == (0.0, 0.0, 3 + 2**-50)
-        assert coefficients[2] == float(3 * Fraction(1 + 2**-52))
-
     def test_scaled(self):
         assert RealPolynomial((1.0, 2.0)).scaled(3.0).coefficients == (3.0, 6.0)
 

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from harmsect import radius, tails
 from harmsect.radius import (
     FamilyClass,
     RadiusResult,
@@ -19,11 +20,13 @@ from harmsect.radius import (
     margin_convex,
     margin_convex_diag,
     margin_convex_poly,
+    margin_fn,
     margin_general,
     margin_general_diag,
     solve_radius,
     threshold_order,
 )
+from harmsect.tails import tail_cube, tail_linear, tail_square
 
 # printed six-decimal equal-order general radii (half-ulp tolerance 5e-7)
 TABLE_GENERAL = {
@@ -38,6 +41,60 @@ TABLE_GENERAL = {
 }
 
 R_GRID = np.asarray([0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99])
+
+
+# Reference solver: the margin composed from the public floor and the public
+# elementary tails, term by term as the weighted tail combines them, with the
+# solver's 999-point scan and bisection.  Every public call checks its own r.
+REFERENCE_WEIGHTS = {
+    FamilyClass.GENERAL: ((1.0 / 6.0, 0.5, 1.0 / 3.0), (1.0 / 6.0, -0.5, 1.0 / 3.0)),
+    FamilyClass.CONVEX: ((0.5, 0.5, 0.0), (-0.5, 0.5, 0.0)),
+}
+SCAN_GRID = np.arange(1, 1000) * 1e-3
+
+
+def reference_tail(weights, n, r):
+    c1, c2, c3 = weights
+    out = c1 * tail_linear(n, r) + c2 * tail_square(n, r)
+    if c3:
+        out = out + c3 * tail_cube(n, r)
+    return out
+
+
+def reference_margin(family, n, m, r):
+    floor = distortion_floor_general if family is FamilyClass.GENERAL else distortion_floor_convex
+    analytic, co_analytic = REFERENCE_WEIGHTS[family]
+    return floor(r) - reference_tail(analytic, n, r) - reference_tail(co_analytic, m, r)
+
+
+def reference_solve(family, n, m):
+    pos = reference_margin(family, n, m, SCAN_GRID) > 0.0
+    i = int(np.nonzero(pos[:-1] & ~pos[1:])[0][0])
+    lo, hi = float(SCAN_GRID[i]), float(SCAN_GRID[i + 1])
+    iterations = 0
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if reference_margin(family, n, m, mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        iterations += 1
+    root = 0.5 * (lo + hi)
+    low = min(n, m)
+    if family is FamilyClass.GENERAL and low >= 15:
+        bound = lower_bound_general(low)
+    elif family is FamilyClass.CONVEX and low >= 7:
+        bound = lower_bound_convex(low)
+    else:
+        bound = None
+    return RadiusResult(root, lo, hi, float(reference_margin(family, n, m, root)), iterations, bound)
+
+
+def random_pairs(family, count=200):
+    """Seeded (n, m) pairs, log-uniform on [2, 5000]."""
+    rng = np.random.default_rng(7 if family is FamilyClass.GENERAL else 8)
+    return [tuple(int(v) for v in np.exp(rng.uniform(math.log(2), math.log(5000), 2)))
+            for _ in range(count)]
 
 
 def dense_sign_scan(f, step=1e-6):
@@ -124,6 +181,93 @@ class TestMargins:
         for fn in (margin_general, margin_convex):
             with pytest.raises(ValueError, match=r"r must lie in \(0, 1\)"):
                 fn(2, 2, r)
+
+    @pytest.mark.parametrize(
+        "r",
+        [math.nan, np.float64(math.nan), np.array(math.nan), [0.5, math.nan],
+         np.array([0.2, math.nan, 0.7])],
+    )
+    def test_nan_rejected(self, r):
+        # NaN fails every comparison, so "no value outside" would let it pass
+        for call in (
+            lambda: margin_general(2, 2, r),
+            lambda: margin_convex(2, 2, r),
+            lambda: margin_general_diag(2, r),
+            lambda: margin_convex_diag(2, r),
+            lambda: distortion_floor_general(r),
+            lambda: distortion_floor_convex(r),
+        ):
+            with pytest.raises(ValueError, match=r"r must lie in \(0, 1\)"):
+                call()
+        with pytest.raises(ValueError, match=r"r must lie in \[0, 1\)"):
+            margin_convex_poly(2, r)
+
+    @pytest.mark.parametrize("fn", [margin_general, margin_convex])
+    @pytest.mark.parametrize("n,m", [(2.5, 3), (3, 2.5), (3.0, 3), ("3", 3)])
+    def test_non_integral_orders_rejected(self, fn, n, m):
+        with pytest.raises(ValueError, match="orders must be integers"):
+            fn(n, m, 0.5)
+
+    def test_numpy_integer_orders_accepted(self):
+        assert margin_general(np.int64(3), np.int32(4), 0.3) == margin_general(3, 4, 0.3)
+
+    @pytest.mark.parametrize("fn", [margin_general, margin_convex])
+    def test_float_and_array_r_agree(self, fn):
+        # a float r takes the direct comparison in the domain check, an array the numpy one
+        rs = np.array([1e-3, 0.25, 0.999])
+        assert [fn(5, 8, float(r)) for r in rs] == pytest.approx(fn(5, 8, rs), rel=1e-14)
+        assert fn(5, 8, np.float64(0.25)) == fn(5, 8, 0.25)
+
+
+@pytest.fixture
+def r_checks(monkeypatch):
+    """Record every r domain check, at each place the checks are bound."""
+    calls = []
+    for module, name in ((radius, "_check_r_open"), (tails, "_check_r_halfopen"),
+                         (radius, "_check_r_halfopen")):
+        check = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda r, check=check: calls.append(r) or check(r))
+    return calls
+
+
+class TestOneCheckPerCall:
+    @pytest.mark.parametrize("family", list(FamilyClass))
+    @pytest.mark.parametrize("r", [0.3, np.array([0.1, 0.5, 0.9])])
+    def test_margin_checks_r_once(self, r_checks, family, r):
+        margin_fn(family)(40, 60, r)
+        assert len(r_checks) == 1
+
+    @pytest.mark.parametrize("family", list(FamilyClass))
+    def test_solver_checks_r_at_most_once_per_evaluation(self, monkeypatch, r_checks, family):
+        evaluations = []
+        name = margin_fn(family).__name__
+        margin = getattr(radius, name)
+        monkeypatch.setattr(
+            radius, name, lambda n, m, r: evaluations.append(r) or margin(n, m, r)
+        )
+        solve_radius(family, 40, 60)
+        assert len(evaluations) > 30  # the scan, about 30 bisection steps, the residual
+        assert len(r_checks) <= len(evaluations)
+
+
+class TestReferenceEquivalence:
+    """Bit-for-bit agreement with the margin composed from the public parts."""
+
+    @pytest.mark.parametrize("family", list(FamilyClass))
+    def test_equal_orders(self, family):
+        for n in [*range(2, 301), 1000, 10000]:
+            assert solve_radius(family, n, n) == reference_solve(family, n, n), n
+
+    @pytest.mark.parametrize("family", list(FamilyClass))
+    def test_random_pairs(self, family):
+        for n, m in random_pairs(family):
+            assert solve_radius(family, n, m) == reference_solve(family, n, m), (n, m)
+
+    @pytest.mark.parametrize("family", list(FamilyClass))
+    @pytest.mark.parametrize("n,m", [(2, 2), (3, 9), (50, 50), (287, 287), (1000, 40)])
+    def test_margin_on_scan_grid(self, family, n, m):
+        assert np.array_equal(margin_fn(family)(n, m, SCAN_GRID),
+                              reference_margin(family, n, m, SCAN_GRID))
 
 
 class TestConvexPolyForm:
@@ -212,6 +356,17 @@ class TestSolver:
     def test_order_guard(self):
         with pytest.raises(ValueError):
             solve_radius(FamilyClass.GENERAL, 1, 2)
+
+    @pytest.mark.parametrize("n,m", [(2.5, 3), (3, 2.5)])
+    def test_non_integral_orders_rejected(self, n, m):
+        # a float order once gave a radius (0.1327 for (2.5, 3))
+        with pytest.raises(ValueError, match="orders must be integers"):
+            solve_radius(FamilyClass.GENERAL, n, m)
+
+    def test_numpy_integer_orders_accepted(self):
+        assert solve_radius(FamilyClass.CONVEX, np.int64(7), np.int64(9)) == solve_radius(
+            FamilyClass.CONVEX, 7, 9
+        )
 
     def test_single_sign_change_on_scan(self):
         # sampled uniqueness check: no multiple-sign-change warnings

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from harmsect import tails
 from harmsect.tails import (
     TailClass,
     tail_brute,
@@ -130,6 +131,33 @@ class TestWeightedTails:
             tail_weighted(TailClass.GENERAL_ANALYTIC, 2, 1.0)
         with pytest.raises(ValueError, match=r"r must lie in \[0, 1\)"):
             tail_weighted(TailClass.GENERAL_ANALYTIC, 2, -0.2)
+
+    @pytest.mark.parametrize("r", [math.nan, [0.5, math.nan], np.array([math.nan, 0.2])])
+    def test_nan_rejected(self, r):
+        # NaN fails every comparison, so "no value outside" would let it pass
+        for call in (
+            lambda: tail_weighted(TailClass.GENERAL_ANALYTIC, 3, r),
+            lambda: tail_weighted(TailClass.CONVEX_CO_ANALYTIC, 3, r),
+            lambda: tail_linear(3, r),
+            lambda: tail_square(3, r),
+            lambda: tail_cube(3, r),
+            lambda: tail_general_pair_diag(3, r),
+        ):
+            with pytest.raises(ValueError, match=r"r must lie in \[0, 1\)"):
+                call()
+
+    def test_nan_rejected_by_oracle(self):
+        with pytest.raises(ValueError, match=r"r must lie in \[0, 1\)"):
+            tail_brute(TailClass.GENERAL_ANALYTIC, 3, math.nan, 10)
+
+    def test_one_r_check_per_call(self, monkeypatch):
+        calls = []
+        check = tails._check_r_halfopen
+        monkeypatch.setattr(tails, "_check_r_halfopen", lambda r: calls.append(r) or check(r))
+        for cls in ALL_CLASSES:
+            calls.clear()
+            tail_weighted(cls, 3, 0.4)
+            assert calls == [0.4]
 
 
 class TestCombinedDiagonal:
