@@ -59,7 +59,8 @@ class UnknownClaimError(KeyError):
 
 
 def _check_x_range(x, n: int) -> None:
-    if np.any(np.asarray(x) <= 0) or np.any(np.asarray(x) > n):
+    xs = np.asarray(x)
+    if not ((xs > 0) & (xs <= n)).all():
         raise ValueError(f"x must lie in (0, n], got x={x!r} for n={n}")
 
 
@@ -115,7 +116,7 @@ def slope_prefactor_general(x, n: int):
     -(2n - x)^8 e^-x / (x^8 D(x, n)^2); the full derivative is this times
     slope_bracket_general.
     """
-    if np.any(np.asarray(x) <= 0):
+    if not (np.asarray(x) > 0).all():
         raise ValueError(f"x must be positive, got {x!r}")
     _, den, _ = _bracket_num_den(x, n)
     if np.any(np.asarray(den) == 0):
@@ -175,7 +176,8 @@ def slope_bracket_scaled(k, n: int):
     Valid for k in [1, 3]; agrees with slope_bracket_general(n/k, n) to
     roundoff, which is what the Q-identity claim certifies.
     """
-    if np.any(np.asarray(k) < 1) or np.any(np.asarray(k) > 3):
+    ks = np.asarray(k)
+    if not ((ks >= 1) & (ks <= 3)).all():
         raise ValueError(f"k must lie in [1, 3], got {k!r}")
     p1, p2, p3, _, p5 = SCALED_BRACKET_PARTS
     return (

@@ -2,7 +2,7 @@
 
 A planar harmonic polynomial f = h + conj(g) is stored as the two
 coefficient lists of its analytic and co-analytic parts.  The univalence
-criterion sampled here is nonvanishing of the kernel
+criterion tested here is nonvanishing of the kernel
 
     K(z, t) = sum_k (a_k z^k - conj(b_k z^k)) sin(kt)/sin(t),
 
@@ -12,13 +12,22 @@ The t = 0 value uses the exact continuous extension sin(kt)/sin(t) -> k,
 never a 0/0 evaluation; at t = 0 nonvanishing is the local-univalence
 (sense-preservation) boundary condition.
 
-Grid scans are one-sided evidence: a positive minimum of |K| at a given
-resolution is consistent with univalence but proves nothing, while a zero
-or sign change is a concrete violation witness.  The empirical radius
-conjoins kernel nonvanishing with Jacobian positivity and records which
-predicate failed first.  The Jacobian is checked first at each radius, and
-the far costlier kernel pass runs only where it passes; the witness is the
-kernel pass at the last radius that passed both.
+For each t, K(., t) is a harmonic polynomial with a simple,
+sense-preserving zero at z = 0, so by the argument principle for harmonic
+functions (Duren, Hengartner & Laugesen, Amer. Math. Monthly 103, 1996)
+the winding number of theta -> K(r e^(i theta), t) around 0 counts its
+zeros in |z| < r, sense-preserving ones +1 and sense-reversing ones -1.
+A winding number other than 1 at any t is a concrete violation witness,
+found without sampling the zero itself.  The evidence is one-sided: for
+b = 0 every zero counts +1 and winding 1 proves the disk free of further
+zeros at that t, but for b != 0 a sense-preserving and a sense-reversing
+zero can cancel, and a count of 1 proves nothing.
+
+The empirical radius conjoins the kernel's winding test on the circle
+with Jacobian positivity on a disk grid and records which predicate failed
+first.  The Jacobian is checked first at each radius, and the kernel pass
+runs only where it passes; the witness is the kernel pass at the last
+radius that passed both.
 """
 
 from __future__ import annotations
@@ -31,9 +40,10 @@ import numpy as np
 
 from .radius import FamilyClass
 
-# z points per kernel block: small enough that the (block, K) and (block, T)
-# complex temporaries stay in cache instead of being freshly allocated
-_Z_BLOCK = 512
+# t values per kernel block on the circle: small enough that the
+# (block, N_theta) temporaries stay in cache, and bounded however many
+# angles a refined count needs
+_T_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -75,10 +85,12 @@ class HarmonicPolynomial:
 class ExtremalCoefficients:
     """Coefficient source taking the family's coefficient bounds with equality.
 
-    This is a synthetic extremal-coefficient model (the bounds are sharp
-    values, not the coefficients of a single known mapping): for the
-    general families a_k = (k+1)(2k+1)/6 and b_k = (k-1)(2k-1)/6, for the
-    convex family a_k = (k+1)/2 and b_k = (k-1)/2.
+    For the general families a_k = (k+1)(2k+1)/6 and b_k = (k-1)(2k-1)/6,
+    exactly the coefficients of the harmonic Koebe function h + conj(g) with
+    h = (z - z^2/2 + z^3/6)/(1 - z)^3 and g = (z^2/2 + z^3/6)/(1 - z)^3.
+    For the convex family a_k = (k+1)/2 and b_k = (k-1)/2: the half-plane
+    map with h = (z - z^2/2)/(1 - z)^2 and g = -(z^2/2)/(1 - z)^2, except
+    that every b_k has the opposite sign.
     """
 
     family: FamilyClass
@@ -181,7 +193,7 @@ def kernel(p: HarmonicPolynomial, z, t: float):
     if not 0.0 <= t <= math.pi / 2.0:
         raise ValueError(f"t must lie in [0, pi/2], got {t}")
     zs = np.asarray(z, dtype=complex)
-    if np.any(np.abs(zs) >= 1.0):
+    if not (np.abs(zs) < 1.0).all():
         raise ValueError("kernel is defined on |z| < 1")
     ks, a, b = _padded_coeffs(p)
     ratio = _sin_ratio(ks, t)
@@ -202,7 +214,14 @@ def divided_difference(p: HarmonicPolynomial, r: float, eta: float, psi: float):
 
 @dataclass(frozen=True)
 class ProbeGrid:
-    """Resolution of a kernel/Jacobian scan: concentric circles times a t grid."""
+    """Resolution of a kernel/Jacobian scan at one radius.
+
+    The Jacobian is sampled on radial_points concentric circles of
+    angular_points each (z_points).  The kernel is evaluated only on the
+    outer circle |z| = radius, at 4 * angular_points angles or more, for
+    each of the t_points values of t, so radial_points sizes only the
+    Jacobian pass.
+    """
 
     radial_points: int = 64
     angular_points: int = 256
@@ -237,41 +256,84 @@ class ProbeGrid:
 
 @dataclass(frozen=True)
 class KernelScan:
-    """Minimum kernel modulus over a probe grid and where it occurred."""
+    """The kernel on the circle |z| = radius: minimum modulus and winding.
+
+    `min_modulus` is the smallest |K| sampled on the circle and
+    (`argmin_z`, `argmin_t`) where it occurred.  `winding` is the first
+    winding number, in increasing t, of theta -> K(r e^(i theta), t) that is
+    not 1, or 0 when a count could not be guarded (as when a guarded count
+    is 0); 1 when every t winds once.  Winding 1 is necessary for
+    univalence, and sufficient only for b = 0 (sense-reversing zeros
+    count -1).
+    """
 
     min_modulus: float
     argmin_z: complex
     argmin_t: float
+    winding: int = 1
+
+
+def _ratio_table(ks: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """sin(k t)/sin(t) with k down the rows and t across; k exactly where sin t = 0."""
+    sin_t = np.sin(ts)
+    return np.divide(
+        np.sin(np.outer(ks, ts)), sin_t,
+        out=np.repeat(ks[:, None], ts.size, axis=1), where=sin_t != 0.0,
+    )
 
 
 def kernel_min_modulus(p: HarmonicPolynomial, grid: ProbeGrid) -> KernelScan:
-    """min |kernel| over the grid (z = 0 excluded by construction).
+    """Winding numbers and min |kernel| on the circle |z| = grid.radius.
 
-    One-sided evidence only: a small minimum suggests a near-violation, a
-    large one is merely consistent with univalence at this resolution.
-    The reduction is over a fixed grid, so the result does not depend on
-    evaluation order.
+    For every t in grid.t_values() the winding number of
+    theta -> K(r e^(i theta), t) around 0 is the sum of the wrapped arg
+    steps between 4 * grid.angular_points equally spaced angles.  A count
+    is trusted only when every step stays below pi/2 in modulus; the t
+    values where one does not are evaluated again at twice the angles, up
+    to 64 * grid.angular_points, and a t still unguarded there counts as
+    winding 0.  By the argument principle a winding other than 1 means a
+    zero of K(., t) in the open disk besides z = 0; winding 1 rules such a
+    zero out only for b = 0 (see KernelScan).  The radial points of the
+    grid play no part here.  The reduction is over fixed grids, so the
+    result does not depend on evaluation order.
     """
-    zs = grid.z_points()
-    ts = grid.t_values()
     ks, a, b = _padded_coeffs(p)
-    ratios = np.stack([_sin_ratio(ks, float(t)) for t in ts], axis=1)  # (K, NT)
-
-    best = math.inf
-    best_z = 0j
-    best_t = 0.0
-    for start in range(0, zs.size, _Z_BLOCK):
-        block = zs[start : start + _Z_BLOCK]
-        zk = block[:, None] ** ks[None, :]
-        coeffs = a[None, :] * zk - np.conj(b[None, :] * zk)  # (NZ, K)
-        mod = np.abs(coeffs @ ratios)  # (NZ, NT)
-        flat = int(np.argmin(mod))
-        val = float(mod.flat[flat])
-        if val < best:
-            best = val
-            best_z = complex(block[flat // ts.size])
-            best_t = float(ts[flat % ts.size])
-    return KernelScan(min_modulus=best, argmin_z=best_z, argmin_t=best_t)
+    ts = grid.t_values()
+    ratios = _ratio_table(ks, ts).T  # (T, K)
+    rk = grid.radius**ks
+    a_r, b_r = (a * rk)[:, None], (b * rk)[:, None]
+    windings = np.zeros(ts.size, dtype=int)
+    rows = np.arange(ts.size)  # the t values still to count
+    best, best_z, best_t = math.inf, 0j, 0.0
+    n_theta = 4 * grid.angular_points
+    while rows.size and n_theta <= 64 * grid.angular_points:
+        thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
+        e = np.exp(1j * np.outer(ks, thetas))  # (K, N_theta): e^(i k theta)
+        # real view: the re and im parts of each term are adjacent columns,
+        # so a real matmul gives the complex kernel values
+        terms = (a_r * e - np.conj(b_r * e)).view(float)
+        unguarded = []
+        for start in range(0, rows.size, _T_BLOCK):
+            block = rows[start : start + _T_BLOCK]
+            vals = (ratios[block] @ terms).view(complex)  # (block, N_theta)
+            mod = np.abs(vals)
+            flat = int(np.argmin(mod))
+            if mod.flat[flat] < best:
+                best = float(mod.flat[flat])
+                best_z = complex(grid.radius * np.exp(1j * thetas[flat % n_theta]))
+                best_t = float(ts[block[flat // n_theta]])
+            # K(theta_{j+1}) conj K(theta_j), wrapping at 2 pi: its arg is the step
+            steps = np.roll(vals, -1, axis=1)
+            steps *= vals.conj()
+            guarded = (steps.real > 0.0).all(axis=1)  # every |step| < pi/2
+            turns = np.angle(steps).sum(axis=1) / (2.0 * np.pi)
+            windings[block[guarded]] = np.rint(turns[guarded])
+            unguarded.append(block[~guarded])
+        rows = np.concatenate(unguarded)
+        n_theta *= 2
+    off = np.flatnonzero(windings != 1)
+    winding = int(windings[off[0]]) if off.size else 1
+    return KernelScan(min_modulus=best, argmin_z=best_z, argmin_t=best_t, winding=winding)
 
 
 def _jacobian_min(p: HarmonicPolynomial, grid: ProbeGrid) -> float:
@@ -280,15 +342,21 @@ def _jacobian_min(p: HarmonicPolynomial, grid: ProbeGrid) -> float:
 
 @dataclass(frozen=True)
 class EmpiricalScan:
-    """Largest radius passing both grid predicates, with the failure context.
+    """Largest radius passing both predicates, with the failure context.
 
-    `binding` names the predicate that failed just above the returned
-    radius ("jacobian" wins when both fail, since sense-preservation loss
-    already implies a kernel zero at t = 0, and the kernel is then not
-    evaluated); None when nothing failed below the unit disk.  `witness`
-    is the kernel minimum at the returned radius, taken from the last
-    bisection step that passed (or from a pass at radius 1e-6 when none
-    did), and `min_jacobian` is the Jacobian minimum of that same pass.
+    The predicates at radius r are Jacobian positivity on the disk grid
+    and, for the kernel, winding number 1 with |K| > 0 on the circle
+    |z| = r at every t (see kernel_min_modulus).  `binding` names the
+    predicate that failed just above the returned radius ("jacobian" wins
+    when both fail, since sense-preservation loss already implies a kernel
+    zero at t = 0, and the kernel is then not evaluated); None when nothing
+    failed below the unit disk.  `witness` is the kernel on the circle at
+    the returned radius, taken from the last bisection step that passed (or
+    from a pass at radius 1e-6 when none did), and `min_jacobian` is the
+    Jacobian minimum of that same pass.  A kernel failure is a counted
+    violation, so for b = 0 the radius estimates the univalence radius from
+    above, to the bisection width; for b != 0 sense-reversing zeros can
+    cancel in the count, and the evidence is one-sided.
     """
 
     radius: float
@@ -300,12 +368,13 @@ class EmpiricalScan:
 def empirical_scan(p: HarmonicPolynomial, grid: ProbeGrid) -> EmpiricalScan:
     """Binary search for the largest grid-clean radius, to 1e-3.
 
-    The predicate at radius r is [min Jacobian > 0 and min |kernel| > 0]
-    over the grid rescaled to r.  The Jacobian is evaluated first, and the
-    kernel pass runs only at radii where it is positive, so a step whose
-    Jacobian fails costs no kernel evaluation.  Semantics are "no violation
-    found at this resolution": the result is an upper-style estimate that
-    must dominate the certified radius, never a certificate.
+    The predicate at radius r is [min Jacobian > 0 over the disk grid, and
+    min |kernel| > 0 with winding number 1 on the circle |z| = r], with the
+    grid rescaled to r.  The Jacobian is evaluated first, and the kernel
+    pass runs only at radii where it is positive, so a step whose Jacobian
+    fails costs no kernel evaluation.  Semantics are "no violation found at
+    this resolution": the result is an upper-style estimate that must
+    dominate the certified radius, never a certificate.
     """
     lo, hi = 0.0, 1.0
     binding = None
@@ -315,7 +384,7 @@ def empirical_scan(p: HarmonicPolynomial, grid: ProbeGrid) -> EmpiricalScan:
         probe = dataclasses.replace(grid, radius=mid)
         jac_min = _jacobian_min(p, probe)
         scan = kernel_min_modulus(p, probe) if jac_min > 0.0 else None
-        if scan is not None and scan.min_modulus > 0.0:
+        if scan is not None and scan.min_modulus > 0.0 and scan.winding == 1:
             lo = mid
             last_clean = (scan, jac_min)
         else:

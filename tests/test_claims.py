@@ -241,6 +241,30 @@ class TestConvexRatio:
             tail_ratio_convex(10.5, 10)
 
 
+class TestNanRejected:
+    # every domain check requires each value inside, so NaN cannot pass
+    @pytest.mark.parametrize(
+        "fn,args",
+        [
+            (tail_ratio_general, (math.nan, 10)),
+            (log_tail_ratio_general, (np.array([1.0, math.nan]), 10)),
+            (log_tail_ratio_convex, (math.nan, 10)),
+            (tail_ratio_convex, (np.array([math.nan]), 10)),
+            (slope_prefactor_general, (math.nan, 10)),
+            (slope_bracket_scaled, (math.nan, 20)),
+            (slope_bracket_scaled, (np.array([2.0, math.nan]), 20)),
+        ],
+        ids=[
+            "tail_ratio_general", "log_tail_ratio_general-array", "log_tail_ratio_convex",
+            "tail_ratio_convex-array", "slope_prefactor_general", "slope_bracket_scaled",
+            "slope_bracket_scaled-array",
+        ],
+    )
+    def test_nan_rejected(self, fn, args):
+        with pytest.raises(ValueError):
+            fn(*args)
+
+
 class TestBoundParts:
     def test_helper_values(self):
         parts9 = ratio_bound_parts(9)

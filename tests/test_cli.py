@@ -165,7 +165,9 @@ class TestScan:
 
     def test_general_two_json_is_frozen(self, capsys, monkeypatch):
         # the full record, bit for bit, as the scan with a kernel pass at
-        # every bisection step printed it
+        # every bisection step printed it; the witness is the kernel minimum
+        # on the circle |z| = r = 0.166015625, at z = -r, t = 0, where
+        # K = -r + 4 r^2 exactly
         monkeypatch.delenv("HS_GRID_SCALE", raising=False)
         code, out, _ = run(
             capsys, "scan", "--class", "general", "--n", "2", "--m", "2", "--format", "json"
@@ -174,8 +176,8 @@ class TestScan:
         assert out == (
             '{"family": "general", "n": 2, "m": 2, "model": "extremal", '
             '"certified_radius": 0.10819284382974731, "empirical_radius": 0.166015625, '
-            '"binding": "jacobian", "min_kernel_modulus": 0.0025648229823690824, '
-            '"witness_z_re": -0.0021208102147791934, "witness_z_im": 0.0014936430746617696, '
+            '"binding": "jacobian", "min_kernel_modulus": 0.0557708740234375, '
+            '"witness_z_re": -0.166015625, "witness_z_im": 2.033105037646973e-17, '
             '"witness_t": 0.0, "min_jacobian": 0.001312255859375}\n'
         )
 

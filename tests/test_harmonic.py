@@ -1,5 +1,6 @@
 """Sections, kernel/divided-difference identities, and empirical radius scans."""
 
+import cmath
 import dataclasses
 import math
 
@@ -33,6 +34,21 @@ from harmsect.tails import TailClass, tail_weighted
 GENERAL = ExtremalCoefficients(FamilyClass.GENERAL)
 CONVEX = ExtremalCoefficients(FamilyClass.CONVEX)
 IDENTITY = IdentityCoefficients()
+
+
+def exponential_section(lam, degree=30):
+    """Section of (e^(lam z) - 1)/lam, which is univalent exactly in |z| < pi/lam:
+    it sends the two ends of a vertical chord of length 2 pi/lam to one point."""
+    a = [lam ** (k - 1) / math.factorial(k) for k in range(1, degree + 1)]
+    return HarmonicPolynomial(a=a, b=[0.0])
+
+
+def zero_between_the_samples():
+    """f(z) = z - z^2/(2w), whose K(z, 0) = z (1 - z/w) vanishes at w: just
+    outside the circle |z| = 1/2, and midway between two of its samples at
+    every angle count up to 64 x 1024, so each count there has a step near pi."""
+    w = 0.5 * (1.0 + 1e-9) * cmath.exp(1j * math.pi / 16384)
+    return HarmonicPolynomial(a=[1.0, -0.5 / w], b=[0.0])
 
 
 def random_polynomial(rng, n=None, m=None):
@@ -170,6 +186,15 @@ class TestKernel:
         with pytest.raises(ValueError):
             kernel(p, 1.2, 0.3)
 
+    @pytest.mark.parametrize(
+        "z",
+        [math.nan, complex(0.1, math.nan), np.array([0.1, math.nan])],
+        ids=["nan", "nan-imag", "array"],
+    )
+    def test_nan_rejected(self, z):
+        with pytest.raises(ValueError, match=r"\|z\| < 1"):
+            kernel(section(GENERAL, 3, 3), z, 0.3)
+
 
 class TestDividedDifferenceIdentity:
     def test_kernel_is_z_times_divided_difference(self):
@@ -254,9 +279,11 @@ class TestProbeGrid:
 
 class TestKernelScan:
     def test_identity_min_is_smallest_radius(self):
-        grid = ProbeGrid(radius=0.9)
-        scan = kernel_min_modulus(section(IDENTITY, 1, 1), grid)
-        assert scan.min_modulus == pytest.approx(0.9 / grid.radial_points, rel=1e-12)
+        # K(z, t) = z, so |K| is the radius all round the circle
+        scan = kernel_min_modulus(section(IDENTITY, 1, 1), ProbeGrid(radius=0.9))
+        assert scan.min_modulus == pytest.approx(0.9, rel=1e-12)
+        assert abs(scan.argmin_z) == pytest.approx(0.9, rel=1e-12)
+        assert scan.winding == 1
 
     def test_inside_certified_radius(self):
         p = section(GENERAL, 2, 2)
@@ -268,7 +295,100 @@ class TestKernelScan:
         # grid passes close to a kernel zero
         p = section(GENERAL, 2, 2)
         scan = kernel_min_modulus(p, ProbeGrid(radius=0.999))
-        assert scan.min_modulus < 1e-3
+        assert scan.winding != 1
+
+    @pytest.mark.parametrize(
+        "p,r,winding",
+        [
+            # K(z, 0) = z (1 + 2z): a second zero at z = -1/2
+            (HarmonicPolynomial(a=[1.0, 1.0], b=[0.0]), 0.6, 2),
+            (HarmonicPolynomial(a=[1.0, 1.0], b=[0.0]), 0.4, 1),
+            # K(z, 0) = z + 5z^2 - conj(z^2) vanishes at z = -1/4, sense-preserving
+            (section(GENERAL, 2, 2), 0.26, 2),
+            (section(GENERAL, 2, 2), 0.24, 1),
+        ],
+        ids=["z-plus-z2-outside", "z-plus-z2-inside", "general-2-outside", "general-2-inside"],
+    )
+    def test_winding_counts_the_zeros_inside(self, p, r, winding):
+        scan = kernel_min_modulus(p, ProbeGrid(radius=r))
+        assert scan.winding == winding
+        assert scan.min_modulus > 0.0
+
+    def test_guard_failure_counts_zero(self):
+        # no refinement brings the arg step next to the zero below pi/2
+        scan = kernel_min_modulus(zero_between_the_samples(), ProbeGrid(radius=0.5))
+        assert scan.winding == 0
+        # |K| at the sample next to the zero, angle 0: about r pi/16384
+        assert scan.min_modulus == pytest.approx(0.5 * math.pi / 16384, rel=1e-3)
+        assert scan.argmin_t == 0.0
+
+    @pytest.mark.parametrize("seed", [3, 11, 19])
+    def test_minimum_matches_the_pointwise_kernel(self, seed):
+        p = seeded_polynomial(seed)
+        grid = ProbeGrid(angular_points=32, t_points=16, radius=0.35)
+        scan = kernel_min_modulus(p, grid)
+        assert abs(scan.argmin_z) == pytest.approx(grid.radius, rel=1e-12)
+        assert scan.argmin_t in grid.t_values()
+        pointwise = abs(kernel(p, scan.argmin_z, scan.argmin_t))
+        assert scan.min_modulus == pytest.approx(pointwise, rel=1e-10, abs=1e-15)
+        # the first pass's circle samples, from the scalar kernel: a refined
+        # count adds samples, so the scan's minimum can only be lower
+        thetas = 2.0 * np.pi * np.arange(4 * grid.angular_points) / (4 * grid.angular_points)
+        zs = grid.radius * np.exp(1j * thetas)
+        brute = min(np.abs(kernel(p, zs, float(t))).min() for t in grid.t_values())
+        assert scan.min_modulus <= brute * (1.0 + 1e-10)
+
+    def test_winding_matches_root_count_for_analytic_maps(self):
+        # for b = 0, K(., t) is a polynomial in z, and its winding number on the
+        # circle is its number of roots in the disk
+        rng = np.random.default_rng(5)
+        grid = ProbeGrid(angular_points=64, t_points=8)
+        ts = grid.t_values()
+        ks = np.arange(1, 9)
+        seen = set()
+        for _ in range(40):
+            a = (rng.standard_normal(8) + 1j * rng.standard_normal(8)) / 2.0
+            a[0] = 1.0
+            r = float(rng.uniform(0.2, 0.9))
+            ratios = np.stack([harmonic._sin_ratio(ks, float(t)) for t in ts])
+            # roots of K(z, t)/z, highest power first
+            moduli = [np.abs(np.roots((a * row)[::-1])) for row in ratios]
+            if any(np.any(np.abs(m - r) < 1e-2) for m in moduli):
+                continue
+            counts = [1 + int(np.sum(m < r)) for m in moduli]
+            expected = next((c for c in counts if c != 1), 1)
+            p = HarmonicPolynomial(a=a, b=[0.0])
+            scan = kernel_min_modulus(p, dataclasses.replace(grid, radius=r))
+            assert scan.winding == expected, (a, r, counts)
+            seen.add(expected)
+        assert {1, 2} <= seen and len(seen) >= 3
+
+    @pytest.mark.parametrize(
+        "p,r",
+        [(section(GENERAL, 10, 10), 0.9), (zero_between_the_samples(), 0.5)],
+        ids=["general-10", "refined-to-64x"],
+    )
+    @pytest.mark.parametrize("block", [1, 5, 128])
+    def test_block_size_does_not_change_the_scan(self, p, r, block, monkeypatch):
+        # a one-row block is a matrix-vector product, which may round differently
+        grid = ProbeGrid(radius=r)
+        blocked = kernel_min_modulus(p, grid)
+        monkeypatch.setattr(harmonic, "_T_BLOCK", block)
+        scan = kernel_min_modulus(p, grid)
+        assert (scan.winding, scan.argmin_z, scan.argmin_t) == (
+            blocked.winding, blocked.argmin_z, blocked.argmin_t
+        )
+        assert scan.min_modulus == pytest.approx(blocked.min_modulus, rel=1e-12, abs=1e-16)
+
+    def test_ratio_table_matches_the_scalar_ratio(self):
+        ks = np.arange(1, 31, dtype=float)
+        ts = ProbeGrid().t_values()
+        table = harmonic._ratio_table(ks, ts)
+        assert table.shape == (ks.size, ts.size)
+        assert np.array_equal(table[:, 0], ks)
+        for j, t in enumerate(ts):
+            scalar = harmonic._sin_ratio(ks, float(t))
+            assert np.allclose(table[:, j], scalar, rtol=1e-13, atol=1e-13)
 
 
 class TestEmpiricalRadius:
@@ -293,6 +413,26 @@ class TestEmpiricalRadius:
         p = section(ExtremalCoefficients(family), n, n)
         assert empirical_radius(p, ProbeGrid()) >= certified - 1e-3
 
+    @pytest.mark.parametrize("lam", [4.0, 3.6])
+    def test_exponential_map_binds_on_the_kernel(self, lam):
+        # locally univalent everywhere (the Jacobian is |e^(lam z)|^2), so only
+        # the kernel's winding can find the radius pi/lam
+        scan = empirical_scan(exponential_section(lam), ProbeGrid())
+        assert scan.binding == "kernel"
+        assert scan.radius == pytest.approx(math.pi / lam, abs=2e-3)
+        assert scan.radius <= math.pi / lam
+        assert scan.witness.winding == 1
+        assert scan.min_jacobian > 0.0
+
+    def test_guard_failure_fails_the_step(self):
+        # the first bisection step, r = 1/2, cannot guard its count (see
+        # TestKernelScan::test_guard_failure_counts_zero), although min |K| > 0
+        # and the Jacobian passes there, so the radius stays below 1/2
+        scan = empirical_scan(zero_between_the_samples(), ProbeGrid())
+        assert scan.binding == "kernel"
+        assert scan.radius == 0.5 - 2.0**-10
+        assert scan.witness.winding == 1
+
     def test_convex_dominates_close_to_convex_radius(self):
         from harmsect.radius import close_to_convex_radius
 
@@ -309,8 +449,8 @@ def reference_scan(p, grid):
         mid = 0.5 * (lo + hi)
         probe = dataclasses.replace(grid, radius=mid)
         jac_min = harmonic._jacobian_min(p, probe)
-        kern_min = harmonic.kernel_min_modulus(p, probe).min_modulus
-        if jac_min > 0.0 and kern_min > 0.0:
+        kern = harmonic.kernel_min_modulus(p, probe)
+        if jac_min > 0.0 and kern.min_modulus > 0.0 and kern.winding == 1:
             lo = mid
         else:
             hi = mid
@@ -333,6 +473,7 @@ EQUIVALENCE_CASES = {
     "general-2": lambda: section(GENERAL, 2, 2),
     "general-10": lambda: section(GENERAL, 10, 10),
     "convex-5": lambda: section(CONVEX, 5, 5),
+    "exponential-4": lambda: exponential_section(4.0),
     "random-10-seed-3": lambda: seeded_polynomial(3),
     "random-10-seed-11": lambda: seeded_polynomial(11),
 }
@@ -373,14 +514,6 @@ class TestEmpiricalScanEquivalence:
         assert got.binding == expected.binding
         assert got.witness == expected.witness
         assert got.min_jacobian == expected.min_jacobian
-
-    @pytest.mark.parametrize("name", ["general-10", "random-10-seed-3"])
-    def test_block_size_does_not_change_the_minimum(self, name, monkeypatch):
-        p = EQUIVALENCE_CASES[name]()
-        grid = ProbeGrid(radius=0.4)
-        blocked = kernel_min_modulus(p, grid)
-        monkeypatch.setattr(harmonic, "_Z_BLOCK", grid.z_points().size)
-        assert kernel_min_modulus(p, grid) == blocked
 
 
 class TestEmpiricalScanPasses:
