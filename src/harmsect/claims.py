@@ -7,8 +7,8 @@ equal-order margin condition into "ratio < 1" for
     general: ratio(x, n) = e^-x (n/x)^7 (2 - x/n)^9 * N(x, n) / D(x, n)
     convex:  ratio(x, n) = e^-x (n/x)^4 (2 - x/n)^3 * (2 + (2n-1)x/n + x^2)
 
-together with monotonicity of the ratio in x, positivity of a degree-8
-bracket polynomial appearing in its derivative, root locations of five
+together with monotonicity of the ratio in x, positivity of a bracket
+polynomial (degree 9 in x, 7 in n) appearing in its derivative, root locations of five
 fixed polynomials, and bounds on auxiliary slowly-varying functions.
 Each claim is registered under a stable id and checked over an explicit
 finite parameter range (dense n up to 500, spot checks at 1e3/1e4/1e6
@@ -126,7 +126,9 @@ def slope_prefactor_general(x, n: int):
 
 
 def slope_bracket_general(x, n: int):
-    """Degree-8 bracket polynomial in the derivative of tail_ratio_general.
+    """Bracket polynomial in the derivative of tail_ratio_general.
+
+    Degree 9 in x (from the -3 x^9 and -6 n^2 x^9 terms) and 7 in n.
 
     Entered term group by term group exactly as derived; no re-expansion.
     """

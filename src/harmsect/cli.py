@@ -25,7 +25,7 @@ import numpy as np
 from .claims import UnknownClaimError, verify_all, verify_claim
 from .harmonic import (
     ExtremalCoefficients,
-    IdentityCoefficients,
+    HarmonicPolynomial,
     ProbeGrid,
     empirical_scan,
     evaluate,
@@ -166,11 +166,16 @@ def _grid_scale_from_env() -> int:
     return scale
 
 
+def _model_section(args, family: FamilyClass):
+    """The (n, m) section of the identity map (--identity) or of the family's extremal map."""
+    source = HarmonicPolynomial(a=[1.0], b=[0.0]) if args.identity else ExtremalCoefficients(family)
+    return section(source, args.n, args.m)
+
+
 def cmd_scan(args) -> int:
     family = FamilyClass(args.family)
     certified = solve_radius(family, args.n, args.m).radius
-    source = IdentityCoefficients() if args.identity else ExtremalCoefficients(family)
-    poly = section(source, args.n, args.m)
+    poly = _model_section(args, family)
     grid = ProbeGrid(
         radial_points=args.radial, angular_points=args.angular, t_points=args.t_points
     ).scaled(_grid_scale_from_env())
@@ -225,8 +230,7 @@ def cmd_plot(args) -> int:
         print(f"wrote {args.out} (root at r = {result.radius:.9f})")
     else:
         family = FamilyClass(args.family)
-        source = IdentityCoefficients() if args.identity else ExtremalCoefficients(family)
-        poly = section(source, args.n, args.m)
+        poly = _model_section(args, family)
         if not 0.0 < args.r < 1.0:
             raise ValueError(f"--r must lie in (0, 1), got {args.r}")
         thetas = np.linspace(0.0, 2.0 * math.pi, 1000, endpoint=False)

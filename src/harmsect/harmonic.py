@@ -106,17 +106,6 @@ class ExtremalCoefficients:
         return (k - 1) / 2.0
 
 
-@dataclass(frozen=True)
-class IdentityCoefficients:
-    """Coefficient source of the identity map: a_1 = 1, everything else 0."""
-
-    def analytic(self, k: np.ndarray) -> np.ndarray:
-        return np.where(k == 1, 1.0, 0.0)
-
-    def co_analytic(self, k: np.ndarray) -> np.ndarray:
-        return np.zeros_like(k, dtype=float)
-
-
 def section(source, n: int, m: int) -> HarmonicPolynomial:
     """Truncate a coefficient source to analytic order n, co-analytic order m.
 
@@ -140,66 +129,58 @@ def section(source, n: int, m: int) -> HarmonicPolynomial:
     return HarmonicPolynomial(a=a, b=b)
 
 
+def _horner(coeffs, z) -> list:
+    """[sum_k c_k z^(k-1) for c in coeffs] by Horner's rule, one value per part.
+
+    A Python complex z runs on Python complex numbers, which is several
+    times faster than numpy scalars; an array z runs elementwise on arrays.
+    """
+    scalar = isinstance(z, complex)
+    values = []
+    for part in coeffs:
+        acc = 0.0
+        for c in (part.tolist() if scalar else part)[::-1]:
+            acc = acc * z + c
+        values.append(acc)
+    return values
+
+
+def _as_points(z):
+    return complex(z) if np.isscalar(z) else np.asarray(z, dtype=complex)
+
+
 def evaluate(p: HarmonicPolynomial, z):
     """f(z) = h(z) + conj(g(z)) by Horner evaluation of both parts."""
-    z = np.asarray(z, dtype=complex) if not np.isscalar(z) else complex(z)
-    h = 0.0
-    for c in p.a[::-1]:
-        h = h * z + c
-    g = 0.0
-    for c in p.b[::-1]:
-        g = g * z + c
+    z = _as_points(z)
+    h, g = _horner((p.a, p.b), z)
     return z * h + np.conj(z * g)
 
 
 def jacobian(p: HarmonicPolynomial, z):
     """|h'(z)|^2 - |g'(z)|^2; positive where f is sense-preserving."""
-    z = np.asarray(z, dtype=complex) if not np.isscalar(z) else complex(z)
-    ka = np.arange(1, p.a.size + 1)
-    kb = np.arange(1, p.b.size + 1)
-    hp = 0.0
-    for c in (ka * p.a)[::-1]:
-        hp = hp * z + c
-    gp = 0.0
-    for c in (kb * p.b)[::-1]:
-        gp = gp * z + c
-    return np.abs(hp) ** 2 - np.abs(gp) ** 2
-
-
-def _sin_ratio(ks: np.ndarray, t: float) -> np.ndarray:
-    if t == 0.0:
-        return ks.astype(float)
-    return np.sin(ks * t) / math.sin(t)
-
-
-def _padded_coeffs(p: HarmonicPolynomial) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    k_max = p.degree
-    ks = np.arange(1, k_max + 1, dtype=float)
-    a = np.zeros(k_max, dtype=complex)
-    a[: p.a.size] = p.a
-    b = np.zeros(k_max, dtype=complex)
-    b[: p.b.size] = p.b
-    return ks, a, b
+    hp, gp = _horner((np.arange(1, p.a.size + 1) * p.a, np.arange(1, p.b.size + 1) * p.b),
+                     _as_points(z))
+    return abs(hp) ** 2 - abs(gp) ** 2
 
 
 def kernel(p: HarmonicPolynomial, z, t: float):
     """Divided-difference kernel sum_k (a_k z^k - conj(b_k z^k)) sin(kt)/sin(t).
 
     Defined for |z| < 1 and t in [0, pi/2]; the t = 0 ratio is k exactly.
-    Equals z times the divided difference of f over the matched chord (see
+    For fixed t this is the harmonic polynomial with coefficients
+    a_k sin(kt)/sin(t) and -b_k sin(kt)/sin(t), evaluated like f.  Equals
+    z times the divided difference of f over the matched chord (see
     divided_difference), so for z != 0 its nonvanishing is the univalence
     criterion.
     """
     if not 0.0 <= t <= math.pi / 2.0:
         raise ValueError(f"t must lie in [0, pi/2], got {t}")
-    zs = np.asarray(z, dtype=complex)
-    if not (np.abs(zs) < 1.0).all():
+    z = _as_points(z)
+    if not (np.abs(z) < 1.0).all():
         raise ValueError("kernel is defined on |z| < 1")
-    ks, a, b = _padded_coeffs(p)
-    ratio = _sin_ratio(ks, t)
-    zk = zs[..., None] ** ks
-    out = ((a * zk) - np.conj(b * zk)) @ ratio
-    return complex(out) if np.isscalar(z) else out
+    ratio = _ratio_table(np.arange(1, p.degree + 1, dtype=float), np.array([t]))[:, 0]
+    h, g = _horner((p.a * ratio[: p.a.size], -p.b * ratio[: p.b.size]), z)
+    return z * h + (z * g).conjugate()
 
 
 def divided_difference(p: HarmonicPolynomial, r: float, eta: float, psi: float):
@@ -207,8 +188,11 @@ def divided_difference(p: HarmonicPolynomial, r: float, eta: float, psi: float):
     z1 = r * np.exp(1j * np.asarray(eta))
     z2 = r * np.exp(1j * np.asarray(psi))
     dz = z1 - z2
-    if np.any(np.abs(dz) == 0):
-        raise ValueError("chord endpoints coincide")
+    # NaN fails this too: a NaN r, eta or psi makes dz NaN
+    if not (np.abs(dz) > 0).all():
+        raise ValueError(
+            f"chord endpoints must be distinct and finite, got r={r}, eta={eta}, psi={psi}"
+        )
     return (evaluate(p, z1) - evaluate(p, z2)) / dz
 
 
@@ -297,11 +281,15 @@ def kernel_min_modulus(p: HarmonicPolynomial, grid: ProbeGrid) -> KernelScan:
     grid play no part here.  The reduction is over fixed grids, so the
     result does not depend on evaluation order.
     """
-    ks, a, b = _padded_coeffs(p)
+    # unlike kernel, no Horner pass per t: on the circle the terms
+    # a_k r^k e^(ik theta) are shared by every t, and one matrix product
+    # with the ratio table weights them for a whole block of t values
+    padded = section(p, p.degree, p.degree)
+    ks = np.arange(1, p.degree + 1, dtype=float)
     ts = grid.t_values()
     ratios = _ratio_table(ks, ts).T  # (T, K)
     rk = grid.radius**ks
-    a_r, b_r = (a * rk)[:, None], (b * rk)[:, None]
+    a_r, b_r = (padded.a * rk)[:, None], (padded.b * rk)[:, None]
     windings = np.zeros(ts.size, dtype=int)
     rows = np.arange(ts.size)  # the t values still to count
     best, best_z, best_t = math.inf, 0j, 0.0
@@ -395,8 +383,3 @@ def empirical_scan(p: HarmonicPolynomial, grid: ProbeGrid) -> EmpiricalScan:
         last_clean = (kernel_min_modulus(p, at), _jacobian_min(p, at))
     witness, min_jacobian = last_clean
     return EmpiricalScan(radius=lo, binding=binding, witness=witness, min_jacobian=min_jacobian)
-
-
-def empirical_radius(p: HarmonicPolynomial, grid: ProbeGrid) -> float:
-    """Largest radius at which the grid scan finds no violation, to 1e-3."""
-    return empirical_scan(p, grid).radius

@@ -290,7 +290,8 @@ def threshold_order(family: FamilyClass, target: float) -> int:
     Linear upward scan stopping at the first success; the sampled radius
     sequence is expected to be increasing, and any observed decrease is
     reported as a warning while the scan keeps its smallest-success
-    semantics.  Hard cap at n = 10_000.
+    semantics.  Hard cap at n = 10_000: a target no order up to it reaches
+    raises ValueError.
     """
     if not 0.0 < target < 1.0:
         raise ValueError(f"target must lie in (0, 1), got {target!r}")
@@ -306,7 +307,7 @@ def threshold_order(family: FamilyClass, target: float) -> int:
         if radius >= target:
             return n
         prev = radius
-    raise RuntimeError(
+    raise ValueError(
         f"no equal-order radius reached {target} for {family.value} up to "
         f"n={MAX_THRESHOLD_ORDER}"
     )

@@ -31,12 +31,6 @@ class Frame:
     def py(self, y: float) -> float:
         return self.height - _PAD - (y - self.y0) / (self.y1 - self.y0) * (self.height - 2 * _PAD)
 
-    def x_from_px(self, px: float) -> float:
-        return self.x0 + (px - _PAD) / (self.width - 2 * _PAD) * (self.x1 - self.x0)
-
-    def y_from_px(self, py: float) -> float:
-        return self.y0 + (self.height - _PAD - py) / (self.height - 2 * _PAD) * (self.y1 - self.y0)
-
     def desc_items(self) -> dict:
         return {
             "x0": f"{self.x0:.9g}",

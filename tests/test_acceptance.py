@@ -316,7 +316,7 @@ def test_criterion_8_empirical_consistency():
     for family, n in cases:
         certified = hs.solve_radius(family, n, n).radius
         p = hs.section(hs.ExtremalCoefficients(family), n, n)
-        empirical = hs.empirical_radius(p, hs.ProbeGrid())
+        empirical = hs.empirical_scan(p, hs.ProbeGrid()).radius
         pairs.append((family.value, n, empirical, certified))
         results.append(f"{family.value}:{n} emp={empirical:.4f} cert={certified:.4f}")
     elapsed = time.perf_counter() - t0

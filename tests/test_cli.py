@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import harmsect
-from harmsect import cli
+from harmsect import cli, radius
 from harmsect.radius import FamilyClass, solve_radius
 from harmsect.svg import read_desc
 
@@ -112,6 +112,15 @@ class TestThresholds:
     def test_out_of_range_target(self, capsys):
         code, _, _ = run(capsys, "thresholds", "--class", "general", "--targets", "1.5")
         assert code == 2
+
+    def test_unreached_target_is_a_domain_error(self, capsys, monkeypatch):
+        # 0.9995 is out of reach below the cap of 10 000; a cap of 30 gives the
+        # same exit after 29 solves instead of 9 999
+        monkeypatch.setattr(radius, "MAX_THRESHOLD_ORDER", 30)
+        code, out, err = run(capsys, "thresholds", "--class", "general", "--targets", "0.9995")
+        assert code == 2
+        assert out == ""
+        assert err == "error: no equal-order radius reached 0.9995 for general up to n=30\n"
 
 
 class TestVerify:

@@ -12,11 +12,9 @@ from harmsect.harmonic import (
     EmpiricalScan,
     ExtremalCoefficients,
     HarmonicPolynomial,
-    IdentityCoefficients,
     KernelScan,
     ProbeGrid,
     divided_difference,
-    empirical_radius,
     empirical_scan,
     evaluate,
     jacobian,
@@ -33,7 +31,7 @@ from harmsect.tails import TailClass, tail_weighted
 
 GENERAL = ExtremalCoefficients(FamilyClass.GENERAL)
 CONVEX = ExtremalCoefficients(FamilyClass.CONVEX)
-IDENTITY = IdentityCoefficients()
+IDENTITY = HarmonicPolynomial(a=[1.0], b=[0.0])
 
 
 def exponential_section(lam, degree=30):
@@ -49,6 +47,23 @@ def zero_between_the_samples():
     every angle count up to 64 x 1024, so each count there has a step near pi."""
     w = 0.5 * (1.0 + 1e-9) * cmath.exp(1j * math.pi / 16384)
     return HarmonicPolynomial(a=[1.0, -0.5 / w], b=[0.0])
+
+
+def sin_ratio(ks, t):
+    """sin(kt)/sin(t) by the direct formula, k exactly at t = 0."""
+    return ks.astype(float) if t == 0.0 else np.sin(ks * t) / math.sin(t)
+
+
+def power_sum_kernel(p, z, t):
+    """sum_k (a_k z^k - conj(b_k z^k)) sin(kt)/sin(t) from a table of the powers
+    z^k, one matrix product over k: the oracle for kernel."""
+    ks = np.arange(1, p.degree + 1, dtype=float)
+    a = np.zeros(ks.size, dtype=complex)
+    a[: p.a.size] = p.a
+    b = np.zeros(ks.size, dtype=complex)
+    b[: p.b.size] = p.b
+    zk = np.asarray(z, dtype=complex)[..., None] ** ks
+    return ((a * zk) - np.conj(b * zk)) @ sin_ratio(ks, t)
 
 
 def random_polynomial(rng, n=None, m=None):
@@ -177,6 +192,21 @@ class TestKernel:
         z = 0.3 + 0.1j
         assert kernel(p, z, math.pi / 2) == pytest.approx(z)
 
+    @pytest.mark.parametrize("t", [0.0, 0.7, math.pi / 2], ids=["zero", "interior", "half-pi"])
+    def test_matches_the_power_sum(self, t):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            p = random_polynomial(rng)
+            zs = rng.uniform(0.0, 0.95, 16) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 16))
+            want = power_sum_kernel(p, zs, t)
+            got = kernel(p, zs, t)
+            assert got.shape == zs.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            for z, w in zip(zs[:4], want[:4]):
+                value = kernel(p, complex(z), t)
+                assert isinstance(value, complex)
+                assert value == pytest.approx(w, rel=1e-12)
+
     def test_domain_guards(self):
         p = section(IDENTITY, 1, 1)
         with pytest.raises(ValueError):
@@ -233,6 +263,15 @@ class TestDividedDifferenceIdentity:
         p = section(GENERAL, 2, 2)
         with pytest.raises(ValueError):
             divided_difference(p, 0.5, 1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "r,eta,psi",
+        [(math.nan, 1.0, 2.0), (0.5, math.nan, 2.0), (0.5, 1.0, math.nan)],
+        ids=["r", "eta", "psi"],
+    )
+    def test_nan_rejected(self, r, eta, psi):
+        with pytest.raises(ValueError, match="distinct and finite"):
+            divided_difference(section(GENERAL, 3, 3), r, eta, psi)
 
     @pytest.mark.parametrize("r", [0.05, 0.1])
     def test_two_point_floor_for_large_section(self, r):
@@ -350,7 +389,7 @@ class TestKernelScan:
             a = (rng.standard_normal(8) + 1j * rng.standard_normal(8)) / 2.0
             a[0] = 1.0
             r = float(rng.uniform(0.2, 0.9))
-            ratios = np.stack([harmonic._sin_ratio(ks, float(t)) for t in ts])
+            ratios = np.stack([sin_ratio(ks, float(t)) for t in ts])
             # roots of K(z, t)/z, highest power first
             moduli = [np.abs(np.roots((a * row)[::-1])) for row in ratios]
             if any(np.any(np.abs(m - r) < 1e-2) for m in moduli):
@@ -387,13 +426,13 @@ class TestKernelScan:
         assert table.shape == (ks.size, ts.size)
         assert np.array_equal(table[:, 0], ks)
         for j, t in enumerate(ts):
-            scalar = harmonic._sin_ratio(ks, float(t))
+            scalar = sin_ratio(ks, float(t))
             assert np.allclose(table[:, j], scalar, rtol=1e-13, atol=1e-13)
 
 
 class TestEmpiricalRadius:
     def test_identity_reaches_the_rim(self):
-        value = empirical_radius(section(IDENTITY, 1, 1), ProbeGrid())
+        value = empirical_scan(section(IDENTITY, 1, 1), ProbeGrid()).radius
         assert value == pytest.approx(1.0, abs=2e-3)
 
     def test_general_order_two(self):
@@ -411,7 +450,7 @@ class TestEmpiricalRadius:
     def test_dominates_certified_radius(self, family, n):
         certified = solve_radius(family, n, n).radius
         p = section(ExtremalCoefficients(family), n, n)
-        assert empirical_radius(p, ProbeGrid()) >= certified - 1e-3
+        assert empirical_scan(p, ProbeGrid()).radius >= certified - 1e-3
 
     @pytest.mark.parametrize("lam", [4.0, 3.6])
     def test_exponential_map_binds_on_the_kernel(self, lam):
@@ -437,7 +476,7 @@ class TestEmpiricalRadius:
         from harmsect.radius import close_to_convex_radius
 
         p = section(CONVEX, 5, 5)
-        assert empirical_radius(p, ProbeGrid()) >= close_to_convex_radius(5) - 1e-3
+        assert empirical_scan(p, ProbeGrid()).radius >= close_to_convex_radius(5) - 1e-3
 
 
 def reference_scan(p, grid):
