@@ -8,9 +8,7 @@ empirical kernel/Jacobian grid scans of extremal polynomial sections.
 from .claims import (
     CLAIMS,
     ClaimReport,
-    ConvexRatioBounds,
     UnknownClaimError,
-    ratio_bound_parts,
     slope_bracket_general,
     slope_bracket_scaled,
     slope_prefactor_general,
@@ -46,21 +44,17 @@ from .radius import (
     lower_bound_convex,
     lower_bound_general,
     margin_convex,
-    margin_convex_diag,
-    margin_convex_poly,
     margin_general,
-    margin_general_diag,
     solve_radius,
     threshold_order,
 )
-from .tails import TailClass, tail_brute, tail_cube, tail_general_pair_diag, tail_linear, tail_square, tail_weighted
+from .tails import TailClass, tail_cube, tail_linear, tail_square, tail_weighted
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CLAIMS",
     "ClaimReport",
-    "ConvexRatioBounds",
     "EmpiricalScan",
     "ExtremalCoefficients",
     "FamilyClass",
@@ -87,19 +81,13 @@ __all__ = [
     "lower_bound_convex",
     "lower_bound_general",
     "margin_convex",
-    "margin_convex_diag",
-    "margin_convex_poly",
     "margin_general",
-    "margin_general_diag",
-    "ratio_bound_parts",
     "section",
     "slope_bracket_general",
     "slope_bracket_scaled",
     "slope_prefactor_general",
     "solve_radius",
-    "tail_brute",
     "tail_cube",
-    "tail_general_pair_diag",
     "tail_linear",
     "tail_ratio_convex",
     "tail_ratio_general",

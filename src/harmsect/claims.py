@@ -245,31 +245,6 @@ def _convex_ratio_parts(n: int) -> tuple[float, float, float]:
     return t1, t2, t3
 
 
-@dataclass(frozen=True)
-class ConvexRatioBounds:
-    """Auxiliary monotone functions and the three summands of the convex ratio.
-
-    a, b, c are the slowly increasing helpers whose lower bounds at small n
-    control t1, t2, t3; the summands add up to tail_ratio_convex at the
-    convex log offset.
-    """
-
-    a: float
-    b: float
-    c: float
-    t1: float
-    t2: float
-    t3: float
-
-
-def ratio_bound_parts(n: int) -> ConvexRatioBounds:
-    """Bound helpers and ratio summands at order n (requires n >= 7)."""
-    if n < 7:
-        raise ValueError(f"ratio bound parts require n >= 7, got {n}")
-    t1, t2, t3 = _convex_ratio_parts(n)
-    return ConvexRatioBounds(a=_aux_a(n), b=_aux_b(n), c=_aux_c(n), t1=t1, t2=t2, t3=t3)
-
-
 # --------------------------------------------------------------------------
 # claim registry
 # --------------------------------------------------------------------------

@@ -183,17 +183,24 @@ def kernel(p: HarmonicPolynomial, z, t: float):
     return z * h + (z * g).conjugate()
 
 
+def _finite(x) -> bool:
+    # a real scalar takes math.isfinite, which skips numpy's per-call cost
+    return math.isfinite(x) if isinstance(x, (int, float)) else bool(np.isfinite(x).all())
+
+
 def divided_difference(p: HarmonicPolynomial, r: float, eta: float, psi: float):
     """(f(r e^(i eta)) - f(r e^(i psi))) / (r e^(i eta) - r e^(i psi))."""
-    z1 = r * np.exp(1j * np.asarray(eta))
-    z2 = r * np.exp(1j * np.asarray(psi))
-    dz = z1 - z2
-    # NaN fails this too: a NaN r, eta or psi makes dz NaN
-    if not (np.abs(dz) > 0).all():
-        raise ValueError(
-            f"chord endpoints must be distinct and finite, got r={r}, eta={eta}, psi={psi}"
-        )
-    return (evaluate(p, z1) - evaluate(p, z2)) / dz
+    # finiteness is checked before the chord is formed: an infinite r, eta
+    # or psi would form it through inf * 0 or e^(i inf), which numpy warns about
+    if _finite(r) and _finite(eta) and _finite(psi):
+        z1 = r * np.exp(1j * np.asarray(eta))
+        z2 = r * np.exp(1j * np.asarray(psi))
+        dz = z1 - z2
+        if (np.abs(dz) > 0).all():
+            return (evaluate(p, z1) - evaluate(p, z2)) / dz
+    raise ValueError(
+        f"chord endpoints must be distinct and finite, got r={r}, eta={eta}, psi={psi}"
+    )
 
 
 @dataclass(frozen=True)

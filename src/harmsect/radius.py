@@ -14,7 +14,10 @@ of secant/Newton because the functions are cheap and the bracket invariant
 
 Evaluation at r <= 0 or r >= 1 (or at NaN) is a hard error, not a limit
 value: the rational forms are singular at the endpoints and silent
-extrapolation near them has bitten before.  Orders must be integers >= 2.
+extrapolation near them has bitten before.  Orders must be integers from
+2 up to, but not including, 2**341, past which the tails' n**3 overflows.
+There is one evaluation path per margin; the combined equal-order and
+polynomial forms that cross-check it live with the tests.
 
 Arguments are checked once, at the public entry: each public floor and
 margin checks its orders and r, then evaluates the unchecked cores
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tails import TailClass, _check_r_halfopen, _tail_general_pair_diag, _tail_weighted
+from .tails import _MAX_ORDER, TailClass, _tail_weighted
 
 SCAN_STEP = 1e-3
 BRACKET_WIDTH = 1e-12
@@ -89,6 +92,8 @@ def _check_orders(n: int, m: int) -> None:
         raise ValueError(f"orders must be integers, got ({n!r}, {m!r})") from None
     if n < 2 or m < 2:
         raise ValueError(f"orders must both be >= 2, got ({n}, {m})")
+    if n >= _MAX_ORDER or m >= _MAX_ORDER:
+        raise ValueError("orders must be below 2**341, where n**3 leaves the double range")
 
 
 def distortion_floor_general(r):
@@ -126,18 +131,6 @@ def margin_general(n: int, m: int, r):
     )
 
 
-def margin_general_diag(n: int, r):
-    """Equal-order general margin in fully combined closed form.
-
-    (1-r)^3 (3 + 10 r^2 + 3 r^4) / (3 (1+r)^9) minus the combined tail;
-    agrees with margin_general(n, n, r) to roundoff.
-    """
-    _check_orders(n, n)
-    _check_r_open(r)
-    floor = (1.0 - r) ** 3 * (3.0 + 10.0 * r**2 + 3.0 * r**4) / (3.0 * (1.0 + r) ** 9)
-    return floor - _tail_general_pair_diag(n, r)
-
-
 def margin_convex(n: int, m: int, r):
     """Convex-family univalence margin at radius r for the (n, m) section."""
     _check_orders(n, m)
@@ -147,28 +140,6 @@ def margin_convex(n: int, m: int, r):
         - _tail_weighted(TailClass.CONVEX_ANALYTIC, n, r)
         - _tail_weighted(TailClass.CONVEX_CO_ANALYTIC, m, r)
     )
-
-
-def margin_convex_diag(n: int, r):
-    """Equal-order convex margin: the combined tail collapses to sum k^2 r^(k-1)."""
-    _check_orders(n, n)
-    _check_r_open(r)
-    s = 1.0 - r
-    tail = r**n * (2.0 + (2 * n - 1) * s + n**2 * s**2) / s**3
-    return s / (1.0 + r) ** 3 - tail
-
-
-def margin_convex_poly(n: int, r):
-    """Polynomial form with the same sign as margin_convex_diag on (0, 1).
-
-    (1-r)^4 - [2 + (2n-1)(1-r) + n^2 (1-r)^2] (1+r)^3 r^n, obtained by
-    multiplying the diagonal margin by (1-r)^3 (1+r)^3 > 0.  Defined on
-    0 <= r < 1 and equal to 1 at r = 0.
-    """
-    _check_orders(n, n)
-    _check_r_halfopen(r)
-    s = 1.0 - r
-    return s**4 - (2.0 + (2 * n - 1) * s + n**2 * s**2) * (1.0 + r) ** 3 * r**n
 
 
 def margin_fn(family: FamilyClass):

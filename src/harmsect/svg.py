@@ -177,22 +177,6 @@ def write_boundary_plot(path: str, points, *, title: str, radius: float,
     return frame
 
 
-def read_desc(path: str) -> dict:
-    """Parse the <desc> metadata back out of a plot written by this module."""
-    import xml.etree.ElementTree as ET
-
-    root = ET.parse(path).getroot()
-    ns = "{http://www.w3.org/2000/svg}"
-    desc = root.find(f"{ns}desc")
-    if desc is None or not desc.text:
-        return {}
-    out = {}
-    for item in desc.text.split(";"):
-        key, _, value = item.partition("=")
-        out[key] = value
-    return out
-
-
 def curve_window(root: float) -> tuple[float, float]:
     """Sampling window for a margin curve: past the root, clear of r = 1."""
     hi = min(0.999, root + 0.35 * (1.0 - root))

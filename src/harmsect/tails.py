@@ -17,17 +17,14 @@ Arguments are checked once, at the public entry: each public tail checks
 n and r (every value of r must lie in its domain, so NaN is rejected) and
 then calls a private core (`_tail_linear`, `_tail_weighted`, ...) that
 evaluates the closed form unchecked.  Callers that have already checked
-r, such as the margins in `radius`, call the cores directly.
-
-A brute-force truncated summation (`tail_brute`) is provided as an
-independent oracle for tests only; near r = 1 it converges far too slowly
-for production use.
+r, such as the margins in `radius`, call the cores directly.  Orders must
+lie below 2**341: the closed forms take n**3, which leaves the double
+range above that.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 
 import numpy as np
 
@@ -45,28 +42,22 @@ class TailClass(enum.Enum):
     CONVEX_CO_ANALYTIC = "convex_co_analytic"    # w(k) = k(k-1)/2
 
 
-def weight(cls: TailClass, k):
-    """Evaluate the weight polynomial of `cls` at index k (scalar or array)."""
-    if cls is TailClass.GENERAL_ANALYTIC:
-        return k * (k + 1) * (2 * k + 1) / 6.0
-    if cls is TailClass.GENERAL_CO_ANALYTIC:
-        return k * (k - 1) * (2 * k - 1) / 6.0
-    if cls is TailClass.CONVEX_ANALYTIC:
-        return k * (k + 1) / 2.0
-    if cls is TailClass.CONVEX_CO_ANALYTIC:
-        return k * (k - 1) / 2.0
-    raise ValueError(f"unknown tail class {cls!r}")
-
-
 def _check_r_halfopen(r) -> None:
     a = np.asarray(r)
     if not ((a >= 0) & (a < 1)).all():  # NaN fails both comparisons
         raise ValueError(f"r must lie in [0, 1), got {r!r}")
 
 
+# n**3, the highest power of n the closed forms take, is a finite double
+# for every n below this
+_MAX_ORDER = 2**341
+
+
 def _check_n(n: int, least: int) -> None:
     if n < least:
         raise ValueError(f"n must be >= {least}, got {n}")
+    if n >= _MAX_ORDER:
+        raise ValueError("n must be below 2**341, where n**3 leaves the double range")
 
 
 def tail_linear(n: int, r):
@@ -140,41 +131,3 @@ def _tail_weighted(cls: TailClass, n, r):
     if c3:
         out = out + c3 * _tail_cube(n, r)
     return out
-
-
-def tail_general_pair_diag(n: int, r):
-    """Combined analytic + co-analytic general tail at equal order n.
-
-    Closed form of tail_weighted(GENERAL_ANALYTIC, n, r)
-    + tail_weighted(GENERAL_CO_ANALYTIC, n, r), i.e. of
-    sum_{k>n} k(2k^2+1)/3 r^(k-1):
-
-        r^n [12 + 12(n-1)(1-r) + 3(2n^2-2n+1)(1-r)^2 + (2n^3+n)(1-r)^3]
-        / (3 (1-r)^4)
-    """
-    _check_n(n, 1)
-    _check_r_halfopen(r)
-    return _tail_general_pair_diag(n, r)
-
-
-def _tail_general_pair_diag(n, r):
-    s = 1.0 - r
-    num = 12.0 + 12.0 * (n - 1) * s + 3.0 * (2 * n**2 - 2 * n + 1) * s**2 + (2 * n**3 + n) * s**3
-    return r**n * num / (3.0 * s**4)
-
-
-def tail_brute(cls: TailClass, n: int, r: float, terms: int) -> float:
-    """Truncated sum sum_{k=n+1..n+terms} w(k) r^(k-1).
-
-    Test oracle only.  Summation uses math.fsum, so the result is the
-    correctly rounded value of the exact truncated sum; in particular it is
-    monotonically nondecreasing in `terms` for r >= 0.
-    """
-    if terms < 1:
-        raise ValueError(f"terms must be >= 1, got {terms}")
-    _check_n(n, 0)
-    _check_r_halfopen(r)
-    ks = np.arange(n + 1, n + terms + 1, dtype=float)
-    with np.errstate(under="ignore"):
-        summands = weight(cls, ks) * np.power(float(r), ks - 1.0)
-    return math.fsum(summands)

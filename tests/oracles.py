@@ -1,0 +1,77 @@
+"""Independent evaluation forms that the tests compare the library against.
+
+None of these is a production path: the library evaluates every tail and
+margin through one closed form (`tails._tail_weighted` and the margins in
+`radius`).  The forms here take other routes to the same numbers, a
+termwise weight polynomial, a truncated sum and the fully combined
+equal-order closed forms, so that agreement between the two routes
+checks both.  Their inputs come from the tests, so they check no
+arguments.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from harmsect.tails import TailClass
+
+
+def weight(cls: TailClass, k):
+    """Evaluate the weight polynomial of `cls` at index k (scalar or array)."""
+    if cls is TailClass.GENERAL_ANALYTIC:
+        return k * (k + 1) * (2 * k + 1) / 6.0
+    if cls is TailClass.GENERAL_CO_ANALYTIC:
+        return k * (k - 1) * (2 * k - 1) / 6.0
+    if cls is TailClass.CONVEX_ANALYTIC:
+        return k * (k + 1) / 2.0
+    if cls is TailClass.CONVEX_CO_ANALYTIC:
+        return k * (k - 1) / 2.0
+    raise ValueError(f"unknown tail class {cls!r}")
+
+
+def tail_brute(cls: TailClass, n: int, r: float, terms: int) -> float:
+    """Truncated sum sum_{k=n+1..n+terms} w(k) r^(k-1).
+
+    Summation uses math.fsum, so the result is the correctly rounded value
+    of the exact truncated sum; in particular it is monotonically
+    nondecreasing in `terms` for r >= 0.  Near r = 1 it converges far too
+    slowly for production use.
+    """
+    ks = np.arange(n + 1, n + terms + 1, dtype=float)
+    with np.errstate(under="ignore"):
+        summands = weight(cls, ks) * np.power(float(r), ks - 1.0)
+    return math.fsum(summands)
+
+
+def tail_general_pair_diag(n: int, r):
+    """Combined analytic + co-analytic general tail at equal order n.
+
+    Closed form of tail_weighted(GENERAL_ANALYTIC, n, r)
+    + tail_weighted(GENERAL_CO_ANALYTIC, n, r), i.e. of
+    sum_{k>n} k(2k^2+1)/3 r^(k-1):
+
+        r^n [12 + 12(n-1)(1-r) + 3(2n^2-2n+1)(1-r)^2 + (2n^3+n)(1-r)^3]
+        / (3 (1-r)^4)
+    """
+    s = 1.0 - r
+    num = 12.0 + 12.0 * (n - 1) * s + 3.0 * (2 * n**2 - 2 * n + 1) * s**2 + (2 * n**3 + n) * s**3
+    return r**n * num / (3.0 * s**4)
+
+
+def margin_general_diag(n: int, r):
+    """Equal-order general margin in fully combined closed form.
+
+    (1-r)^3 (3 + 10 r^2 + 3 r^4) / (3 (1+r)^9) minus the combined tail;
+    agrees with margin_general(n, n, r) to roundoff.
+    """
+    floor = (1.0 - r) ** 3 * (3.0 + 10.0 * r**2 + 3.0 * r**4) / (3.0 * (1.0 + r) ** 9)
+    return floor - tail_general_pair_diag(n, r)
+
+
+def margin_convex_diag(n: int, r):
+    """Equal-order convex margin: the combined tail collapses to sum k^2 r^(k-1)."""
+    s = 1.0 - r
+    tail = r**n * (2.0 + (2 * n - 1) * s + n**2 * s**2) / s**3
+    return s / (1.0 + r) ** 3 - tail

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from harmsect import claims
 from harmsect.claims import (
     CLAIMS,
     SCALED_BRACKET_PARTS,
@@ -13,7 +14,6 @@ from harmsect.claims import (
     convex_slope_bracket,
     log_tail_ratio_convex,
     log_tail_ratio_general,
-    ratio_bound_parts,
     slope_bracket_general,
     slope_bracket_scaled,
     slope_prefactor_general,
@@ -267,29 +267,22 @@ class TestNanRejected:
 
 class TestBoundParts:
     def test_helper_values(self):
-        parts9 = ratio_bound_parts(9)
-        assert parts9.a > math.sqrt(2.0)
-        parts16 = ratio_bound_parts(16)
-        assert parts16.b == pytest.approx(2.2627, abs=1e-4)
-        assert parts16.c == pytest.approx(1.63219, abs=1e-5)
+        assert claims._aux_a(9) > math.sqrt(2.0)
+        assert claims._aux_b(16) == pytest.approx(2.2627, abs=1e-4)
+        assert claims._aux_c(16) == pytest.approx(1.63219, abs=1e-5)
 
     @pytest.mark.parametrize("n", [7, 16, 50, 500])
     def test_summands_reassemble_ratio(self, n):
-        parts = ratio_bound_parts(n)
-        total = parts.t1 + parts.t2 + parts.t3
+        total = sum(claims._convex_ratio_parts(n))
         direct = tail_ratio_convex(log_offset_convex(n), n)
         assert abs(total - direct) / direct < 1e-12
 
     @pytest.mark.parametrize("n", [16, 100, 500])
     def test_summand_bounds(self, n):
-        parts = ratio_bound_parts(n)
-        assert parts.t1 < 1.0 / 32.0
-        assert parts.t2 < 1.0 / 6.0
-        assert parts.t3 < 19.0 / 24.0
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            ratio_bound_parts(6)
+        t1, t2, t3 = claims._convex_ratio_parts(n)
+        assert t1 < 1.0 / 32.0
+        assert t2 < 1.0 / 6.0
+        assert t3 < 19.0 / 24.0
 
 
 class TestRegistry:

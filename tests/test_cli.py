@@ -16,7 +16,23 @@ import pytest
 import harmsect
 from harmsect import cli, radius
 from harmsect.radius import FamilyClass, solve_radius
-from harmsect.svg import read_desc
+
+
+def read_desc(path: str) -> dict:
+    """Parse the <desc> metadata back out of a plot written by `harmsect.svg`."""
+    root = ET.parse(path).getroot()
+    ns = "{http://www.w3.org/2000/svg}"
+    desc = root.find(f"{ns}desc")
+    if desc is None or not desc.text:
+        return {}
+    out = {}
+    for item in desc.text.split(";"):
+        key, _, value = item.partition("=")
+        out[key] = value
+    return out
+
+
+HUGE = "1" + "0" * 400  # 10**400, past the largest double
 
 
 def run(capsys, *argv):
@@ -50,6 +66,29 @@ class TestRadius:
         assert code == 2
         assert out == ""
         assert err.startswith("error: no positive-to-nonpositive change")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["radius", "--class", "general", "--n", HUGE, "--m", HUGE],
+            ["radius", "--class", "general", "--n", str(10**200), "--m", "2"],
+            ["radius", "--class", "convex", "--n", HUGE, "--m", "5"],
+            ["table", "--class", "general", "--n", f"2,{HUGE}"],
+            ["scan", "--class", "convex", "--n", "5", "--m", HUGE],
+            ["plot", "psi-curve", "--n", HUGE, "--out", "{out}"],
+        ],
+        ids=["radius-general", "radius-general-1e200", "radius-convex", "table",
+             "scan", "plot-psi-curve"],
+    )
+    def test_order_beyond_the_double_range_is_a_domain_error(self, capsys, tmp_path, argv):
+        # these orders once ended in "OverflowError: int too large to convert
+        # to float" from the tails, a traceback with exit 1
+        svg = tmp_path / "curve.svg"
+        code, out, err = run(capsys, *(a.format(out=svg) for a in argv))
+        assert not svg.exists()
+        assert code == 2
+        assert out == ""
+        assert err == "error: orders must be below 2**341, where n**3 leaves the double range\n"
 
     def test_json_round_trip(self, capsys):
         code, out, _ = run(

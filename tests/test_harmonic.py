@@ -273,6 +273,17 @@ class TestDividedDifferenceIdentity:
         with pytest.raises(ValueError, match="distinct and finite"):
             divided_difference(section(GENERAL, 3, 3), r, eta, psi)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["+inf", "-inf"])
+    @pytest.mark.parametrize("arg", ["r", "eta", "psi", "eta-array", "psi-array"])
+    def test_infinite_rejected(self, arg, sign):
+        # inf once reached the chord: a RuntimeWarning from inf * 0 or
+        # e^(i inf), then nan+nanj (hypot(inf, nan) = inf passed the check)
+        args = {"r": 0.5, "eta": 1.0, "psi": 2.0}
+        name, _, shape = arg.partition("-")
+        args[name] = np.array([args[name], sign * math.inf]) if shape else sign * math.inf
+        with pytest.raises(ValueError, match="distinct and finite"):
+            divided_difference(section(GENERAL, 3, 3), **args)
+
     @pytest.mark.parametrize("r", [0.05, 0.1])
     def test_two_point_floor_for_large_section(self, r):
         # sampled chords of the order-60 general extremal section stay above

@@ -9,6 +9,7 @@ import pytest
 from harmsect import radius, tails
 from harmsect.radius import (
     FamilyClass,
+    NoBracketError,
     RadiusResult,
     close_to_convex_radius,
     distortion_floor_convex,
@@ -18,15 +19,13 @@ from harmsect.radius import (
     lower_bound_convex,
     lower_bound_general,
     margin_convex,
-    margin_convex_diag,
-    margin_convex_poly,
     margin_fn,
     margin_general,
-    margin_general_diag,
     solve_radius,
     threshold_order,
 )
 from harmsect.tails import tail_cube, tail_linear, tail_square
+from oracles import margin_convex_diag, margin_general_diag
 
 # printed six-decimal equal-order general radii (half-ulp tolerance 5e-7)
 TABLE_GENERAL = {
@@ -192,20 +191,24 @@ class TestMargins:
         for call in (
             lambda: margin_general(2, 2, r),
             lambda: margin_convex(2, 2, r),
-            lambda: margin_general_diag(2, r),
-            lambda: margin_convex_diag(2, r),
             lambda: distortion_floor_general(r),
             lambda: distortion_floor_convex(r),
         ):
             with pytest.raises(ValueError, match=r"r must lie in \(0, 1\)"):
                 call()
-        with pytest.raises(ValueError, match=r"r must lie in \[0, 1\)"):
-            margin_convex_poly(2, r)
 
     @pytest.mark.parametrize("fn", [margin_general, margin_convex])
     @pytest.mark.parametrize("n,m", [(2.5, 3), (3, 2.5), (3.0, 3), ("3", 3)])
     def test_non_integral_orders_rejected(self, fn, n, m):
         with pytest.raises(ValueError, match="orders must be integers"):
+            fn(n, m, 0.5)
+
+    @pytest.mark.parametrize("fn", [margin_general, margin_convex])
+    @pytest.mark.parametrize("n,m", [(2**341, 2), (2, 10**200), (10**400, 10**400)])
+    def test_orders_beyond_the_double_range_rejected(self, fn, n, m):
+        # the general tails' n**3 left the double range from about 10**103
+        # on, as an OverflowError, not a domain error
+        with pytest.raises(ValueError, match=r"orders must be below 2\*\*341"):
             fn(n, m, 0.5)
 
     def test_numpy_integer_orders_accepted(self):
@@ -223,8 +226,7 @@ class TestMargins:
 def r_checks(monkeypatch):
     """Record every r domain check, at each place the checks are bound."""
     calls = []
-    for module, name in ((radius, "_check_r_open"), (tails, "_check_r_halfopen"),
-                         (radius, "_check_r_halfopen")):
+    for module, name in ((radius, "_check_r_open"), (tails, "_check_r_halfopen")):
         check = getattr(module, name)
         monkeypatch.setattr(module, name, lambda r, check=check: calls.append(r) or check(r))
     return calls
@@ -270,6 +272,17 @@ class TestReferenceEquivalence:
                               reference_margin(family, n, m, SCAN_GRID))
 
 
+def margin_convex_poly(n: int, r):
+    """Polynomial form with the same sign as margin_convex_diag on (0, 1).
+
+    (1-r)^4 - [2 + (2n-1)(1-r) + n^2 (1-r)^2] (1+r)^3 r^n, obtained by
+    multiplying the diagonal margin by (1-r)^3 (1+r)^3 > 0.  Defined on
+    0 <= r < 1 and equal to 1 at r = 0.
+    """
+    s = 1.0 - r
+    return s**4 - (2.0 + (2 * n - 1) * s + n**2 * s**2) * (1.0 + r) ** 3 * r**n
+
+
 class TestConvexPolyForm:
     def test_value_at_zero(self):
         for n in (2, 5, 30):
@@ -285,12 +298,6 @@ class TestConvexPolyForm:
             poly = margin_convex_poly(n, float(r))
             if abs(diag) > 1e-9:
                 assert math.copysign(1, diag) == math.copysign(1, poly)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            margin_convex_poly(5, 1.0)
-        with pytest.raises(ValueError):
-            margin_convex_poly(5, -0.1)
 
 
 class TestSolver:
@@ -362,6 +369,18 @@ class TestSolver:
         # a float order once gave a radius (0.1327 for (2.5, 3))
         with pytest.raises(ValueError, match="orders must be integers"):
             solve_radius(FamilyClass.GENERAL, n, m)
+
+    @pytest.mark.parametrize("family", list(FamilyClass))
+    def test_largest_orders_reach_the_bracket_scan(self, family):
+        # just below the bound every margin on the scan grid is finite and
+        # positive, so the solver reports the missing bracket; from the
+        # bound on the orders are rejected before any margin is formed
+        big = 2**341 - 1
+        with pytest.raises(NoBracketError):
+            solve_radius(family, big, big)
+        for n, m in [(big + 1, 2), (10**200, 10**200), (10**400, 5)]:
+            with pytest.raises(ValueError, match=r"orders must be below 2\*\*341"):
+                solve_radius(family, n, m)
 
     def test_numpy_integer_orders_accepted(self):
         assert solve_radius(FamilyClass.CONVEX, np.int64(7), np.int64(9)) == solve_radius(
