@@ -176,9 +176,7 @@ def cmd_scan(args) -> int:
     family = FamilyClass(args.family)
     certified = solve_radius(family, args.n, args.m).radius
     poly = _model_section(args, family)
-    grid = ProbeGrid(
-        radial_points=args.radial, angular_points=args.angular, t_points=args.t_points
-    ).scaled(_grid_scale_from_env())
+    grid = ProbeGrid().scaled(_grid_scale_from_env())
     scan = empirical_scan(poly, grid)
     row = {
         "family": family.value,
@@ -290,9 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_class(p, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--radial", type=int, default=64)
-    p.add_argument("--angular", type=int, default=256)
-    p.add_argument("--t-points", type=int, default=128)
     p.add_argument("--identity", action="store_true", help="scan the identity map instead")
     add_format(p)
     p.set_defaults(func=cmd_scan)

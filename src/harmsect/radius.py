@@ -11,6 +11,8 @@ the whole family.  `solve_radius` brackets that root by a forward scan at
 step 1e-3 and bisects to a 1e-12-wide interval; bisection is used instead
 of secant/Newton because the functions are cheap and the bracket invariant
 (positive on the left, nonpositive on the right) is unconditional.
+`threshold_order` needs no root: it reads each order off the margin's sign
+at the target.
 
 Evaluation at r <= 0 or r >= 1 (or at NaN) is a hard error, not a limit
 value: the rational forms are singular at the endpoints and silent
@@ -256,28 +258,21 @@ def solve_radius(family: FamilyClass, n: int, m: int) -> RadiusResult:
 
 
 def threshold_order(family: FamilyClass, target: float) -> int:
-    """Smallest n >= 2 whose equal-order certified radius reaches `target`.
+    """Smallest n >= 2 whose equal-order margin is positive at r = `target`.
 
-    Linear upward scan stopping at the first success; the sampled radius
-    sequence is expected to be increasing, and any observed decrease is
-    reported as a warning while the scan keeps its smallest-success
-    semantics.  Hard cap at n = 10_000: a target no order up to it reaches
-    raises ValueError.
+    The margin decreases in r, so margin(n, n, target) > 0 says exactly that
+    the (n, n) root lies above `target`: each order is one sign test, not a
+    solve.  At fixed r the margin cannot decrease in n, because raising n
+    drops the positive term w(n+1) r^n from each tail, so the first
+    positive order is the threshold.  Hard cap at n = 10_000: a target no
+    order up to it reaches raises ValueError.
     """
     if not 0.0 < target < 1.0:
         raise ValueError(f"target must lie in (0, 1), got {target!r}")
-    prev = None
+    f = margin_fn(family)
     for n in range(2, MAX_THRESHOLD_ORDER + 1):
-        radius = solve_radius(family, n, n).radius
-        if prev is not None and radius < prev:
-            warnings.warn(
-                f"equal-order radius sequence decreased at n={n} "
-                f"({prev} -> {radius}) for {family.value}",
-                stacklevel=2,
-            )
-        if radius >= target:
+        if f(n, n, target) > 0.0:
             return n
-        prev = radius
     raise ValueError(
         f"no equal-order radius reached {target} for {family.value} up to "
         f"n={MAX_THRESHOLD_ORDER}"

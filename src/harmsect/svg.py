@@ -14,6 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 _PAD = 54.0
+# canvas sizes in px: curve plots are landscape, boundary plots square
+_CURVE_WIDTH, _CURVE_HEIGHT = 720.0, 480.0
+_BOUNDARY_SIDE = 560.0
 
 
 @dataclass(frozen=True)
@@ -107,8 +110,6 @@ def write_curve_plot(
     y_label: str,
     root: float | None = None,
     vline: float | None = None,
-    width: float = 720.0,
-    height: float = 480.0,
 ) -> Frame:
     """Curve with optional root marker and vertical reference line.
 
@@ -120,6 +121,7 @@ def write_curve_plot(
     keep = ys >= -1.0
     y_lo = float(min(ys[keep].min(), -0.1))
     y_hi = float(max(ys[keep].max(), 0.1)) * 1.05
+    width, height = _CURVE_WIDTH, _CURVE_HEIGHT
     frame = Frame(width, height, float(xs.min()), float(xs.max()), y_lo, y_hi)
 
     desc = {"kind": "curve", **frame.desc_items()}
@@ -154,14 +156,14 @@ def write_curve_plot(
     return frame
 
 
-def write_boundary_plot(path: str, points, *, title: str, radius: float,
-                        width: float = 560.0, height: float = 560.0) -> Frame:
+def write_boundary_plot(path: str, points, *, title: str, radius: float) -> Frame:
     """Closed image curve of a circle |z| = radius under a section, equal aspect."""
     pts = np.asarray(points, dtype=complex)
     xs, ys = pts.real, pts.imag
     cx = (xs.min() + xs.max()) / 2.0
     cy = (ys.min() + ys.max()) / 2.0
     half = max(xs.max() - xs.min(), ys.max() - ys.min(), 1e-9) / 2.0 * 1.1
+    width = height = _BOUNDARY_SIDE
     frame = Frame(width, height, cx - half, cx + half, cy - half, cy + half)
 
     desc = {"kind": "boundary", "radius": f"{radius:.9g}", "points": str(pts.size), **frame.desc_items()}

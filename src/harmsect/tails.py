@@ -25,6 +25,7 @@ range above that.
 from __future__ import annotations
 
 import enum
+import operator
 
 import numpy as np
 
@@ -54,6 +55,10 @@ _MAX_ORDER = 2**341
 
 
 def _check_n(n: int, least: int) -> None:
+    try:
+        operator.index(n)
+    except TypeError:
+        raise ValueError(f"n must be an integer, got {n!r}") from None
     if n < least:
         raise ValueError(f"n must be >= {least}, got {n}")
     if n >= _MAX_ORDER:

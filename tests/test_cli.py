@@ -8,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -152,9 +153,19 @@ class TestThresholds:
         code, _, _ = run(capsys, "thresholds", "--class", "general", "--targets", "1.5")
         assert code == 2
 
+    def test_unreached_target_at_the_real_cap(self, capsys):
+        # one margin sign test per order, so all 9 999 orders take well under 1 s
+        start = time.perf_counter()
+        code, out, err = run(capsys, "thresholds", "--class", "general", "--targets", "0.9995")
+        elapsed = time.perf_counter() - start
+        assert code == 2
+        assert out == ""
+        assert err == "error: no equal-order radius reached 0.9995 for general up to n=10000\n"
+        assert elapsed < 1.0
+
     def test_unreached_target_is_a_domain_error(self, capsys, monkeypatch):
-        # 0.9995 is out of reach below the cap of 10 000; a cap of 30 gives the
-        # same exit after 29 solves instead of 9 999
+        # 0.9995 is out of reach below the cap of 10 000; the message names the
+        # cap in force, here 30
         monkeypatch.setattr(radius, "MAX_THRESHOLD_ORDER", 30)
         code, out, err = run(capsys, "thresholds", "--class", "general", "--targets", "0.9995")
         assert code == 2

@@ -448,6 +448,34 @@ class TestThresholds:
         with pytest.raises(ValueError):
             threshold_order(FamilyClass.GENERAL, target)
 
+    def test_no_solver_runs(self, monkeypatch):
+        # each order is one sign test of the margin at the target, never a solve
+        def refuse(*args):
+            raise AssertionError("threshold_order called solve_radius")
+
+        monkeypatch.setattr(radius, "solve_radius", refuse)
+        expected = {FamilyClass.GENERAL: (7, 22, 78), FamilyClass.CONVEX: (4, 12, 43)}
+        for family, orders in expected.items():
+            assert tuple(threshold_order(family, t) for t in (0.25, 0.5, 0.75)) == orders
+
+    @pytest.mark.parametrize("family", list(FamilyClass))
+    def test_equal_order_margin_never_decreases_in_n(self, family):
+        # T(n+1, r) = T(n, r) - w(n+1) r^n with w > 0, so the first order whose
+        # margin is positive at the target is the threshold
+        rs = np.linspace(0.05, 0.95, 19)
+        margins = np.array([margin_fn(family)(n, n, rs) for n in range(2, 1001)])
+        assert np.all(np.diff(margins, axis=0) >= 0.0)
+
+    @pytest.mark.parametrize("family", list(FamilyClass))
+    def test_threshold_is_the_first_order_whose_root_reaches_the_target(self, family):
+        rng = np.random.default_rng(20261018)
+        first = solve_radius(family, 2, 2).radius
+        for target in rng.uniform(first, 0.95, 40):
+            n = threshold_order(family, float(target))
+            assert solve_radius(family, n, n).radius >= target
+            if n > 2:
+                assert solve_radius(family, n - 1, n - 1).radius < target
+
 
 class TestTypes:
     def test_radius_result_is_frozen(self):

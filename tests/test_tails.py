@@ -76,6 +76,31 @@ class TestElementaryTails:
                 fn(n, 0.5)
 
 
+PUBLIC_TAILS = {
+    "linear": tail_linear,
+    "square": tail_square,
+    "cube": tail_cube,
+    "weighted": lambda n, r: tail_weighted(TailClass.GENERAL_ANALYTIC, n, r),
+}
+
+
+class TestIntegerOrders:
+    @pytest.mark.parametrize("name", PUBLIC_TAILS)
+    def test_non_integral_order_rejected(self, name):
+        # a tail between two orders is the value of no sum: tail_linear(2.5, 0.5)
+        # gave 1.59, between the n = 2 and n = 3 tails
+        with pytest.raises(ValueError, match=r"^n must be an integer, got 2\.5$"):
+            PUBLIC_TAILS[name](2.5, 0.5)
+        with pytest.raises(ValueError, match=r"^n must be an integer, got 3\.0$"):
+            PUBLIC_TAILS[name](3.0, 0.5)
+
+    @pytest.mark.parametrize("name", PUBLIC_TAILS)
+    def test_numpy_integer_order_accepted(self, name):
+        fn = PUBLIC_TAILS[name]
+        for n in (np.int64(3), np.int32(3), np.uint8(3)):
+            assert fn(n, 0.5) == fn(3, 0.5)
+
+
 class TestWeights:
     @pytest.mark.parametrize("cls", ALL_CLASSES)
     def test_nonnegative_integers(self, cls):
