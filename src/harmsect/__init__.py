@@ -48,7 +48,7 @@ from .radius import (
     solve_radius,
     threshold_order,
 )
-from .tails import TailClass, tail_cube, tail_linear, tail_square, tail_weighted
+from .tails import TailClass, tail_weighted
 
 __version__ = "0.1.0"
 
@@ -87,11 +87,8 @@ __all__ = [
     "slope_bracket_scaled",
     "slope_prefactor_general",
     "solve_radius",
-    "tail_cube",
-    "tail_linear",
     "tail_ratio_convex",
     "tail_ratio_general",
-    "tail_square",
     "tail_weighted",
     "threshold_order",
     "verify_all",

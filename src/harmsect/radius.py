@@ -18,14 +18,15 @@ Evaluation at r <= 0 or r >= 1 (or at NaN) is a hard error, not a limit
 value: the rational forms are singular at the endpoints and silent
 extrapolation near them has bitten before.  Orders must be integers from
 2 up to, but not including, 2**341, past which the tails' n**3 overflows.
-There is one evaluation path per margin; the combined equal-order and
-polynomial forms that cross-check it live with the tests.
+There is one evaluation path per margin, the floor minus two tails of the
+one tail core; the combined equal-order, polynomial and elementary-tail
+forms that cross-check it live with the tests.
 
 Arguments are checked once, at the public entry: each public floor and
 margin checks its orders and r, then evaluates the unchecked cores
-(`_floor_general`, `tails._tail_weighted`, ...).  So one margin evaluation
-makes one r check, and `solve_radius`, which calls the public margin,
-makes one per evaluation.
+(`_floor_general`, `tails._tail_weighted`) with the orders as Python ints.
+So one margin evaluation makes one r check, and `solve_radius`, which
+calls the public margin, makes one per evaluation.
 """
 
 from __future__ import annotations
@@ -87,15 +88,18 @@ def _check_r_open(r) -> None:
         raise ValueError(f"r must lie in (0, 1), got {r!r}")
 
 
-def _check_orders(n: int, m: int) -> None:
+def _check_orders(n: int, m: int) -> tuple[int, int]:
+    # numpy integers come back as Python ints: the tail coefficients take
+    # n**3, which wraps in int64 from n = 2.1e6
     try:
-        operator.index(n), operator.index(m)
+        n, m = operator.index(n), operator.index(m)
     except TypeError:
         raise ValueError(f"orders must be integers, got ({n!r}, {m!r})") from None
     if n < 2 or m < 2:
         raise ValueError(f"orders must both be >= 2, got ({n}, {m})")
     if n >= _MAX_ORDER or m >= _MAX_ORDER:
         raise ValueError("orders must be below 2**341, where n**3 leaves the double range")
+    return n, m
 
 
 def distortion_floor_general(r):
@@ -124,7 +128,7 @@ def _floor_convex(r):
 
 def margin_general(n: int, m: int, r):
     """General-family univalence margin at radius r for the (n, m) section."""
-    _check_orders(n, m)
+    n, m = _check_orders(n, m)
     _check_r_open(r)
     return (
         _floor_general(r)
@@ -135,7 +139,7 @@ def margin_general(n: int, m: int, r):
 
 def margin_convex(n: int, m: int, r):
     """Convex-family univalence margin at radius r for the (n, m) section."""
-    _check_orders(n, m)
+    n, m = _check_orders(n, m)
     _check_r_open(r)
     return (
         _floor_convex(r)

@@ -6,20 +6,21 @@ Every radius computation in this package subtracts tails of the form
 
 where the weight w(k) is one of four cubic/quadratic polynomials in k,
 depending on the geometric family and on whether the analytic or the
-co-analytic part is being truncated.  The tails are evaluated exactly as
-linear combinations of the three elementary tails
+co-analytic part is being truncated.  Each tail has one closed form
 
-    sum k r^(k-1),  sum k^2 r^(k-1),  sum k^3 r^(k-1),
+    r^n * sum_j e_j(n) s^(j-d),   s = 1 - r,
 
-each of which has a closed rational form.
+whose d integer coefficients e_j(n), one row of `_COEFFICIENTS` per
+weight, are nonnegative for n >= 2.  One core, `_tail_weighted`, evaluates
+every row.
 
-Arguments are checked once, at the public entry: each public tail checks
-n and r (every value of r must lie in its domain, so NaN is rejected) and
-then calls a private core (`_tail_linear`, `_tail_weighted`, ...) that
-evaluates the closed form unchecked.  Callers that have already checked
-r, such as the margins in `radius`, call the cores directly.  Orders must
-lie below 2**341: the closed forms take n**3, which leaves the double
-range above that.
+Arguments are checked once, at the public entry: `tail_weighted` checks n
+and r (every value of r must lie in its domain, so NaN is rejected) and
+then calls the core unchecked.  Callers that have already checked r, such
+as the margins in `radius`, call the core directly, with orders checked
+into Python ints, whose products do not wrap.  Orders must lie below
+2**341: the general rows take n**3, which leaves the double range above
+that.
 """
 
 from __future__ import annotations
@@ -54,85 +55,45 @@ def _check_r_halfopen(r) -> None:
 _MAX_ORDER = 2**341
 
 
-def _check_n(n: int, least: int) -> None:
+def _check_n(n: int) -> int:
+    """n as a Python int, once it is shown to be an order from 1 below 2**341."""
     try:
-        operator.index(n)
+        n = operator.index(n)
     except TypeError:
         raise ValueError(f"n must be an integer, got {n!r}") from None
-    if n < least:
-        raise ValueError(f"n must be >= {least}, got {n}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if n >= _MAX_ORDER:
         raise ValueError("n must be below 2**341, where n**3 leaves the double range")
+    return n
 
 
-def tail_linear(n: int, r):
-    """sum_{k=n+1..inf} k r^(k-1) = r^n [1 + n(1-r)] / (1-r)^2."""
-    _check_n(n, 0)
-    _check_r_halfopen(r)
-    return _tail_linear(n, r)
-
-
-def _tail_linear(n, r):
-    s = 1.0 - r
-    return r**n * (1.0 + n * s) / s**2
-
-
-def tail_square(n: int, r):
-    """sum_{k=n+1..inf} k^2 r^(k-1) = r^n [2 + (2n-1)(1-r) + n^2 (1-r)^2] / (1-r)^3."""
-    _check_n(n, 0)
-    _check_r_halfopen(r)
-    return _tail_square(n, r)
-
-
-def _tail_square(n, r):
-    s = 1.0 - r
-    return r**n * (2.0 + (2 * n - 1) * s + n**2 * s**2) / s**3
-
-
-def tail_cube(n: int, r):
-    """sum_{k=n+1..inf} k^3 r^(k-1), closed rational form.
-
-    Equals r^n [6 + (6n-6)(1-r) + (3n^2-3n+1)(1-r)^2 + n^3 (1-r)^3] / (1-r)^4.
-    """
-    _check_n(n, 0)
-    _check_r_halfopen(r)
-    return _tail_cube(n, r)
-
-
-def _tail_cube(n, r):
-    s = 1.0 - r
-    return r**n * (6.0 + (6 * n - 6) * s + (3 * n**2 - 3 * n + 1) * s**2 + n**3 * s**3) / s**4
-
-
-# Each weight polynomial expanded in the monomial basis {k, k^2, k^3}:
-#   k(k+1)(2k+1)/6 = k^3/3 + k^2/2 + k/6
-#   k(k-1)(2k-1)/6 = k^3/3 - k^2/2 + k/6
-#   k(k+1)/2       = k^2/2 + k/2
-#   k(k-1)/2       = k^2/2 - k/2
-_COMBINATION = {
-    TailClass.GENERAL_ANALYTIC: (1.0 / 6.0, 0.5, 1.0 / 3.0),
-    TailClass.GENERAL_CO_ANALYTIC: (1.0 / 6.0, -0.5, 1.0 / 3.0),
-    TailClass.CONVEX_ANALYTIC: (0.5, 0.5, 0.0),
-    TailClass.CONVEX_CO_ANALYTIC: (-0.5, 0.5, 0.0),
+# Coefficients (e_0, ..., e_{d-1}) of each tail's closed form, as exact
+# integers for a Python int n; checked exactly against the series in
+# tests/test_tails.py
+_COEFFICIENTS = {
+    TailClass.GENERAL_ANALYTIC: lambda n: (2, 2 * n - 1, n**2, n * (n + 1) * (2 * n + 1) // 6),
+    TailClass.GENERAL_CO_ANALYTIC: lambda n: (2, 2 * n - 3, (n - 1) ** 2, n * (n - 1) * (2 * n - 1) // 6),
+    TailClass.CONVEX_ANALYTIC: lambda n: (1, n, n * (n + 1) // 2),
+    TailClass.CONVEX_CO_ANALYTIC: lambda n: (1, n - 1, n * (n - 1) // 2),
 }
 
 
 def tail_weighted(cls: TailClass, n: int, r):
     """sum_{k=n+1..inf} w(k) r^(k-1) for the weight of `cls`, in closed form.
 
-    Requires n >= 1 and 0 <= r < 1.  At r = 0 the tail is exactly 0 and is
-    returned without touching the rational forms.
+    Requires n >= 1 and 0 <= r < 1.  At r = 0 the tail is exactly 0.
     """
-    _check_n(n, 1)
+    n = _check_n(n)
     _check_r_halfopen(r)
-    if np.isscalar(r) and r == 0:
-        return 0.0
     return _tail_weighted(cls, n, r)
 
 
-def _tail_weighted(cls: TailClass, n, r):
-    c1, c2, c3 = _COMBINATION[cls]
-    out = c1 * _tail_linear(n, r) + c2 * _tail_square(n, r)
-    if c3:
-        out = out + c3 * _tail_cube(n, r)
-    return out
+def _tail_weighted(cls: TailClass, n: int, r):
+    s = 1.0 - r
+    row = _COEFFICIENTS[cls](n)
+    num = 0.0
+    for e in reversed(row):
+        num = num * s + e
+    # r^n first: for the largest orders it is 0 and keeps num / s^d from overflowing
+    return r**n * num / s ** len(row)

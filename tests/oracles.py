@@ -1,12 +1,14 @@
 """Independent evaluation forms that the tests compare the library against.
 
 None of these is a production path: the library evaluates every tail and
-margin through one closed form (`tails._tail_weighted` and the margins in
-`radius`).  The forms here take other routes to the same numbers, a
-termwise weight polynomial, a truncated sum and the fully combined
-equal-order closed forms, so that agreement between the two routes
-checks both.  Their inputs come from the tests, so they check no
-arguments.
+margin through one closed form per weight (the coefficient rows of
+`tails._COEFFICIENTS`, evaluated by `tails._tail_weighted`, which the
+margins in `radius` call).  The forms here take other routes to the same
+numbers, a termwise weight polynomial, a truncated sum, the mixed-sign
+combination of the three elementary tails (k, k^2, k^3) and the fully
+combined equal-order closed forms, so that agreement between the two
+routes checks both.  Their inputs come from the tests, so they
+check no arguments.
 """
 
 from __future__ import annotations
@@ -43,6 +45,49 @@ def tail_brute(cls: TailClass, n: int, r: float, terms: int) -> float:
     with np.errstate(under="ignore"):
         summands = weight(cls, ks) * np.power(float(r), ks - 1.0)
     return math.fsum(summands)
+
+
+def tail_linear(n: int, r):
+    """sum_{k=n+1..inf} k r^(k-1) = r^n [1 + n(1-r)] / (1-r)^2."""
+    s = 1.0 - r
+    return r**n * (1.0 + n * s) / s**2
+
+
+def tail_square(n: int, r):
+    """sum_{k=n+1..inf} k^2 r^(k-1) = r^n [2 + (2n-1)(1-r) + n^2 (1-r)^2] / (1-r)^3."""
+    s = 1.0 - r
+    return r**n * (2.0 + (2 * n - 1) * s + n**2 * s**2) / s**3
+
+
+def tail_cube(n: int, r):
+    """sum_{k=n+1..inf} k^3 r^(k-1), closed rational form.
+
+    Equals r^n [6 + (6n-6)(1-r) + (3n^2-3n+1)(1-r)^2 + n^3 (1-r)^3] / (1-r)^4.
+    """
+    s = 1.0 - r
+    return r**n * (6.0 + (6 * n - 6) * s + (3 * n**2 - 3 * n + 1) * s**2 + n**3 * s**3) / s**4
+
+
+# Each weight polynomial expanded in the monomial basis {k, k^2, k^3}:
+#   k(k+1)(2k+1)/6 = k^3/3 + k^2/2 + k/6
+#   k(k-1)(2k-1)/6 = k^3/3 - k^2/2 + k/6
+#   k(k+1)/2       = k^2/2 + k/2
+#   k(k-1)/2       = k^2/2 - k/2
+COMBINATION = {
+    TailClass.GENERAL_ANALYTIC: (1.0 / 6.0, 0.5, 1.0 / 3.0),
+    TailClass.GENERAL_CO_ANALYTIC: (1.0 / 6.0, -0.5, 1.0 / 3.0),
+    TailClass.CONVEX_ANALYTIC: (0.5, 0.5, 0.0),
+    TailClass.CONVEX_CO_ANALYTIC: (-0.5, 0.5, 0.0),
+}
+
+
+def tail_combination(cls: TailClass, n: int, r):
+    """The weighted tail as its mixed-sign combination of elementary tails."""
+    c1, c2, c3 = COMBINATION[cls]
+    out = c1 * tail_linear(n, r) + c2 * tail_square(n, r)
+    if c3:
+        out = out + c3 * tail_cube(n, r)
+    return out
 
 
 def tail_general_pair_diag(n: int, r):

@@ -24,8 +24,8 @@ from harmsect.radius import (
     solve_radius,
     threshold_order,
 )
-from harmsect.tails import tail_cube, tail_linear, tail_square
-from oracles import margin_convex_diag, margin_general_diag
+from harmsect.tails import TailClass, tail_weighted
+from oracles import margin_convex_diag, margin_general_diag, tail_combination
 
 # printed six-decimal equal-order general radii (half-ulp tolerance 5e-7)
 TABLE_GENERAL = {
@@ -43,37 +43,36 @@ R_GRID = np.asarray([0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99])
 
 
 # Reference solver: the margin composed from the public floor and the public
-# elementary tails, term by term as the weighted tail combines them, with the
-# solver's 999-point scan and bisection.  Every public call checks its own r.
-REFERENCE_WEIGHTS = {
-    FamilyClass.GENERAL: ((1.0 / 6.0, 0.5, 1.0 / 3.0), (1.0 / 6.0, -0.5, 1.0 / 3.0)),
-    FamilyClass.CONVEX: ((0.5, 0.5, 0.0), (-0.5, 0.5, 0.0)),
+# weighted tails, with the solver's 999-point scan and bisection.  Every
+# public call checks its own r.  With `tail=tail_combination` it composes
+# the mixed-sign combination of elementary tails instead.
+TAIL_CLASSES = {
+    FamilyClass.GENERAL: (TailClass.GENERAL_ANALYTIC, TailClass.GENERAL_CO_ANALYTIC),
+    FamilyClass.CONVEX: (TailClass.CONVEX_ANALYTIC, TailClass.CONVEX_CO_ANALYTIC),
 }
 SCAN_GRID = np.arange(1, 1000) * 1e-3
 
 
-def reference_tail(weights, n, r):
-    c1, c2, c3 = weights
-    out = c1 * tail_linear(n, r) + c2 * tail_square(n, r)
-    if c3:
-        out = out + c3 * tail_cube(n, r)
-    return out
+def reference_floor(family):
+    return distortion_floor_general if family is FamilyClass.GENERAL else distortion_floor_convex
 
 
-def reference_margin(family, n, m, r):
-    floor = distortion_floor_general if family is FamilyClass.GENERAL else distortion_floor_convex
-    analytic, co_analytic = REFERENCE_WEIGHTS[family]
-    return floor(r) - reference_tail(analytic, n, r) - reference_tail(co_analytic, m, r)
+def reference_margin(family, n, m, r, tail=tail_weighted):
+    analytic, co_analytic = TAIL_CLASSES[family]
+    return reference_floor(family)(r) - tail(analytic, n, r) - tail(co_analytic, m, r)
 
 
-def reference_solve(family, n, m):
-    pos = reference_margin(family, n, m, SCAN_GRID) > 0.0
+def reference_solve(family, n, m, tail=tail_weighted):
+    def margin(r):
+        return reference_margin(family, n, m, r, tail)
+
+    pos = margin(SCAN_GRID) > 0.0
     i = int(np.nonzero(pos[:-1] & ~pos[1:])[0][0])
     lo, hi = float(SCAN_GRID[i]), float(SCAN_GRID[i + 1])
     iterations = 0
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
-        if reference_margin(family, n, m, mid) > 0.0:
+        if margin(mid) > 0.0:
             lo = mid
         else:
             hi = mid
@@ -86,7 +85,7 @@ def reference_solve(family, n, m):
         bound = lower_bound_convex(low)
     else:
         bound = None
-    return RadiusResult(root, lo, hi, float(reference_margin(family, n, m, root)), iterations, bound)
+    return RadiusResult(root, lo, hi, float(margin(root)), iterations, bound)
 
 
 def random_pairs(family, count=200):
@@ -215,6 +214,13 @@ class TestMargins:
         assert margin_general(np.int64(3), np.int32(4), 0.3) == margin_general(3, 4, 0.3)
 
     @pytest.mark.parametrize("fn", [margin_general, margin_convex])
+    def test_numpy_integer_orders_do_not_wrap(self, fn):
+        # int64 arithmetic wrapped n**3 from about n = 2.1e6 and flipped the
+        # general margin's sign: +3.9e14 at np.int64(2_100_000), r = 0.99999
+        n = 2_100_000
+        assert fn(np.int64(n), np.int64(n), 0.99999) == fn(n, n, 0.99999) < 0.0
+
+    @pytest.mark.parametrize("fn", [margin_general, margin_convex])
     def test_float_and_array_r_agree(self, fn):
         # a float r takes the direct comparison in the domain check, an array the numpy one
         rs = np.array([1e-3, 0.25, 0.999])
@@ -252,18 +258,37 @@ class TestOneCheckPerCall:
         assert len(r_checks) <= len(evaluations)
 
 
+def assert_same_bracket(result, family, n, m):
+    """`result` has the bracket of the elementary-combination margin.
+
+    Its residual, the margin at the radius, may move by rounding only: at
+    most 8 ulps of the floor there, the largest of the margin's three
+    terms (4 ulps measured).
+    """
+    old = reference_solve(family, n, m, tail=tail_combination)
+    assert (result.radius, result.bracket_lo, result.bracket_hi, result.iterations) == (
+        old.radius, old.bracket_lo, old.bracket_hi, old.iterations), (n, m)
+    ulp = math.ulp(reference_floor(family)(result.radius))
+    assert abs(result.residual - old.residual) <= 8 * ulp, (n, m)
+
+
 class TestReferenceEquivalence:
-    """Bit-for-bit agreement with the margin composed from the public parts."""
+    """Bit-for-bit agreement with the margin composed from the public parts,
+    and the brackets of the elementary-combination margin."""
 
     @pytest.mark.parametrize("family", list(FamilyClass))
     def test_equal_orders(self, family):
         for n in [*range(2, 301), 1000, 10000]:
-            assert solve_radius(family, n, n) == reference_solve(family, n, n), n
+            result = solve_radius(family, n, n)
+            assert result == reference_solve(family, n, n), n
+            assert_same_bracket(result, family, n, n)
 
     @pytest.mark.parametrize("family", list(FamilyClass))
     def test_random_pairs(self, family):
         for n, m in random_pairs(family):
-            assert solve_radius(family, n, m) == reference_solve(family, n, m), (n, m)
+            result = solve_radius(family, n, m)
+            assert result == reference_solve(family, n, m), (n, m)
+            assert_same_bracket(result, family, n, m)
 
     @pytest.mark.parametrize("family", list(FamilyClass))
     @pytest.mark.parametrize("n,m", [(2, 2), (3, 9), (50, 50), (287, 287), (1000, 40)])

@@ -1,6 +1,8 @@
-"""Closed-form tail sums against the brute-force truncation oracle."""
+"""Closed-form tail sums against exact arithmetic and the truncation oracles."""
 
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,8 +10,16 @@ import pytest
 from harmsect import tails
 from harmsect.harmonic import ExtremalCoefficients
 from harmsect.radius import FamilyClass
-from harmsect.tails import TailClass, tail_cube, tail_linear, tail_square, tail_weighted
-from oracles import tail_brute, tail_general_pair_diag, weight
+from harmsect.tails import TailClass, tail_weighted
+from oracles import (
+    tail_brute,
+    tail_combination,
+    tail_cube,
+    tail_general_pair_diag,
+    tail_linear,
+    tail_square,
+    weight,
+)
 
 ALL_CLASSES = list(TailClass)
 R_GRID = [0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99]
@@ -22,6 +32,8 @@ def brute_elementary(power, n, r, terms=20_000):
 
 
 class TestElementaryTails:
+    """The elementary oracle tails, which check no arguments, against direct sums."""
+
     def test_linear_geometric_derivative(self):
         # n = 0 tail is the derivative of the geometric series, 1/(1-r)^2
         assert tail_linear(0, 0.5) == pytest.approx(4.0, abs=1e-14)
@@ -57,29 +69,8 @@ class TestElementaryTails:
         expected = brute_elementary(power, n, r)
         assert fn(n, r) == pytest.approx(expected, rel=1e-12)
 
-    @pytest.mark.parametrize("fn", [tail_linear, tail_square, tail_cube])
-    def test_domain_errors(self, fn):
-        with pytest.raises(ValueError):
-            fn(2, -0.1)
-        with pytest.raises(ValueError):
-            fn(2, 1.0)
-        with pytest.raises(ValueError):
-            fn(-1, 0.5)
-
-    @pytest.mark.parametrize("fn", [tail_linear, tail_square, tail_cube])
-    def test_orders_beyond_the_double_range_rejected(self, fn):
-        # n**3 is a finite double below 2**341; the cube tail overflowed
-        # converting it from 10**103 on, the square tail from about 10**155
-        assert fn(2**341 - 1, 0.5) == 0.0
-        for n in (2**341, 10**200, 10**400):
-            with pytest.raises(ValueError, match=r"n must be below 2\*\*341"):
-                fn(n, 0.5)
-
 
 PUBLIC_TAILS = {
-    "linear": tail_linear,
-    "square": tail_square,
-    "cube": tail_cube,
     "weighted": lambda n, r: tail_weighted(TailClass.GENERAL_ANALYTIC, n, r),
 }
 
@@ -87,8 +78,8 @@ PUBLIC_TAILS = {
 class TestIntegerOrders:
     @pytest.mark.parametrize("name", PUBLIC_TAILS)
     def test_non_integral_order_rejected(self, name):
-        # a tail between two orders is the value of no sum: tail_linear(2.5, 0.5)
-        # gave 1.59, between the n = 2 and n = 3 tails
+        # a tail between two orders is the value of no sum: the general
+        # analytic tail at n = 2.5, r = 0.5 once gave 18.83
         with pytest.raises(ValueError, match=r"^n must be an integer, got 2\.5$"):
             PUBLIC_TAILS[name](2.5, 0.5)
         with pytest.raises(ValueError, match=r"^n must be an integer, got 3\.0$"):
@@ -99,6 +90,14 @@ class TestIntegerOrders:
         fn = PUBLIC_TAILS[name]
         for n in (np.int64(3), np.int32(3), np.uint8(3)):
             assert fn(n, 0.5) == fn(3, 0.5)
+
+    @pytest.mark.parametrize("cls", ALL_CLASSES)
+    def test_numpy_integer_orders_do_not_wrap(self, cls):
+        # the coefficients take n**3, which wraps in int64 from about n = 2.1e6:
+        # the general analytic tail at np.int64(10**7) was 6% off, so the
+        # checked order must reach the core as a Python int
+        for n in (2_100_000, 10**7, 5 * 10**9):
+            assert tail_weighted(cls, np.int64(n), 0.9999999) == tail_weighted(cls, n, 0.9999999)
 
 
 class TestWeights:
@@ -179,18 +178,32 @@ class TestWeightedTails:
         with pytest.raises(ValueError, match=r"r must lie in \[0, 1\)"):
             tail_weighted(TailClass.GENERAL_ANALYTIC, 2, -0.2)
 
+    @pytest.mark.parametrize("cls", ALL_CLASSES)
+    def test_orders_beyond_the_double_range_rejected(self, cls):
+        # n**3 is a finite double below 2**341; the elementary cube tail
+        # overflowed converting it from 10**103 on
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert tail_weighted(cls, 2**341 - 1, 0.5) == 0.0
+        for n in (2**341, 10**200, 10**400):
+            with pytest.raises(ValueError, match=r"n must be below 2\*\*341"):
+                tail_weighted(cls, n, 0.5)
+
     @pytest.mark.parametrize("r", [math.nan, [0.5, math.nan], np.array([math.nan, 0.2])])
     def test_nan_rejected(self, r):
         # NaN fails every comparison, so "no value outside" would let it pass
-        for call in (
-            lambda: tail_weighted(TailClass.GENERAL_ANALYTIC, 3, r),
-            lambda: tail_weighted(TailClass.CONVEX_CO_ANALYTIC, 3, r),
-            lambda: tail_linear(3, r),
-            lambda: tail_square(3, r),
-            lambda: tail_cube(3, r),
-        ):
+        for cls in ALL_CLASSES:
             with pytest.raises(ValueError, match=r"r must lie in \[0, 1\)"):
-                call()
+                tail_weighted(cls, 3, r)
+
+    @pytest.mark.parametrize("cls", ALL_CLASSES)
+    def test_matches_elementary_combination(self, cls):
+        # the mixed-sign combination of the three elementary tails rounds
+        # differently, by at most 3 ulps measured
+        rs = np.asarray(R_GRID)
+        for n in (1, 2, 3, 7, 50, 287, 1000):
+            closed = tail_weighted(cls, n, rs)
+            assert np.all(np.abs(closed - tail_combination(cls, n, rs)) <= 4e-15 * closed)
 
     def test_one_r_check_per_call(self, monkeypatch):
         calls = []
@@ -200,6 +213,32 @@ class TestWeightedTails:
             calls.clear()
             tail_weighted(cls, 3, 0.4)
             assert calls == [0.4]
+
+
+def exact_tail(cls: TailClass, n: int, r: Fraction) -> Fraction:
+    """The closed form of `cls` at order n, in exact rational arithmetic."""
+    row = tails._COEFFICIENTS[cls](n)
+    s = 1 - r
+    return r**n * sum(e * s ** (j - len(row)) for j, e in enumerate(row))
+
+
+class TestExactForm:
+    @pytest.mark.parametrize("cls", ALL_CLASSES)
+    @pytest.mark.parametrize("r", [Fraction(1, 3), Fraction(1, 2), Fraction(9, 10)])
+    def test_each_order_drops_the_next_term(self, cls, r):
+        # T(n) - T(n+1) - w(n+1) r^n is r^n times a polynomial of degree at
+        # most 3 in n, so zero at six consecutive orders makes it zero at
+        # every order.  T then differs from the tail by a constant in n, and
+        # both tend to 0 as n grows, so T is the tail at this r
+        for n in range(1, 7):
+            drop = exact_tail(cls, n, r) - exact_tail(cls, n + 1, r)
+            assert drop == Fraction(weight(cls, n + 1)) * r**n, n
+
+    @pytest.mark.parametrize("cls", ALL_CLASSES)
+    def test_coefficients_are_nonnegative_integers(self, cls):
+        for n in [*range(2, 1001), 2**341 - 1]:
+            row = tails._COEFFICIENTS[cls](n)
+            assert all(type(e) is int and e >= 0 for e in row), (n, row)
 
 
 class TestCombinedDiagonal:
