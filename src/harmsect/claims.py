@@ -25,6 +25,17 @@ once, and the general ratio's N and D are evaluated in scaled form (see
 _bracket_num_den), so neither the (n/x)^7 prefactor nor the powers of n in
 N and D overflow; the limit claims' ratios stay finite up to n = 1e200 and
 beyond.
+
+Every step that loops over orders runs on 2-D blocks instead: a column of
+orders against the grid (or against one point per order), one numpy pass
+per block of at most _BLOCK_POINTS points, so peak memory stays flat.  A
+private core takes each order only through factors formed from the int n
+in Python (exact powers n**k, math.log(n)); numpy's power of a float column
+is not the exact integer power, so the factors are passed as float columns.
+A block's row is then the public function's array evaluation at that order,
+bit for bit, and _Margins.add_rows keeps the witness a loop over the orders
+would keep.  The Q-roots claim's Sturm counts decide each sign in integers
+(see polyroots).
 """
 
 from __future__ import annotations
@@ -56,6 +67,11 @@ class UnknownClaimError(KeyError):
 # --------------------------------------------------------------------------
 # ratio functions and their derivative factors
 # --------------------------------------------------------------------------
+#
+# Each public function checks its arguments and calls a private core that
+# takes the order only through factors formed from it (the _*_factors
+# functions and _powers); a blocked claim step passes the same factors as
+# (orders, 1) float columns.
 
 
 def _check_x_range(x, n: int) -> None:
@@ -64,42 +80,55 @@ def _check_x_range(x, n: int) -> None:
         raise ValueError(f"x must lie in (0, n], got x={x!r} for n={n}")
 
 
-def _bracket_num_den(x, n: int):
+def _powers(n, count: int) -> tuple:
+    """n**0 .. n**(count - 1), exact for an int n."""
+    return tuple(n**k for k in range(count))
+
+
+def _num_den_factors(n) -> tuple[float, float, float, float]:
+    """u = 1/n and the three polynomials in u that _bracket_num_den takes."""
+    u = 1.0 / n
+    return u, 12.0 * (1.0 - u), 3.0 * (2.0 - 2.0 * u + u**2), 2.0 + u**2
+
+
+def _bracket_num_den(x, u, c1, c2, c3):
     """N(x, n) / (n^4 s^3), D(x, n) / n^4 and s = max(x, 1) of the general ratio.
 
     ln(N / D) is ln(num) + 3 ln(s) - ln(den).  Neither part forms a power
     of n or of x above 1, so both stay finite for every x in (0, n] and n
     up to 1e300; 1/n is formed once, so int and float n agree.
     """
-    u = 1.0 / n
     y = x * u
     s = np.maximum(x, 1.0)
     v, w = 1.0 / s, x / s
-    num = (
-        12.0 * v**3
-        + 12.0 * (1.0 - u) * w * v**2
-        + 3.0 * (2.0 - 2.0 * u + u**2) * w**2 * v
-        + (2.0 + u**2) * w**3
-    )
+    num = 12.0 * v**3 + c1 * w * v**2 + c2 * w**2 * v + c3 * w**3
     den = 16.0 - 32.0 * y + 28.0 * y**2 - 12.0 * y**3 + 3.0 * y**4
     return num, den, s
+
+
+def _general_factors(n) -> tuple:
+    return (n, math.log(n), *_num_den_factors(n))
+
+
+def _log_ratio_general(x, n, ln_n, u, c1, c2, c3):
+    num, den, s = _bracket_num_den(x, u, c1, c2, c3)
+    if np.any(np.asarray(den) <= 0):
+        raise ArithmeticError("denominator of the general ratio vanished; should be impossible")
+    return (
+        -x
+        + 7.0 * (ln_n - np.log(x))
+        + 9.0 * np.log(2.0 - x / n)
+        + np.log(num)
+        + 3.0 * np.log(s)
+        - np.log(den)
+    )
 
 
 def log_tail_ratio_general(x, n: int):
     """ln of tail_ratio_general; finite on all of (0, n] for n up to 1e300."""
     _check_x_range(x, n)
     x = np.asarray(x, dtype=float) if not np.isscalar(x) else float(x)
-    num, den, s = _bracket_num_den(x, n)
-    if np.any(np.asarray(den) <= 0):
-        raise ArithmeticError(f"denominator vanished for n={n}; should be impossible")
-    return (
-        -x
-        + 7.0 * (math.log(n) - np.log(x))
-        + 9.0 * np.log(2.0 - x / n)
-        + np.log(num)
-        + 3.0 * np.log(s)
-        - np.log(den)
-    )
+    return _log_ratio_general(x, *_general_factors(n))
 
 
 def tail_ratio_general(x, n: int):
@@ -110,6 +139,14 @@ def tail_ratio_general(x, n: int):
     return np.exp(log_tail_ratio_general(x, n))
 
 
+def _slope_prefactor(x, n, u, c1, c2, c3):
+    _, den, _ = _bracket_num_den(x, u, c1, c2, c3)
+    if np.any(np.asarray(den) == 0):
+        raise ArithmeticError("denominator of the general ratio vanished")
+    # den is D / n^4, so the n^8 of (2n - x)^8 cancels against D^2
+    return -((2.0 - x / n) ** 8) * np.exp(-x) / (x**8 * den**2)
+
+
 def slope_prefactor_general(x, n: int):
     """Strictly negative prefactor in d/dx of tail_ratio_general.
 
@@ -118,11 +155,35 @@ def slope_prefactor_general(x, n: int):
     """
     if not (np.asarray(x) > 0).all():
         raise ValueError(f"x must be positive, got {x!r}")
-    _, den, _ = _bracket_num_den(x, n)
-    if np.any(np.asarray(den) == 0):
-        raise ArithmeticError(f"denominator vanished for n={n}")
-    # den is D / n^4, so the n^8 of (2n - x)^8 cancels against D^2
-    return -((2.0 - x / n) ** 8) * np.exp(-x) / (x**8 * den**2)
+    return _slope_prefactor(x, n, *_num_den_factors(n))
+
+
+def _slope_bracket(x, p):
+    # p[k] is n**k; x^3, x^5 and x^7 each appear in two term groups and are
+    # formed once
+    n = p[1]
+    x3, x5, x7 = x**3, x**5, x**7
+    return (
+        2688.0 * p[7]
+        + 2688.0 * (n - 3) * p[6] * x
+        + 3.0 * (448.0 * p[7] - 2368.0 * p[6] + 3648.0 * p[5] - x7) * x**2
+        + 64.0 * p[4] * (7.0 * p[3] - 48.0 * p[2] + 137.0 * n - 132.0) * x3
+        + 16.0 * p[2] * (59.0 * p[3] - 128.0 * p[2] + 178.0 * n - 75.0) * x5
+        + 2.0
+        * p[2]
+        * (
+            32.0 * p[5]
+            - 80.0 * p[4] * (6.0 + x)
+            + 1672.0 * p[3]
+            - 4.0 * p[2] * (774.0 + 13.0 * x3)
+            + 2040.0 * n
+            - 3.0 * x5
+        )
+        * x**4
+        + 2.0 * n * (88.0 * p[4] - 240.0 * p[3] + 434.0 * p[2] - 390.0 * n + 81.0) * x**6
+        + 2.0 * n * (78.0 * p[2] - 98.0 * n + 57.0) * x7
+        + 6.0 * (6.0 * p[3] - 2.0 * p[2] + 6.0 * n - 1.0) * x**8
+    )
 
 
 def slope_bracket_general(x, n: int):
@@ -130,29 +191,10 @@ def slope_bracket_general(x, n: int):
 
     Degree 9 in x (from the -3 x^9 and -6 n^2 x^9 terms) and 7 in n.
 
-    Entered term group by term group exactly as derived; no re-expansion.
+    Entered term group by term group exactly as derived, with n**k written
+    p[k]; no re-expansion.
     """
-    return (
-        2688.0 * n**7
-        + 2688.0 * (n - 3) * n**6 * x
-        + 3.0 * (448.0 * n**7 - 2368.0 * n**6 + 3648.0 * n**5 - x**7) * x**2
-        + 64.0 * n**4 * (7.0 * n**3 - 48.0 * n**2 + 137.0 * n - 132.0) * x**3
-        + 16.0 * n**2 * (59.0 * n**3 - 128.0 * n**2 + 178.0 * n - 75.0) * x**5
-        + 2.0
-        * n**2
-        * (
-            32.0 * n**5
-            - 80.0 * n**4 * (6.0 + x)
-            + 1672.0 * n**3
-            - 4.0 * n**2 * (774.0 + 13.0 * x**3)
-            + 2040.0 * n
-            - 3.0 * x**5
-        )
-        * x**4
-        + 2.0 * n * (88.0 * n**4 - 240.0 * n**3 + 434.0 * n**2 - 390.0 * n + 81.0) * x**6
-        + 2.0 * n * (78.0 * n**2 - 98.0 * n + 57.0) * x**7
-        + 6.0 * (6.0 * n**3 - 2.0 * n**2 + 6.0 * n - 1.0) * x**8
-    )
+    return _slope_bracket(x, _powers(n, 8))
 
 
 # Catalogued parts of the scaled bracket under x = n/k.  The Q-roots claim proves
@@ -172,6 +214,18 @@ SCALED_BRACKET_PARTS: tuple[RealPolynomial, ...] = (
 _ASSEMBLY_PART_4 = RealPolynomial((-3, 39, -120, 236, -240, 112)).scaled(4.0)
 
 
+def _slope_bracket_scaled(k, p):
+    # p[j] is n**j
+    p1, p2, p3, _, p5 = SCALED_BRACKET_PARTS
+    return (
+        p[7] * (1.0 - 2.0 * k) ** 2 / k**6 * p1(k)
+        + p[8] / k**8 * p2(k)
+        + p[9] / k**9 * p3(k)
+        + p[10] / k**8 * _ASSEMBLY_PART_4(k)
+        + p[11] / k**9 * p5(k)
+    )
+
+
 def slope_bracket_scaled(k, n: int):
     """Slope bracket under the substitution x = n/k, assembled from the parts.
 
@@ -181,27 +235,37 @@ def slope_bracket_scaled(k, n: int):
     ks = np.asarray(k)
     if not ((ks >= 1) & (ks <= 3)).all():
         raise ValueError(f"k must lie in [1, 3], got {k!r}")
-    p1, p2, p3, _, p5 = SCALED_BRACKET_PARTS
-    return (
-        n**7 * (1.0 - 2.0 * k) ** 2 / k**6 * p1(k)
-        + n**8 / k**8 * p2(k)
-        + n**9 / k**9 * p3(k)
-        + n**10 / k**8 * _ASSEMBLY_PART_4(k)
-        + n**11 / k**9 * p5(k)
-    )
+    return _slope_bracket_scaled(k, _powers(n, 12))
+
+
+def _convex_factors(n) -> tuple:
+    return (n, math.log(n))
+
+
+def _log_ratio_convex(x, n, ln_n):
+    inner = 2.0 + (2.0 * n - 1.0) * x / n + x**2
+    return -x + 4.0 * (ln_n - np.log(x)) + 3.0 * np.log(2.0 - x / n) + np.log(inner)
 
 
 def log_tail_ratio_convex(x, n: int):
     """ln of tail_ratio_convex."""
     _check_x_range(x, n)
     x = np.asarray(x, dtype=float) if not np.isscalar(x) else float(x)
-    inner = 2.0 + (2.0 * n - 1.0) * x / n + x**2
-    return -x + 4.0 * (math.log(n) - np.log(x)) + 3.0 * np.log(2.0 - x / n) + np.log(inner)
+    return _log_ratio_convex(x, *_convex_factors(n))
 
 
 def tail_ratio_convex(x, n: int):
     """Scaled tail-to-floor ratio of the convex margin at r = 1 - x/n."""
     return np.exp(log_tail_ratio_convex(x, n))
+
+
+def _convex_bracket(x, n, n2):
+    # n2 is n**2
+    return (
+        2.0 * n2 * (8.0 + 8.0 * x + 4.0 * x**2 + x**3)
+        - n * x * (8.0 + 4.0 * x + x**2 + x**3)
+        + x**3
+    )
 
 
 def convex_slope_bracket(x, n: int):
@@ -210,11 +274,7 @@ def convex_slope_bracket(x, n: int):
     The derivative equals -(2n - x)^2 * this / (e^x x^5), so positivity of
     the bracket certifies that the convex ratio decreases.
     """
-    return (
-        2.0 * n**2 * (8.0 + 8.0 * x + 4.0 * x**2 + x**3)
-        - n * x * (8.0 + 4.0 * x + x**2 + x**3)
-        + x**3
-    )
+    return _convex_bracket(x, n, n**2)
 
 
 # --------------------------------------------------------------------------
@@ -292,23 +352,70 @@ class _Margins:
             self.value = margin
             self.witness = {k: (float(v) if isinstance(v, np.floating) else v) for k, v in witness.items()}
 
-    def add_array(self, margins: np.ndarray, xs: np.ndarray, n: int, label: str) -> None:
-        i = int(np.argmin(margins))
-        self.add(margins[i], n=n, x=float(xs[i]), check=label)
+    def add_rows(self, orders: list, checks: list, xs=None) -> None:
+        """A block of orders' margins, with the witness a loop over the orders would keep.
+
+        checks holds (label, margins) pairs, margins with one row (or one
+        value) per order; a loop adds an order's checks in list order, then
+        the next order's.  xs, if given, holds the grid: one row per order,
+        or one row for all; the witness then records the point.
+        """
+        rows = len(orders)
+        lows, at = [], []
+        for _, margins in checks:
+            margins = np.asarray(margins).reshape(rows, -1)
+            j = np.argmin(margins, axis=1)
+            lows.append(margins[np.arange(rows), j])
+            at.append(j)
+        lows = np.stack(lows, axis=1)
+        # first smallest in loop order; add() skips a NaN minimum, so it never wins
+        r, c = divmod(int(np.argmin(np.where(np.isnan(lows), np.inf, lows))), len(checks))
+        point = {} if xs is None else {"x": float(xs[r, at[c][r]] if np.ndim(xs) == 2 else xs[at[c][r]])}
+        self.add(lows[r, c], n=orders[r], **point, check=checks[c][0])
 
     def report(self, claim_id: str, parameter_range: str) -> ClaimReport:
         verdict = "Pass" if self.value > 0.0 else "Fail"
         return ClaimReport(claim_id, parameter_range, verdict, self.value, self.witness)
 
 
-# Check steps: each adds its margins to the running claim's _Margins.
+# Blocked steps evaluate a block of orders against the grid in one numpy pass.
+# A block holds at most this many grid points, so peak memory stays flat.
+_BLOCK_POINTS = 8192
+
+
+def _on_blocks(orders: list, width: int, block: Callable, m: _Margins) -> None:
+    """Add block(ns) for consecutive blocks ns of the orders, at most _BLOCK_POINTS points each.
+
+    block(ns) returns the grid (None for one point per order) and the
+    (label, margins) checks, as _Margins.add_rows takes them.
+    """
+    size = max(1, _BLOCK_POINTS // width)
+    for i in range(0, len(orders), size):
+        ns = orders[i : i + size]
+        xs, checks = block(ns)
+        m.add_rows(ns, checks, xs)
+
+
+def _blocked(orders, width: int, block: Callable) -> Callable[[_Margins], None]:
+    return partial(_on_blocks, list(orders), width, block)
+
+
+def _columns(factors: Callable, orders: list) -> np.ndarray:
+    """factors(n) for each order, formed in Python; row j is factor j as an (orders, 1) column."""
+    return np.ascontiguousarray(np.array([factors(n) for n in orders], dtype=float).T)[:, :, None]
+
+
+def _grid_rows(starts: list, stops: list, num: int) -> np.ndarray:
+    """np.linspace(start, stop, num) for each (start, stop), one row each."""
+    return np.ascontiguousarray(np.linspace(starts, stops, num, axis=1))
 
 
 @dataclass(frozen=True)
 class _RatioFamily:
     """What the shared ratio steps need of one family's tail-to-floor ratio."""
 
-    log_ratio: Callable
+    log_ratio: Callable  # the private core: log_ratio(x, *factors(n))
+    factors: Callable
     offset: Callable[[int], float]
     dense: range
     limit: float
@@ -319,35 +426,38 @@ class _RatioFamily:
         return list(self.dense) + list(SPOT_ORDERS)
 
     def ratio_at_offset(self, n: int) -> float:
-        return np.exp(self.log_ratio(self.offset(n), n))
+        return np.exp(self.log_ratio(self.offset(n), *self.factors(n)))
 
 
 _RATIO_FAMILIES = {
     FamilyClass.GENERAL: _RatioFamily(
-        log_tail_ratio_general, log_offset_general, DENSE_GENERAL, GENERAL_RATIO_LIMIT, "64/2401", "1e-3"
+        _log_ratio_general, _general_factors, log_offset_general, DENSE_GENERAL, GENERAL_RATIO_LIMIT,
+        "64/2401", "1e-3",
     ),
-    FamilyClass.CONVEX: _RatioFamily(log_tail_ratio_convex, log_offset_convex, DENSE_CONVEX, 0.5, "1/2", "1e-2"),
+    FamilyClass.CONVEX: _RatioFamily(
+        _log_ratio_convex, _convex_factors, log_offset_convex, DENSE_CONVEX, 0.5, "1/2", "1e-2"
+    ),
 }
 
 
-def _ratio_decreasing(family: FamilyClass, m: _Margins) -> None:
+def _decrease_block(family: FamilyClass, ns: list):
     """Adjacent decrease of the log ratio on [offset_n, n]; convex also checks its derivative bracket."""
     fam = _RATIO_FAMILIES[family]
-    for n in fam.orders():
-        xs = np.linspace(fam.offset(n), n, 257)
-        logs = fam.log_ratio(xs, n)
-        m.add_array(logs[:-1] - logs[1:], xs[:-1], n, "log-ratio decrease")
-        if family is FamilyClass.CONVEX:
-            brackets = convex_slope_bracket(xs, n) / (2.0 * float(n) ** 2 * (8.0 + 8.0 * xs + 4.0 * xs**2 + xs**3))
-            m.add_array(brackets, xs, n, "derivative bracket > 0 (normalized)")
+    xs = _grid_rows([fam.offset(n) for n in ns], ns, 257)
+    logs = fam.log_ratio(xs, *_columns(fam.factors, ns))
+    checks = [("log-ratio decrease", logs[:, :-1] - logs[:, 1:])]
+    if family is FamilyClass.CONVEX:
+        n, n2, scale = _columns(lambda n: (n, n**2, 2.0 * float(n) ** 2), ns)
+        brackets = _convex_bracket(xs, n, n2) / (scale * (8.0 + 8.0 * xs + 4.0 * xs**2 + xs**3))
+        checks.append(("derivative bracket > 0 (normalized)", brackets))
+    return xs, checks
 
 
-def _ratio_below_one(family: FamilyClass, m: _Margins) -> None:
+def _below_one_block(family: FamilyClass, ns: list):
     fam = _RATIO_FAMILIES[family]
-    for n in fam.orders():
-        value = fam.ratio_at_offset(n)
-        m.add(1.0 - value, n=n, check="ratio < 1")
-        m.add(value, n=n, check="ratio > 0")
+    x, *factors = _columns(lambda n: (fam.offset(n), *fam.factors(n)), ns)
+    value = np.exp(fam.log_ratio(x, *factors))
+    return None, [("ratio < 1", 1.0 - value), ("ratio > 0", value)]
 
 
 def _ratio_limit(family: FamilyClass, m: _Margins) -> None:
@@ -368,20 +478,30 @@ def _summand_bounds(word: str, m: _Margins) -> None:
             m.add(bound - t, n=n, check=label)
 
 
-def _on_grid(orders, grid, margin, label: str, m: _Margins) -> None:
-    """Smallest margin(xs, n) over xs = grid(n), for each order n."""
-    for n in orders:
-        xs = grid(n)
-        m.add_array(margin(xs, n), xs, n, label)
+def _closed_at_n(n: int) -> float:
+    """tail_ratio_general(n, n) in closed form."""
+    return math.exp(-n) * (2.0 * n**3 + 6.0 * n**2 + 7.0 * n + 3.0) / 3.0
 
 
-def _ratio_at_n(m: _Margins) -> None:
-    for n in range(1, 501):
-        value = tail_ratio_general(n, n)
-        closed = math.exp(-n) * (2.0 * n**3 + 6.0 * n**2 + 7.0 * n + 3.0) / 3.0
-        m.add(min(value, closed), n=n, check="positivity")
-        rel = abs(value - closed) / closed
-        m.add(1e-12 - rel, n=n, check="closed form, tol 1e-12")
+def _at_n_block(ns: list):
+    x, closed, *factors = _columns(lambda n: (n, _closed_at_n(n), *_general_factors(n)), ns)
+    value = np.exp(_log_ratio_general(x, *factors))
+    rel = np.abs(value - closed) / closed
+    # the smaller of the two, as min(value, closed) picks it
+    positivity = np.where(closed < value, closed, value)
+    return None, [("positivity", positivity), ("closed form, tol 1e-12", 1e-12 - rel)]
+
+
+def _q2_block(ns: list):
+    xs = _grid_rows([n / 1000.0 for n in ns], ns, 1000)
+    *p, scale = _columns(lambda n: (*_powers(n, 8), 2688.0 * float(n) ** 7), ns)
+    return xs, [("bracket / 2688 n^7 > 0", _slope_bracket(xs, p) / scale)]
+
+
+def _q1_block(ns: list):
+    xs = _grid_rows([n / 512.0 for n in ns], ns, 512)
+    factors = _columns(lambda n: (n, *_num_den_factors(n)), ns)
+    return xs, [("prefactor < 0", -_slope_prefactor(xs, *factors))]
 
 
 _EXPECTED_PART_ROOTS: tuple[tuple[float, ...], ...] = (
@@ -419,56 +539,63 @@ def _bound_helpers(m: _Margins) -> None:
         m.add(_aux_c(n + 1) - _aux_c(n), n=n, check="helper c increasing")
 
 
-def _summand_decomposition(m: _Margins) -> None:
-    for n in range(7, 501):
-        t1, t2, t3 = _convex_ratio_parts(n)
-        direct = tail_ratio_convex(log_offset_convex(n), n)
-        rel = abs((t1 + t2 + t3) - direct) / direct
-        m.add(1e-12 - rel, n=n, check="summand decomposition, tol 1e-12")
+def _decomposition_block(ns: list):
+    x, parts, *factors = _columns(
+        lambda n: (log_offset_convex(n), sum(_convex_ratio_parts(n)), *_convex_factors(n)), ns
+    )
+    direct = np.exp(_log_ratio_convex(x, *factors))
+    return None, [("summand decomposition, tol 1e-12", 1e-12 - np.abs(parts - direct) / direct)]
 
 
 _K_GRID = np.linspace(1.0, 3.0, 201)
 
 
-def _scaled_identity_gap(ks, n: int):
-    direct = slope_bracket_general(n / ks, n)
-    return 1e-10 - np.abs(slope_bracket_scaled(ks, n) - direct) / np.abs(direct)
+def _identity_block(ns: list):
+    p = _columns(partial(_powers, count=12), ns)
+    direct = _slope_bracket(p[1] / _K_GRID, p)
+    gap = 1e-10 - np.abs(_slope_bracket_scaled(_K_GRID, p) - direct) / np.abs(direct)
+    return _K_GRID, [("assembled vs direct, tol 1e-10", gap)]
 
 
-def _floor_gap(rs, n: int):
-    return (1.0 - rs) ** 2 / (1.0 + rs) ** 4 - distortion_floor_general(rs)
+_R_GRID = np.arange(1, 100) / 100.0
 
+
+def _floor_block(ns: list):
+    gap = (1.0 - _R_GRID) ** 2 / (1.0 + _R_GRID) ** 4 - distortion_floor_general(_R_GRID)
+    return _R_GRID, [("local floor - two-point floor >= 0", gap)]
+
+
+_GENERAL_ORDERS = _RATIO_FAMILIES[FamilyClass.GENERAL].orders()
+_CONVEX_ORDERS = _RATIO_FAMILIES[FamilyClass.CONVEX].orders()
 
 # The registry: id, the range text its report states, then the steps it runs
 # in order.  CLAIMS maps each id to one run of its row.
 _TABLE: tuple[tuple, ...] = (
     ("t-decreasing", "n in {15..500} u {1e3,1e4,1e6}; 257-point x grid on [offset_n, n]; "
      "adjacent strict decrease of the log ratio",
-     partial(_ratio_decreasing, FamilyClass.GENERAL)),
+     _blocked(_GENERAL_ORDERS, 257, partial(_decrease_block, FamilyClass.GENERAL))),
     ("t-at-n-positive", "n in {1..500}; ratio at x = n positive and equal to "
      "e^-n (2n^3+6n^2+7n+3)/3 within 1e-12 relative",
-     _ratio_at_n),
+     _blocked(range(1, 501), 1, _at_n_block)),
     ("t-gamma-lt-1", "n in {15..500} u {1e3,1e4,1e6}; 0 < ratio(offset_n, n) < 1",
-     partial(_ratio_below_one, FamilyClass.GENERAL)),
+     _blocked(_GENERAL_ORDERS, 1, partial(_below_one_block, FamilyClass.GENERAL))),
     ("q2-positive", "n in {15..500} u {1e3,1e4,1e6}; 1000-point x grid on (0, n]; "
      "bracket normalized by its constant term",
-     partial(_on_grid, _RATIO_FAMILIES[FamilyClass.GENERAL].orders(),
-             lambda n: np.linspace(n / 1000.0, n, 1000),
-             lambda xs, n: slope_bracket_general(xs, n) / (2688.0 * float(n) ** 7), "bracket / 2688 n^7 > 0")),
+     _blocked(_GENERAL_ORDERS, 1000, _q2_block)),
     ("q1-negative", "n in {15..100}; 512-point x grid on (0, n]",
-     partial(_on_grid, range(15, 101), lambda n: np.linspace(n / 512.0, n, 512),
-             lambda xs, n: -slope_prefactor_general(xs, n), "prefactor < 0")),
+     _blocked(range(15, 101), 512, _q1_block)),
     ("Q-roots", "each scaled-bracket part: real roots on [-10, 10] vs catalogued "
      "values (tol 1e-5; exact-root residual 1e-12); sign constant and positive on [1, 3]",
      _part_roots),
     ("Q-identity", "n in {15..60}; 201-point k grid on [1, 3]; |assembled - direct| / |direct| < 1e-10",
-     partial(_on_grid, range(15, 61), lambda n: _K_GRID, _scaled_identity_gap, "assembled vs direct, tol 1e-10")),
+     _blocked(range(15, 61), 201, _identity_block)),
     ("T-decreasing", "n in {7..500} u {1e3,1e4,1e6}; 257-point x grid on [offset_n, n]; "
      "log decrease and derivative-bracket positivity",
-     partial(_ratio_decreasing, FamilyClass.CONVEX)),
+     _blocked(_CONVEX_ORDERS, 257, partial(_decrease_block, FamilyClass.CONVEX))),
     ("T-beta-lt-1", "direct 0 < ratio(offset_n, n) < 1 for n in {7..500} u {1e3,1e4,1e6}; "
      "summand bound route (1/32, 1/6, 19/24) for n in {16..500}",
-     partial(_ratio_below_one, FamilyClass.CONVEX), partial(_summand_bounds, "part")),
+     _blocked(_CONVEX_ORDERS, 1, partial(_below_one_block, FamilyClass.CONVEX)),
+     partial(_summand_bounds, "part")),
     ("T-limit-half", f"single spot check at n = {LIMIT_SPOT_ORDER}; |ratio(offset_n, n) - 1/2| < 1e-2",
      partial(_ratio_limit, FamilyClass.CONVEX)),
     ("t-limit-64-2401", f"single spot check at n = {LIMIT_SPOT_ORDER}; |ratio(offset_n, n) - 64/2401| < 1e-3",
@@ -476,11 +603,10 @@ _TABLE: tuple[tuple, ...] = (
     ("abc-bounds", "helper values at 9/16 with stated tolerances; helpers increasing on "
      "{7..500} (a, b) and {16..500} (c); summand bounds on {16..500}; "
      "summand decomposition identity on {7..500}",
-     _bound_helpers, partial(_summand_bounds, "summand"), _summand_decomposition),
+     _bound_helpers, partial(_summand_bounds, "summand"), _blocked(range(7, 501), 1, _decomposition_block)),
     ("distortion-min-rule", "r in {0.01..0.99} step 0.01; general two-point floor below the "
      "local-univalence floor (1-r)^2/(1+r)^4",
-     partial(_on_grid, (0,), lambda n: np.arange(1, 100) / 100.0, _floor_gap,
-             "local floor - two-point floor >= 0")),
+     _blocked((0,), len(_R_GRID), _floor_block)),
 )
 
 

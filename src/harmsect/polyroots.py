@@ -7,6 +7,12 @@ a root are dropped, the rest are halved until each holds one root, and each
 root, a simple one of the square-free part, is then narrowed by that part's
 exact sign until it is known to the nearest double.  No step samples,
 tolerates or polishes anything.
+
+Each chain member is multiplied once by the positive lcm of its
+denominators, which leaves its sign unchanged everywhere; a sign at a point
+p/q (q > 0; every point evaluated is a dyadic rational) is then the sign of
+the integer sum c_i p^i q^(d-i), formed by homogeneous Horner in Python
+ints instead of Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -52,13 +58,6 @@ class RealPolynomial:
         return RealPolynomial(tuple(factor * c for c in self.coefficients))
 
 
-def _value(f: list[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(f):
-        acc = acc * x + c
-    return acc
-
-
 def _divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
     """Quotient and remainder of a by b; coefficients ascending, b[-1] != 0, [] is zero."""
     a, quotient = list(a), []
@@ -80,21 +79,38 @@ def _sturm(f: list[Fraction]) -> list[list[Fraction]]:
     return chain
 
 
-def _count(chain: list[list[Fraction]], a: Fraction, b: Fraction) -> int:
+def _integer(f: list[Fraction]) -> list[int]:
+    """f times the lcm of its denominators: integer coefficients, and the same sign as f everywhere."""
+    scale = math.lcm(*(c.denominator for c in f))
+    return [c.numerator * (scale // c.denominator) for c in f]
+
+
+def _sign(c: list[int], x: Fraction) -> int:
+    """Sign of the integer polynomial c at x = p/q, from q^d c(p/q) = sum c_i p^i q^(d-i), q > 0."""
+    p, q = x.numerator, x.denominator
+    acc, qk = c[-1], 1
+    for ci in reversed(c[:-1]):
+        qk *= q
+        acc = acc * p + ci * qk
+    return (acc > 0) - (acc < 0)
+
+
+def _count(chain: list[list[int]], a: Fraction, b: Fraction) -> int:
     """Number of roots in the open interval (a, b) of chain[0], whose roots are all simple."""
-    signs = [[v > 0 for v in (_value(f, x) for f in chain) if v != 0] for x in (a, b)]
+    signs = [[s for s in (_sign(f, x) for f in chain) if s] for x in (a, b)]
     at_a, at_b = (sum(s != t for s, t in zip(row, row[1:])) for row in signs)
-    return at_a - at_b - (_value(chain[0], b) == 0)
+    return at_a - at_b - (_sign(chain[0], b) == 0)
 
 
-def _narrow(chain: list[list[Fraction]], a: Fraction, b: Fraction) -> float:
+def _narrow(chain: list[list[int]], a: Fraction, b: Fraction) -> float:
     """The one root of f = chain[0] in (a, b), a simple one, rounded to the nearest double."""
     f = chain[0]
-    left_positive = (_value(f, a) or _value(chain[1], a)) > 0  # if a is a root, f' gives f's sign right of it
+    left_positive = (_sign(f, a) or _sign(chain[1], a)) > 0  # if a is a root, f' gives f's sign right of it
     while (x := float(a)) != (y := float(b)):
-        tie = (Fraction(x) + Fraction(y)) / 2  # for adjacent doubles, its side decides the rounding
-        mid = tie if math.nextafter(x, y) == y and a < tie < b else (a + b) / 2
-        v = _value(f, mid)
+        # for adjacent doubles, the side of the tie between them decides the rounding
+        tie = (Fraction(x) + Fraction(y)) / 2 if math.nextafter(x, y) == y else a
+        mid = tie if a < tie < b else (a + b) / 2
+        v = _sign(f, mid)
         if v == 0:
             return float(mid)
         a, b = (mid, b) if (v > 0) == left_positive else (a, mid)
@@ -118,9 +134,10 @@ def isolate_real_roots(p: RealPolynomial, lo: float, hi: float) -> list[float]:
     chain = _sturm(f)
     if len(chain[-1]) > 1:  # f / gcd(f, f') has the same roots, all of them simple
         chain = _sturm(_divmod(f, chain[-1])[0])
+    chain = [_integer(g) for g in chain]
     f = chain[0]
     ends = (Fraction(lo), Fraction(hi))
-    roots = [float(x) for x in ends if _value(f, x) == 0]
+    roots = [float(x) for x in ends if _sign(f, x) == 0]
     todo = [ends]
     while todo:
         a, b = todo.pop()
@@ -129,7 +146,7 @@ def isolate_real_roots(p: RealPolynomial, lo: float, hi: float) -> list[float]:
             roots.append(_narrow(chain, a, b))
         elif count > 1:
             mid = (a + b) / 2
-            if _value(f, mid) == 0:
+            if _sign(f, mid) == 0:
                 roots.append(float(mid))
             todo += [(a, mid), (mid, b)]
     return sorted(roots)

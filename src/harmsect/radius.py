@@ -75,17 +75,19 @@ class RadiusResult:
     lower_bound: float | None = None
 
 
-def _check_r_open(r) -> None:
+def _check_r_open(r):
+    """r once every value lies in (0, 1); a list or other sequence comes back as an array."""
     # NaN fails every comparison, so every value must be shown inside.  A
     # float is compared directly: the numpy form costs about 5 us, as much
     # as the rest of a scalar margin.
     if isinstance(r, float):
-        inside = 0.0 < r < 1.0
+        if 0.0 < r < 1.0:
+            return r
     else:
-        a = np.asarray(r)
-        inside = ((a > 0) & (a < 1)).all()
-    if not inside:
-        raise ValueError(f"r must lie in (0, 1), got {r!r}")
+        a = np.asarray(r, dtype=float)
+        if ((a > 0) & (a < 1)).all():
+            return a if a.ndim else r
+    raise ValueError(f"r must lie in (0, 1), got {r!r}")
 
 
 def _check_orders(n: int, m: int) -> tuple[int, int]:
@@ -107,8 +109,7 @@ def distortion_floor_general(r):
 
     (1/(12r)) u^3 (1 - u^6) with u = (1-r)/(1+r); tends to 1 as r -> 0+.
     """
-    _check_r_open(r)
-    return _floor_general(r)
+    return _floor_general(_check_r_open(r))
 
 
 def _floor_general(r):
@@ -118,8 +119,7 @@ def _floor_general(r):
 
 def distortion_floor_convex(r):
     """Two-point distortion lower bound for the convex family: (1-r)/(1+r)^3."""
-    _check_r_open(r)
-    return _floor_convex(r)
+    return _floor_convex(_check_r_open(r))
 
 
 def _floor_convex(r):
@@ -129,7 +129,7 @@ def _floor_convex(r):
 def margin_general(n: int, m: int, r):
     """General-family univalence margin at radius r for the (n, m) section."""
     n, m = _check_orders(n, m)
-    _check_r_open(r)
+    r = _check_r_open(r)
     return (
         _floor_general(r)
         - _tail_weighted(TailClass.GENERAL_ANALYTIC, n, r)
@@ -140,7 +140,7 @@ def margin_general(n: int, m: int, r):
 def margin_convex(n: int, m: int, r):
     """Convex-family univalence margin at radius r for the (n, m) section."""
     n, m = _check_orders(n, m)
-    _check_r_open(r)
+    r = _check_r_open(r)
     return (
         _floor_convex(r)
         - _tail_weighted(TailClass.CONVEX_ANALYTIC, n, r)
@@ -153,17 +153,26 @@ def margin_fn(family: FamilyClass):
     return margin_general if family is FamilyClass.GENERAL else margin_convex
 
 
+def _order_from(n, least: int, what: str) -> int:
+    """n as a Python int, once it is shown to be an integer from `least` on."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"{what} requires an integer n, got {n!r}") from None
+    if n < least:
+        raise ValueError(f"{what} requires n >= {least}, got {n}")
+    return n
+
+
 def log_offset_general(n: int) -> float:
     """7 ln n - 4 ln ln n; the general lower bound is 1 minus this over n."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    n = _order_from(n, 2, "the general log offset")
     return 7.0 * math.log(n) - 4.0 * math.log(math.log(n))
 
 
 def log_offset_convex(n: int) -> float:
     """4 ln n - 2 ln ln n; the convex lower bound is 1 minus this over n."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    n = _order_from(n, 2, "the convex log offset")
     return 4.0 * math.log(n) - 2.0 * math.log(math.log(n))
 
 
@@ -172,8 +181,7 @@ def lower_bound_general(n: int) -> float:
 
     Positive exactly from n = 15 on, hence the domain restriction.
     """
-    if n < 15:
-        raise ValueError(f"general lower bound requires n >= 15, got {n}")
+    n = _order_from(n, 15, "general lower bound")
     return 1.0 - log_offset_general(n) / n
 
 
@@ -182,15 +190,13 @@ def lower_bound_convex(n: int) -> float:
 
     Positive exactly from n = 7 on.
     """
-    if n < 7:
-        raise ValueError(f"convex lower bound requires n >= 7, got {n}")
+    n = _order_from(n, 7, "convex lower bound")
     return 1.0 - log_offset_convex(n) / n
 
 
 def close_to_convex_radius(n: int) -> float:
     """Close-to-convexity radius 1 - 3 ln(n)/n of equal-order convex sections, n >= 5."""
-    if n < 5:
-        raise ValueError(f"close-to-convexity radius requires n >= 5, got {n}")
+    n = _order_from(n, 5, "close-to-convexity radius")
     return 1.0 - 3.0 * math.log(n) / n
 
 

@@ -44,10 +44,12 @@ class TailClass(enum.Enum):
     CONVEX_CO_ANALYTIC = "convex_co_analytic"    # w(k) = k(k-1)/2
 
 
-def _check_r_halfopen(r) -> None:
-    a = np.asarray(r)
+def _check_r_halfopen(r):
+    """r once every value lies in [0, 1); a list or other sequence comes back as an array."""
+    a = np.asarray(r, dtype=float)
     if not ((a >= 0) & (a < 1)).all():  # NaN fails both comparisons
         raise ValueError(f"r must lie in [0, 1), got {r!r}")
+    return a if a.ndim else r
 
 
 # n**3, the highest power of n the closed forms take, is a finite double
@@ -85,8 +87,7 @@ def tail_weighted(cls: TailClass, n: int, r):
     Requires n >= 1 and 0 <= r < 1.  At r = 0 the tail is exactly 0.
     """
     n = _check_n(n)
-    _check_r_halfopen(r)
-    return _tail_weighted(cls, n, r)
+    return _tail_weighted(cls, n, _check_r_halfopen(r))
 
 
 def _tail_weighted(cls: TailClass, n: int, r):

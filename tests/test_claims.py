@@ -343,3 +343,158 @@ class TestRegistry:
         rep = verify_claim("t-limit-64-2401")
         assert not rep.passed
         assert rep.witness["value"] == pytest.approx(0.043713, abs=1e-5)
+
+
+def blocks(orders, width):
+    """The blocks of orders a blocked claim step evaluates, in its order."""
+    orders = list(orders)
+    size = max(1, claims._BLOCK_POINTS // width)
+    return [orders[i : i + size] for i in range(0, len(orders), size)]
+
+
+def one_point(fn, x, n):
+    # a block row is the public function's array evaluation; on a Python
+    # float x, numpy's scalar pow differs from its array pow in the last bit
+    # for some points (the general ratio at its offset for n = 27)
+    return fn(np.array([x]), n)[0]
+
+
+class TestBlocks:
+    """Each blocked step's arrays equal the per-order public evaluation, element for element."""
+
+    @pytest.mark.parametrize("family", list(claims.FamilyClass))
+    def test_decrease_block(self, family):
+        fam = claims._RATIO_FAMILIES[family]
+        log_ratio = log_tail_ratio_general if family is claims.FamilyClass.GENERAL else log_tail_ratio_convex
+        for ns in blocks(fam.orders(), 257):
+            xs, checks = claims._decrease_block(family, ns)
+            assert [label for label, _ in checks] == (
+                ["log-ratio decrease"]
+                + (["derivative bracket > 0 (normalized)"] if family is claims.FamilyClass.CONVEX else [])
+            )
+            for i, n in enumerate(ns):
+                grid = np.linspace(fam.offset(n), n, 257)
+                assert np.array_equal(xs[i], grid)
+                logs = log_ratio(grid, n)
+                assert np.array_equal(checks[0][1][i], logs[:-1] - logs[1:])
+                if family is claims.FamilyClass.CONVEX:
+                    norm = 2.0 * float(n) ** 2 * (8.0 + 8.0 * grid + 4.0 * grid**2 + grid**3)
+                    assert np.array_equal(checks[1][1][i], convex_slope_bracket(grid, n) / norm)
+
+    @pytest.mark.parametrize("family", list(claims.FamilyClass))
+    def test_below_one_block(self, family):
+        fam = claims._RATIO_FAMILIES[family]
+        ratio = tail_ratio_general if family is claims.FamilyClass.GENERAL else tail_ratio_convex
+        for ns in blocks(fam.orders(), 1):
+            xs, checks = claims._below_one_block(family, ns)
+            assert xs is None
+            value = np.array([one_point(ratio, fam.offset(n), n) for n in ns])
+            assert [label for label, _ in checks] == ["ratio < 1", "ratio > 0"]
+            assert np.array_equal(checks[0][1].ravel(), 1.0 - value)
+            assert np.array_equal(checks[1][1].ravel(), value)
+
+    def test_at_n_block(self):
+        ns = list(range(1, 501))
+        (chunk,) = blocks(ns, 1)
+        _, checks = claims._at_n_block(chunk)
+        value = np.array([one_point(tail_ratio_general, float(n), n) for n in ns])
+        closed = np.array([math.exp(-n) * (2.0 * n**3 + 6.0 * n**2 + 7.0 * n + 3.0) / 3.0 for n in ns])
+        assert np.array_equal(checks[0][1].ravel(), [min(v, c) for v, c in zip(value, closed)])
+        assert np.array_equal(checks[1][1].ravel(), 1e-12 - np.abs(value - closed) / closed)
+
+    def test_q2_block(self):
+        ns = claims._GENERAL_ORDERS
+        for chunk in blocks(ns, 1000):
+            xs, [(_, margins)] = claims._q2_block(chunk)
+            for i, n in enumerate(chunk):
+                grid = np.linspace(n / 1000.0, n, 1000)
+                assert np.array_equal(xs[i], grid)
+                assert np.array_equal(margins[i], slope_bracket_general(grid, n) / (2688.0 * float(n) ** 7))
+
+    def test_q2_block_at_orders_where_float_powers_differ(self):
+        # numpy's power of a float column is not the exact integer power at
+        # these orders, so a block that formed n**k on the column would differ
+        chunk = [191, 195, 199]
+        col = np.array(chunk, dtype=float)[:, None]
+        exact = claims._columns(lambda n: claims._powers(n, 8), chunk)
+        assert not np.array_equal(col ** np.arange(8), exact[:, :, 0].T)
+        xs, [(_, margins)] = claims._q2_block(chunk)
+        for i, n in enumerate(chunk):
+            assert np.array_equal(margins[i], slope_bracket_general(xs[i], n) / (2688.0 * float(n) ** 7))
+
+    def test_q1_block(self):
+        for chunk in blocks(range(15, 101), 512):
+            xs, [(_, margins)] = claims._q1_block(chunk)
+            for i, n in enumerate(chunk):
+                grid = np.linspace(n / 512.0, n, 512)
+                assert np.array_equal(xs[i], grid)
+                assert np.array_equal(margins[i], -slope_prefactor_general(grid, n))
+
+    def test_identity_block(self):
+        ks = claims._K_GRID
+        orders = list(range(15, 61))
+        assert 55 in orders
+        for chunk in blocks(orders, 201):
+            xs, [(_, gaps)] = claims._identity_block(chunk)
+            assert xs is ks
+            for i, n in enumerate(chunk):
+                direct = slope_bracket_general(n / ks, n)
+                expected = 1e-10 - np.abs(slope_bracket_scaled(ks, n) - direct) / np.abs(direct)
+                assert np.array_equal(gaps[i], expected)
+
+    def test_decomposition_block(self):
+        ns = list(range(7, 501))
+        (chunk,) = blocks(ns, 1)
+        _, [(_, margins)] = claims._decomposition_block(chunk)
+        direct = np.array([one_point(tail_ratio_convex, log_offset_convex(n), n) for n in ns])
+        parts = np.array([sum(claims._convex_ratio_parts(n)) for n in ns])
+        assert np.array_equal(margins.ravel(), 1e-12 - np.abs(parts - direct) / direct)
+
+    def test_blocks_respect_the_point_budget(self):
+        seen = []
+
+        def block(ns):
+            seen.append(list(ns))
+            return None, [("check", np.zeros((len(ns), 1000)))]
+
+        orders = list(range(15, 501))
+        claims._on_blocks(orders, 1000, block, claims._Margins())
+        assert sum(seen, []) == orders
+        assert max(len(ns) for ns in seen) * 1000 <= claims._BLOCK_POINTS
+
+
+def margins_by_loop(orders, checks, xs):
+    """The witness the per-order loop keeps: each order's first minimum, check by check."""
+    m = claims._Margins()
+    for r, n in enumerate(orders):
+        for label, margins in checks:
+            row = np.asarray(margins).reshape(len(orders), -1)[r]
+            i = int(np.argmin(row))
+            point = {} if xs is None else {"x": float((xs[r] if np.ndim(xs) == 2 else xs)[i])}
+            m.add(row[i], n=n, **point, check=label)
+    return m
+
+
+class TestAddRows:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_same_witness_as_the_order_loop(self, seed):
+        # few distinct values, so ties across orders, checks and points are common
+        rng = np.random.default_rng(seed)
+        rows, width = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+        orders = [int(n) for n in rng.choice(1000, rows, replace=False)]
+        count = int(rng.integers(1, 4))
+        checks = [(f"c{j}", rng.integers(-2, 3, (rows, width)).astype(float)) for j in range(count)]
+        if seed % 3 == 0:
+            checks[0][1][0, 0] = np.nan
+        xs = [None, rng.random(width), rng.random((rows, width))][seed % 3]
+        m = claims._Margins()
+        m.add_rows(orders, checks, xs)
+        expected = margins_by_loop(orders, checks, xs)
+        assert (m.value, m.witness) == (expected.value, expected.witness)
+        assert list(m.witness) == list(expected.witness)
+
+    def test_keeps_an_earlier_smaller_margin(self):
+        m = claims._Margins()
+        m.add(-5.0, n=1, check="first")
+        m.add_rows([2, 3], [("later", np.array([[-1.0], [-4.0]]))])
+        assert (m.value, m.witness) == (-5.0, {"n": 1, "check": "first"})

@@ -204,6 +204,62 @@ class TestVerify:
         assert failing == {"T-limit-half", "t-limit-64-2401"}
         assert json.loads(json.dumps(payload)) == payload
 
+    def test_all_json_is_frozen(self, capsys):
+        # every report, bit for bit, as the per-order loops printed it:
+        # FROZEN_REPORTS in test_claims pins margins only to rel 1e-6, this
+        # pins each float's repr and every witness
+        code, out, _ = run(capsys, "verify", "all", "--format", "json")
+        assert code == 1
+        assert out == (
+            '[{"claim_id": "t-decreasing", "parameter_range": "n in {15..500} u {1e3,1e4,1e6}; '
+            '257-point x grid on [offset_n, n]; adjacent strict decrease of the log ratio", '
+            '"verdict": "Pass", "worst_margin": 0.00020960330249053527, "witness": {"n": 15, '
+            '"x": 14.97143583590989, "check": "log-ratio decrease"}}, {"claim_id": '
+            '"t-at-n-positive", "parameter_range": "n in {1..500}; ratio at x = n positive and '
+            'equal to e^-n (2n^3+6n^2+7n+3)/3 within 1e-12 relative", "verdict": "Pass", '
+            '"worst_margin": 5.9728530789552874e-210, "witness": {"n": 500, "check": '
+            '"positivity"}}, {"claim_id": "t-gamma-lt-1", "parameter_range": "n in {15..500} u '
+            '{1e3,1e4,1e6}; 0 < ratio(offset_n, n) < 1", "verdict": "Pass", "worst_margin": '
+            '0.000883102744833063, "witness": {"n": 15, "check": "ratio > 0"}}, {"claim_id": '
+            '"q2-positive", "parameter_range": "n in {15..500} u {1e3,1e4,1e6}; 1000-point x '
+            'grid on (0, n]; bracket normalized by its constant term", "verdict": "Pass", '
+            '"worst_margin": 1.0120772799591793, "witness": {"n": 15, "x": 0.015, "check": '
+            '"bracket / 2688 n^7 > 0"}}, {"claim_id": "q1-negative", "parameter_range": "n in '
+            '{15..100}; 512-point x grid on (0, n]", "verdict": "Pass", "worst_margin": '
+            '4.1334177511342626e-61, "witness": {"n": 100, "x": 100.0, "check": "prefactor < '
+            '0"}}, {"claim_id": "Q-roots", "parameter_range": "each scaled-bracket part: real '
+            'roots on [-10, 10] vs catalogued values (tol 1e-5; exact-root residual 1e-12); sign '
+            'constant and positive on [1, 3]", "verdict": "Pass", "worst_margin": 1e-12, '
+            '"witness": {"part": 5, "residual": 0.0, "check": "residual, tol 1e-12"}}, '
+            '{"claim_id": "Q-identity", "parameter_range": "n in {15..60}; 201-point k grid on '
+            '[1, 3]; |assembled - direct| / |direct| < 1e-10", "verdict": "Pass", '
+            '"worst_margin": 9.99907411353884e-11, "witness": {"n": 36, "x": 1.01, "check": '
+            '"assembled vs direct, tol 1e-10"}}, {"claim_id": "T-decreasing", "parameter_range": '
+            '"n in {7..500} u {1e3,1e4,1e6}; 257-point x grid on [offset_n, n]; log decrease and '
+            'derivative-bracket positivity", "verdict": "Pass", "worst_margin": '
+            '0.0037466255136182625, "witness": {"n": 7, "x": 6.711111061069276, "check": '
+            '"log-ratio decrease"}}, {"claim_id": "T-beta-lt-1", "parameter_range": "direct 0 < '
+            'ratio(offset_n, n) < 1 for n in {7..500} u {1e3,1e4,1e6}; summand bound route '
+            '(1/32, 1/6, 19/24) for n in {16..500}", "verdict": "Pass", "worst_margin": '
+            '0.024483046756828934, "witness": {"n": 17, "check": "part 1 < 1/32"}}, {"claim_id": '
+            '"T-limit-half", "parameter_range": "single spot check at n = 1000000; '
+            '|ratio(offset_n, n) - 1/2| < 1e-2", "verdict": "Fail", "worst_margin": '
+            '-0.12537959025392442, "witness": {"n": 1000000, "value": 0.6353795902539244, '
+            '"check": "|ratio - 1/2| < 1e-2"}}, {"claim_id": "t-limit-64-2401", '
+            '"parameter_range": "single spot check at n = 1000000; |ratio(offset_n, n) - '
+            '64/2401| < 1e-3", "verdict": "Fail", "worst_margin": -0.016057924155037078, '
+            '"witness": {"n": 1000000, "value": 0.043713484338294056, "check": "|ratio - '
+            '64/2401| < 1e-3"}}, {"claim_id": "abc-bounds", "parameter_range": "helper values at '
+            '9/16 with stated tolerances; helpers increasing on {7..500} (a, b) and {16..500} '
+            '(c); summand bounds on {16..500}; summand decomposition identity on {7..500}", '
+            '"verdict": "Pass", "worst_margin": 9.967003778792083e-13, "witness": {"n": 439, '
+            '"check": "summand decomposition, tol 1e-12"}}, {"claim_id": "distortion-min-rule", '
+            '"parameter_range": "r in {0.01..0.99} step 0.01; general two-point floor below the '
+            'local-univalence floor (1-r)^2/(1+r)^4", "verdict": "Pass", "worst_margin": '
+            '6.3658969574815376e-06, "witness": {"n": 0, "x": 0.99, "check": "local floor - '
+            'two-point floor >= 0"}}]\n'
+        )
+
     def test_unknown_claim(self, capsys):
         code, _, err = run(capsys, "verify", "bogus")
         assert code == 2

@@ -7,7 +7,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from harmsect import polyroots
+from harmsect.claims import SCALED_BRACKET_PARTS
 from harmsect.polyroots import RealPolynomial, isolate_real_roots
 
 
@@ -177,3 +181,48 @@ class TestIsolation:
         roots = isolate_real_roots(p, -1.0, 1.0)
         assert len(roots) == 1
         assert roots[0] == pytest.approx(0.0, abs=1e-12)
+
+
+def fraction_value(f: list[Fraction], x: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(f):
+        acc = acc * x + c
+    return acc
+
+
+def sign(v) -> int:
+    return (v > 0) - (v < 0)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+# p / 2**e: every point the isolation evaluates is such a dyadic rational
+dyadic = st.builds(lambda p, e: Fraction(p, 2**e), st.integers(-(2**80), 2**80), st.integers(0, 1100))
+
+
+class TestIntegerSigns:
+    """The sign decided in integers is the sign of the exact Fraction value."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(finite, min_size=1, max_size=9), dyadic)
+    def test_random_polynomials(self, coefficients, x):
+        f = [Fraction(c) for c in coefficients]
+        assert polyroots._sign(polyroots._integer(f), x) == sign(fraction_value(f, x))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(range(len(SCALED_BRACKET_PARTS))), dyadic)
+    def test_scaled_bracket_parts(self, index, x):
+        f = [Fraction(c) for c in SCALED_BRACKET_PARTS[index].coefficients]
+        assert polyroots._sign(polyroots._integer(f), x) == sign(fraction_value(f, x))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(range(len(SCALED_BRACKET_PARTS))), dyadic)
+    def test_sturm_chain_members(self, index, x):
+        # the members the counts evaluate have non-dyadic coefficients
+        f = [Fraction(c) for c in SCALED_BRACKET_PARTS[index].coefficients]
+        for g in polyroots._sturm(f):
+            assert polyroots._sign(polyroots._integer(g), x) == sign(fraction_value(g, x))
+
+    def test_zero_at_an_exact_root(self):
+        f = [Fraction(-1, 4), Fraction(0), Fraction(1)]  # x^2 - 1/4
+        assert polyroots._sign(polyroots._integer(f), Fraction(1, 2)) == 0
+        assert polyroots._sign(polyroots._integer(f), Fraction(-1, 2)) == 0

@@ -144,6 +144,24 @@ class TestMargins:
         for n in (2, 10, 100):
             assert margin_convex(n, n, 0.999999) < 0
 
+    @pytest.mark.parametrize("fn", [margin_general, margin_convex])
+    @pytest.mark.parametrize("r", [[0.1, 0.2], (0.1, 0.2), [[0.1], [0.2]], [0.3]])
+    def test_sequence_r_evaluates_as_array(self, fn, r):
+        # the domain check reads a list as an array; the evaluation once took
+        # 1.0 - r on the list itself and raised TypeError
+        expected = fn(5, 8, np.array(r))
+        assert np.array_equal(fn(5, 8, r), expected)
+        # a float r takes the scalar path, whose pow may differ in the last bit
+        assert np.ravel(expected) == pytest.approx([fn(5, 8, x) for x in np.ravel(r)], rel=1e-14)
+
+    @pytest.mark.parametrize("fn", [distortion_floor_general, distortion_floor_convex])
+    def test_floor_of_a_sequence(self, fn):
+        assert np.array_equal(fn([0.1, 0.2]), fn(np.array([0.1, 0.2])))
+
+    def test_sequence_r_outside_the_domain_rejected(self):
+        with pytest.raises(ValueError):
+            margin_general(5, 8, [0.1, 1.0])
+
     def test_convex_sign_scan_around_half(self):
         # dense sign scan of the convex margin: the equal-order root crosses
         # 1/2 between n = 11 and n = 12
@@ -444,6 +462,16 @@ class TestBounds:
         assert lower_bound_convex(10**6) > 0.9999
         with pytest.raises(ValueError):
             lower_bound_convex(6)
+
+    @pytest.mark.parametrize(
+        "fn", [lower_bound_general, lower_bound_convex, log_offset_general, log_offset_convex, close_to_convex_radius]
+    )
+    def test_non_integral_order_rejected(self, fn):
+        # lower_bound_general(15.5) once returned 0.0224, a bound for no section
+        for n in (15.5, 16.0, "16"):
+            with pytest.raises(ValueError, match="requires an integer n"):
+                fn(n)
+        assert fn(np.int64(16)) == fn(16)
 
     def test_close_to_convex(self):
         assert close_to_convex_radius(5) == pytest.approx(1 - 3 * math.log(5) / 5, rel=1e-15)

@@ -142,6 +142,13 @@ class TestWeightedTails:
             assert tail_weighted(cls, 1, 0.0) == 0.0
             assert tail_weighted(cls, 7, 0.0) == 0.0
 
+    @pytest.mark.parametrize("cls", ALL_CLASSES)
+    def test_sequence_r_evaluates_as_array(self, cls):
+        # the domain check reads a list as an array; the evaluation once took
+        # 1.0 - r on the list itself and raised TypeError
+        for r in ([0.0, 0.1, 0.2], (0.5,), [[0.1], [0.9]]):
+            assert np.array_equal(tail_weighted(cls, 3, r), tail_weighted(cls, 3, np.array(r)))
+
     def test_general_analytic_example(self):
         # sum_{k >= 2} k(k+1)(2k+1)/6 * 0.1^(k-1), oracle truncated at 500 terms
         expected = tail_brute(TailClass.GENERAL_ANALYTIC, 1, 0.1, 500)
