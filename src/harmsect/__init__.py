@@ -34,7 +34,6 @@ from .harmonic import (
 from .polyroots import RealPolynomial, isolate_real_roots
 from .radius import (
     FamilyClass,
-    NoBracketError,
     RadiusResult,
     close_to_convex_radius,
     distortion_floor_convex,
@@ -60,7 +59,6 @@ __all__ = [
     "FamilyClass",
     "HarmonicPolynomial",
     "KernelScan",
-    "NoBracketError",
     "ProbeGrid",
     "RadiusResult",
     "RealPolynomial",

@@ -1,12 +1,12 @@
 """Command-line surface: radii, tables, thresholds, claim checks, scans, plots.
 
 Exit codes are a stable contract: 0 success, 1 at least one claim failed,
-2 usage or domain error (including an order whose margin root the solver
-cannot bracket), 3 I/O error.  Output formats: text (default),
-csv (header row, comma separated, LF line endings, numbers at 12
-significant digits), json (snake_case keys).  SVG is produced only by the
-plot subcommand.  The environment variable HS_GRID_SCALE (integer) scales
-the default probe grid of the scan subcommand.
+2 usage or domain error (including an order whose margin root lies within
+one double of 1, and a section order above 1000), 3 I/O error.  Output
+formats: text (default), csv (header row, comma separated, LF line endings,
+numbers at 12 significant digits), json (snake_case keys).  SVG is produced
+only by the plot subcommand.  The environment variable HS_GRID_SCALE
+(integer) scales the default probe grid of the scan subcommand.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .harmonic import (
 )
 from .radius import (
     FamilyClass,
-    NoBracketError,
     margin_fn,
     solve_radius,
     threshold_order,
@@ -310,7 +309,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, UnknownClaimError, NoBracketError) as exc:
+    except (ValueError, UnknownClaimError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,14 +107,27 @@ class ExtremalCoefficients:
         return (k - 1) / 2.0
 
 
+# the largest section order: a default-grid kernel pass at this degree
+# builds a 16 MB table of e^(ik theta), and the table grows with the degree
+_MAX_SECTION_ORDER = 1000
+
+
 def section(source, n: int, m: int) -> HarmonicPolynomial:
     """Truncate a coefficient source to analytic order n, co-analytic order m.
 
     `source` is either another HarmonicPolynomial or an object with
-    analytic(k)/co_analytic(k) methods.  b_1 is forced to 0.
+    analytic(k)/co_analytic(k) methods.  b_1 is forced to 0.  The orders
+    must be integers from 1 to 1000; others raise ValueError before any
+    array is made.
     """
-    if n < 1 or m < 1:
-        raise ValueError(f"section orders must be >= 1, got ({n}, {m})")
+    try:
+        n, m = operator.index(n), operator.index(m)
+    except TypeError:
+        raise ValueError(f"section orders must be integers, got ({n!r}, {m!r})") from None
+    if not (1 <= n <= _MAX_SECTION_ORDER and 1 <= m <= _MAX_SECTION_ORDER):
+        raise ValueError(
+            f"section orders must lie in 1..{_MAX_SECTION_ORDER}, got ({n}, {m})"
+        )
     if isinstance(source, HarmonicPolynomial):
         a = np.zeros(n, dtype=complex)
         take = min(n, source.a.size)

@@ -5,12 +5,15 @@ For a geometric family (general or convex-range) and truncation orders
 
     margin(n, m, r) = distortion_floor(r) - analytic_tail(n, r) - co_analytic_tail(m, r).
 
-The margin is ~1 near r = 0 and diverges to -inf as r -> 1, and its unique
-positive root is the certified univalence radius of the (n, m) section for
-the whole family.  `solve_radius` brackets that root by a forward scan at
-step 1e-3 and bisects to a 1e-12-wide interval; bisection is used instead
-of secant/Newton because the functions are cheap and the bracket invariant
-(positive on the left, nonpositive on the right) is unconditional.
+The margin tends to 1 as r -> 0+ and to -inf as r -> 1-, and it decreases
+strictly in r, so it has exactly one root, the certified univalence radius
+of the (n, m) section for the whole family.  `solve_radius` bisects the
+fixed bracket [2**-10, 1 - 2**-53], which holds that root for every order
+whose root lies at least one double below 1 (equal orders below about
+1.4e18 for convex and 2.5e18 for general), to a 1e-12-wide interval;
+bisection is used instead of secant/Newton because the functions are cheap
+and the bracket invariant (positive on the left, nonpositive on the right)
+is unconditional.
 `threshold_order` needs no root: it reads each order off the margin's sign
 at the target.
 
@@ -41,13 +44,10 @@ import numpy as np
 
 from .tails import _MAX_ORDER, TailClass, _tail_weighted
 
-SCAN_STEP = 1e-3
+# every root lies inside: see solve_radius
+_BRACKET = (2.0**-10, 1.0 - 2.0**-53)
 BRACKET_WIDTH = 1e-12
 MAX_THRESHOLD_ORDER = 10_000
-
-
-class NoBracketError(RuntimeError):
-    """The forward scan found no sign change; carries scan diagnostics."""
 
 
 class FamilyClass(enum.Enum):
@@ -64,7 +64,9 @@ class RadiusResult:
     The margin is strictly positive at bracket_lo and nonpositive at
     bracket_hi; `radius` is the bracket midpoint and `residual` the margin
     value there.  `lower_bound` carries the asymptotic lower bound when the
-    family and order admit one, and the radius always dominates it.
+    family and order admit one; a radius that does not dominate it (from
+    about n = 1e13, where the bracket no longer resolves 1 - r) is reported
+    as a warning.
     """
 
     radius: float
@@ -200,40 +202,38 @@ def close_to_convex_radius(n: int) -> float:
     return 1.0 - 3.0 * math.log(n) / n
 
 
-def _scan_grid() -> np.ndarray:
-    return np.arange(1, int(round(1.0 / SCAN_STEP))) * SCAN_STEP
-
-
 def solve_radius(family: FamilyClass, n: int, m: int) -> RadiusResult:
     """Certified root of the (n, m) margin for `family`.
 
-    Scans r = 1e-3, 2e-3, ... for the first change from positive to
-    nonpositive, checks that the scan saw exactly one sign change (a
-    violation is reported as a warning, never silently absorbed), then
-    bisects the bracket to width <= 1e-12.
+    The margin has exactly one root in (0, 1).  The general floor is
+    (u^3 + 2u^4 + 2u^5 + 2u^6 + 2u^7 + 2u^8 + u^9)/12 with u = (1-r)/(1+r),
+    a polynomial with positive coefficients in a u that decreases in r; the
+    convex floor (1-r)/(1+r)^3 decreases too; both tails are power series
+    with positive coefficients, so they increase.  The margin therefore
+    decreases strictly from 1 at r = 0+ to -inf at r = 1-.  It cannot
+    decrease as either order grows, and the (2, 2) roots are 0.108
+    (general) and 0.190 (convex), so it is positive at r = 2**-10 for
+    every order.
+
+    The solver checks the margin's sign once at each end of the fixed
+    bracket [2**-10, 1 - 2**-53], then bisects it to width <= 1e-12 (40
+    steps), every r a Python float.  A margin still positive at 1 - 2**-53
+    has its root within one double of 1 (equal orders from about 1.4e18
+    for convex and 2.5e18 for general) and raises ValueError.  From about
+    n = 1e13 the 1e-12 bracket no longer resolves 1 - r, and the radius
+    may fail to dominate the asymptotic lower bound; that is reported as
+    a warning.
     """
     _check_orders(n, m)
     f = margin_fn(family)
-    grid = _scan_grid()
-    values = f(n, m, grid)
-
-    pos = values > 0.0
-    flips = int(np.count_nonzero(pos[:-1] != pos[1:]))
-    drops = np.nonzero(pos[:-1] & ~pos[1:])[0]
-    if drops.size == 0:
-        raise NoBracketError(
-            f"no positive-to-nonpositive change for {family.value} (n={n}, m={m}); "
-            f"margin range on scan grid: [{values.min():.3e}, {values.max():.3e}]"
+    lo, hi = _BRACKET
+    if not f(n, m, lo) > 0.0:
+        raise ValueError(f"the {family.value} margin (n={n}, m={m}) is not positive at r = {lo}")
+    if f(n, m, hi) > 0.0:
+        raise ValueError(
+            f"the {family.value} margin (n={n}, m={m}) is still positive at r = 1 - 2**-53: "
+            f"its root lies within one double of 1"
         )
-    if flips != 1:
-        warnings.warn(
-            f"margin for {family.value} (n={n}, m={m}) changed sign {flips} times "
-            f"on the scan grid; using the first bracket",
-            stacklevel=2,
-        )
-
-    i = int(drops[0])
-    lo, hi = float(grid[i]), float(grid[i + 1])
     iterations = 0
     while hi - lo > BRACKET_WIDTH:
         mid = 0.5 * (lo + hi)
@@ -270,12 +270,16 @@ def solve_radius(family: FamilyClass, n: int, m: int) -> RadiusResult:
 def threshold_order(family: FamilyClass, target: float) -> int:
     """Smallest n >= 2 whose equal-order margin is positive at r = `target`.
 
-    The margin decreases in r, so margin(n, n, target) > 0 says exactly that
-    the (n, n) root lies above `target`: each order is one sign test, not a
-    solve.  At fixed r the margin cannot decrease in n, because raising n
-    drops the positive term w(n+1) r^n from each tail, so the first
-    positive order is the threshold.  Hard cap at n = 10_000: a target no
-    order up to it reaches raises ValueError.
+    The margin decreases strictly in r: the general floor is
+    (u^3 + 2u^4 + 2u^5 + 2u^6 + 2u^7 + 2u^8 + u^9)/12 with u = (1-r)/(1+r),
+    positive coefficients in a u that decreases in r, the convex floor
+    (1-r)/(1+r)^3 decreases, and the tails increase.  So
+    margin(n, n, target) > 0 says exactly that the (n, n) root lies above
+    `target`: each order is one sign test, not a solve.  At fixed r the
+    margin cannot decrease in n, because raising n drops the positive term
+    w(n+1) r^n from each tail, so the first positive order is the
+    threshold.  Hard cap at n = 10_000: a target no order up to it reaches
+    raises ValueError.
     """
     if not 0.0 < target < 1.0:
         raise ValueError(f"target must lie in (0, 1), got {target!r}")

@@ -58,15 +58,30 @@ class TestRadius:
         assert code == 2
         assert ">= 2" in err
 
-    def test_unbracketed_order_is_a_domain_error(self, capsys):
-        # the forward scan ends at r = 0.999, below the n = 1e5 root, so the
-        # solver raises NoBracketError; the CLI reports it, not a traceback
+    @pytest.mark.parametrize("family", ["general", "convex"])
+    def test_order_past_the_earlier_scan_solves(self, capsys, family):
+        # the earlier 999-point scan ended at r = 0.999, below the n = 1e5
+        # root, and the CLI reported a missing bracket with exit 2
         code, out, err = run(
-            capsys, "radius", "--class", "general", "--n", "100000", "--m", "100000"
+            capsys, "radius", "--class", family, "--n", "100000", "--m", "100000",
+            "--format", "json",
+        )
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        margin = radius.margin_fn(FamilyClass(family))
+        assert margin(100_000, 100_000, payload["bracket_lo"]) > 0.0
+        assert margin(100_000, 100_000, payload["bracket_hi"]) <= 0.0
+        assert payload["radius"] > payload["lower_bound"]
+
+    def test_root_within_one_double_of_one_is_a_domain_error(self, capsys):
+        # at n = 1e19 the margin is still positive at r = 1 - 2**-53
+        code, out, err = run(
+            capsys, "radius", "--class", "general", "--n", str(10**19), "--m", str(10**19)
         )
         assert code == 2
         assert out == ""
-        assert err.startswith("error: no positive-to-nonpositive change")
+        assert err.startswith("error: the general margin") and err.count("\n") == 1
+        assert "within one double of 1" in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -290,7 +305,7 @@ class TestScan:
         assert code == 0
         assert out == (
             '{"family": "general", "n": 2, "m": 2, "model": "extremal", '
-            '"certified_radius": 0.10819284382974731, "empirical_radius": 0.166015625, '
+            '"certified_radius": 0.10819284383042538, "empirical_radius": 0.166015625, '
             '"binding": "jacobian", "min_kernel_modulus": 0.0557708740234375, '
             '"witness_z_re": -0.166015625, "witness_z_im": 2.033105037646973e-17, '
             '"witness_t": 0.0, "min_jacobian": 0.001312255859375}\n'
@@ -309,6 +324,14 @@ class TestScan:
     def test_invalid_orders(self, capsys):
         code, _, _ = run(capsys, "scan", "--class", "general", "--n", "1", "--m", "2")
         assert code == 2
+
+    def test_order_above_the_section_bound_is_a_domain_error(self, capsys):
+        # n = 1e5 now solves, and the section would have needed a
+        # 1e5 x 1024 complex table, about 1.6 GB
+        code, out, err = run(capsys, "scan", "--class", "general", "--n", "100000", "--m", "100000")
+        assert code == 2
+        assert out == ""
+        assert err == "error: section orders must lie in 1..1000, got (100000, 100000)\n"
 
     def test_grid_scale_env(self, capsys, monkeypatch):
         monkeypatch.setenv("HS_GRID_SCALE", "0")
@@ -365,6 +388,17 @@ class TestPlot:
             capsys, "plot", "psi-curve", "--n", "2", "--out", "/nonexistent/x.svg"
         )
         assert code == 3
+
+    def test_order_above_the_section_bound_is_a_domain_error(self, capsys, tmp_path):
+        # the boundary image never solves, so only the section bounds its order
+        svg = tmp_path / "x.svg"
+        code, out, err = run(
+            capsys, "plot", "boundary-image", "--n", "10000000000", "--out", str(svg)
+        )
+        assert not svg.exists()
+        assert code == 2
+        assert out == ""
+        assert err == "error: section orders must lie in 1..1000, got (10000000000, 2)\n"
 
     def test_bad_radius(self, capsys, tmp_path):
         code, _, _ = run(

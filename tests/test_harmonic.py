@@ -102,6 +102,30 @@ class TestSection:
         with pytest.raises(ValueError):
             section(GENERAL, 0, 2)
 
+    @pytest.mark.parametrize("source", [GENERAL, IDENTITY], ids=["extremal", "polynomial"])
+    @pytest.mark.parametrize("n,m", [(2.5, 2), (2, 2.5), (3.0, 3), ("3", 3)])
+    def test_non_integral_orders_rejected(self, source, n, m):
+        # an extremal source once gave a degree-3 section at n = 2.5, and a
+        # polynomial source raised TypeError
+        with pytest.raises(ValueError, match="section orders must be integers"):
+            section(source, n, m)
+
+    @pytest.mark.parametrize("source", [GENERAL, IDENTITY], ids=["extremal", "polynomial"])
+    @pytest.mark.parametrize("n,m", [(10**10, 2), (2, 1001), (10**400, 10**400)])
+    def test_orders_above_the_bound_rejected(self, monkeypatch, source, n, m):
+        # rejected before any array is made: no numpy allocation may run
+        def refuse(*args, **kwargs):
+            raise AssertionError("section allocated an array")
+
+        for name in ("zeros", "arange"):
+            monkeypatch.setattr(np, name, refuse)
+        with pytest.raises(ValueError, match=r"section orders must lie in 1\.\.1000"):
+            section(source, n, m)
+
+    def test_largest_order_accepted(self):
+        p = section(GENERAL, 1000, np.int64(1000))
+        assert p.a.size == p.b.size == 1000
+
     def test_normalization_enforced(self):
         with pytest.raises(ValueError):
             HarmonicPolynomial(a=np.array([2.0 + 0j]), b=np.array([0j]))

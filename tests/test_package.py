@@ -17,7 +17,6 @@ PUBLIC_NAMES = [
     "FamilyClass",
     "HarmonicPolynomial",
     "KernelScan",
-    "NoBracketError",
     "ProbeGrid",
     "RadiusResult",
     "RealPolynomial",
@@ -56,7 +55,7 @@ PUBLIC_NAMES = [
 class TestPublicSurface:
     def test_exported_names_are_pinned(self):
         # one name per quantity; the cross-check forms live in tests/oracles.py
-        assert len(PUBLIC_NAMES) == 40
+        assert len(PUBLIC_NAMES) == 39
         assert sorted(harmsect.__all__) == PUBLIC_NAMES
 
     def test_every_exported_name_resolves(self):

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ import pytest
 from harmsect import radius, tails
 from harmsect.radius import (
     FamilyClass,
-    NoBracketError,
     RadiusResult,
     close_to_convex_radius,
     distortion_floor_convex,
@@ -43,13 +43,14 @@ R_GRID = np.asarray([0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99])
 
 
 # Reference solver: the margin composed from the public floor and the public
-# weighted tails, with the solver's 999-point scan and bisection.  Every
-# public call checks its own r.  With `tail=tail_combination` it composes
-# the mixed-sign combination of elementary tails instead.
+# weighted tails, with the solver's end checks and bisection of the fixed
+# bracket.  Every public call checks its own r.  With `tail=tail_combination`
+# it composes the mixed-sign combination of elementary tails instead.
 TAIL_CLASSES = {
     FamilyClass.GENERAL: (TailClass.GENERAL_ANALYTIC, TailClass.GENERAL_CO_ANALYTIC),
     FamilyClass.CONVEX: (TailClass.CONVEX_ANALYTIC, TailClass.CONVEX_CO_ANALYTIC),
 }
+BRACKET = (2.0**-10, 1.0 - 2.0**-53)
 SCAN_GRID = np.arange(1, 1000) * 1e-3
 
 
@@ -62,13 +63,8 @@ def reference_margin(family, n, m, r, tail=tail_weighted):
     return reference_floor(family)(r) - tail(analytic, n, r) - tail(co_analytic, m, r)
 
 
-def reference_solve(family, n, m, tail=tail_weighted):
-    def margin(r):
-        return reference_margin(family, n, m, r, tail)
-
-    pos = margin(SCAN_GRID) > 0.0
-    i = int(np.nonzero(pos[:-1] & ~pos[1:])[0][0])
-    lo, hi = float(SCAN_GRID[i]), float(SCAN_GRID[i + 1])
+def bisect(margin, lo, hi):
+    """The 1e-12 bracket of margin's sign change in [lo, hi] and its step count."""
     iterations = 0
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
@@ -77,6 +73,15 @@ def reference_solve(family, n, m, tail=tail_weighted):
         else:
             hi = mid
         iterations += 1
+    return lo, hi, iterations
+
+
+def reference_solve(family, n, m, tail=tail_weighted):
+    def margin(r):
+        return reference_margin(family, n, m, r, tail)
+
+    assert margin(BRACKET[0]) > 0.0 >= margin(BRACKET[1]), (n, m)
+    lo, hi, iterations = bisect(margin, *BRACKET)
     root = 0.5 * (lo + hi)
     low = min(n, m)
     if family is FamilyClass.GENERAL and low >= 15:
@@ -86,6 +91,18 @@ def reference_solve(family, n, m, tail=tail_weighted):
     else:
         bound = None
     return RadiusResult(root, lo, hi, float(margin(root)), iterations, bound)
+
+
+def scan_solve(family, n, m):
+    """Oracle: the earlier solver's root, the first sign drop of the array
+    margin on the 999-point grid 1e-3, ..., 0.999, bisected to 1e-12."""
+    def margin(r):
+        return reference_margin(family, n, m, r)
+
+    pos = margin(SCAN_GRID) > 0.0
+    i = int(np.nonzero(pos[:-1] & ~pos[1:])[0][0])
+    lo, hi, _ = bisect(margin, float(SCAN_GRID[i]), float(SCAN_GRID[i + 1]))
+    return 0.5 * (lo + hi)
 
 
 def random_pairs(family, count=200):
@@ -272,8 +289,11 @@ class TestOneCheckPerCall:
             radius, name, lambda n, m, r: evaluations.append(r) or margin(n, m, r)
         )
         solve_radius(family, 40, 60)
-        assert len(evaluations) > 30  # the scan, about 30 bisection steps, the residual
+        assert len(evaluations) == 43  # the two bracket ends, 40 bisection steps, the residual
         assert len(r_checks) <= len(evaluations)
+        # one evaluation form for every sign: an array r takes numpy's SIMD
+        # power, whose last bits can differ from the scalar form's
+        assert all(type(r) is float for r in evaluations)
 
 
 def assert_same_bracket(result, family, n, m):
@@ -300,6 +320,9 @@ class TestReferenceEquivalence:
             result = solve_radius(family, n, n)
             assert result == reference_solve(family, n, n), n
             assert_same_bracket(result, family, n, n)
+            # the fixed bracket moves no root by more than the bracket width
+            # (8.9e-13 measured) from the earlier scan's
+            assert abs(result.radius - scan_solve(family, n, n)) <= 1e-12, n
 
     @pytest.mark.parametrize("family", list(FamilyClass))
     def test_random_pairs(self, family):
@@ -307,6 +330,7 @@ class TestReferenceEquivalence:
             result = solve_radius(family, n, m)
             assert result == reference_solve(family, n, m), (n, m)
             assert_same_bracket(result, family, n, m)
+            assert abs(result.radius - scan_solve(family, n, m)) <= 1e-12, (n, m)
 
     @pytest.mark.parametrize("family", list(FamilyClass))
     @pytest.mark.parametrize("n,m", [(2, 2), (3, 9), (50, 50), (287, 287), (1000, 40)])
@@ -415,28 +439,52 @@ class TestSolver:
 
     @pytest.mark.parametrize("family", list(FamilyClass))
     def test_largest_orders_reach_the_bracket_scan(self, family):
-        # just below the bound every margin on the scan grid is finite and
-        # positive, so the solver reports the missing bracket; from the
-        # bound on the orders are rejected before any margin is formed
+        # just below the bound the margin is still positive at r = 1 - 2**-53,
+        # so the root lies within one double of 1 and has no bracket in
+        # doubles; from the bound on the orders are rejected before any
+        # margin is formed
         big = 2**341 - 1
-        with pytest.raises(NoBracketError):
-            solve_radius(family, big, big)
+        for n in (big, 10**19):
+            with pytest.raises(ValueError, match="within one double of 1"):
+                solve_radius(family, n, n)
         for n, m in [(big + 1, 2), (10**200, 10**200), (10**400, 5)]:
             with pytest.raises(ValueError, match=r"orders must be below 2\*\*341"):
                 solve_radius(family, n, m)
+
+    @pytest.mark.parametrize("family", list(FamilyClass))
+    @pytest.mark.parametrize("n", [36_965, 65_051, 10**5, 10**6, 10**8, 10**12])
+    def test_orders_past_the_earlier_scan_solve(self, family, n):
+        # the earlier 999-point scan ended at r = 0.999, below these roots,
+        # and found no bracket from n = 36 965 (convex) and 65 051 (general)
+        f = margin_fn(family)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = solve_radius(family, n, n)
+        assert f(n, n, res.bracket_lo) > 0.0 >= f(n, n, res.bracket_hi)
+        assert res.bracket_hi - res.bracket_lo <= 1e-12
+        assert res.radius > res.lower_bound
+
+    def test_general_order_1e5_root(self):
+        # x = n (1 - r) = 67.897 at n = 1e5, the root a sign scan of the
+        # margin over x found independently
+        res = solve_radius(FamilyClass.GENERAL, 10**5, 10**5)
+        assert 10**5 * (1.0 - res.radius) == pytest.approx(67.897, abs=1e-3)
 
     def test_numpy_integer_orders_accepted(self):
         assert solve_radius(FamilyClass.CONVEX, np.int64(7), np.int64(9)) == solve_radius(
             FamilyClass.CONVEX, 7, 9
         )
 
-    def test_single_sign_change_on_scan(self):
-        # sampled uniqueness check: no multiple-sign-change warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for family in FamilyClass:
-                for n, m in [(2, 2), (50, 50), (300, 300), (17, 260)]:
-                    solve_radius(family, n, m)
+    def test_general_floor_is_a_positive_polynomial_in_u(self):
+        # u^3 (1 - u^6) / (12 r) = (u^3 + 2u^4 + ... + 2u^8 + u^9) / 12 with
+        # u = (1 - r)/(1 + r): positive coefficients in a u that decreases in
+        # r, so the floor decreases and the margin has exactly one root
+        weights = [0, 0, 0, 1, 2, 2, 2, 2, 2, 1]
+        for r in (Fraction(1, 7), Fraction(1, 3), Fraction(1, 2), Fraction(9, 10)):
+            u = (1 - r) / (1 + r)
+            closed = u**3 * (1 - u**6) / (12 * r)
+            assert closed == sum(w * u**k for k, w in enumerate(weights)) / 12
+            assert distortion_floor_general(float(r)) == pytest.approx(float(closed), rel=1e-14)
 
 
 class TestBounds:
