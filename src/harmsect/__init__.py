@@ -36,12 +36,9 @@ from .radius import (
     FamilyClass,
     RadiusResult,
     close_to_convex_radius,
-    distortion_floor_convex,
-    distortion_floor_general,
-    log_offset_convex,
-    log_offset_general,
-    lower_bound_convex,
-    lower_bound_general,
+    distortion_floor,
+    log_offset,
+    lower_bound,
     margin_convex,
     margin_general,
     solve_radius,
@@ -65,8 +62,7 @@ __all__ = [
     "TailClass",
     "UnknownClaimError",
     "close_to_convex_radius",
-    "distortion_floor_convex",
-    "distortion_floor_general",
+    "distortion_floor",
     "divided_difference",
     "empirical_scan",
     "evaluate",
@@ -74,10 +70,8 @@ __all__ = [
     "jacobian",
     "kernel",
     "kernel_min_modulus",
-    "log_offset_convex",
-    "log_offset_general",
-    "lower_bound_convex",
-    "lower_bound_general",
+    "log_offset",
+    "lower_bound",
     "margin_convex",
     "margin_general",
     "section",

@@ -18,7 +18,9 @@ _TABLE gives the id, that range text and the check steps the claim runs in
 order, and one runner turns a row into its report.  The checks the general
 and convex ratios share (adjacent decrease, 0 < ratio < 1 at the offset,
 the limit spot check) are single steps that read the family's log ratio,
-offset, dense orders, limit and tolerance from its _RATIO_FAMILIES entry.
+limit and tolerance from its _RATIO_FAMILIES entry.  The log offset comes
+from radius.log_offset, and every dense range starts at the family's
+first bound order, read from the one family record in radius.
 
 Large-n evaluation of the ratios accumulates logarithms and exponentiates
 once, and the general ratio's N and D are evaluated in scaled form (see
@@ -48,10 +50,8 @@ from typing import Callable
 import numpy as np
 
 from .polyroots import RealPolynomial, isolate_real_roots
-from .radius import FamilyClass, distortion_floor_general, log_offset_convex, log_offset_general
+from .radius import _FAMILIES, FamilyClass, distortion_floor, log_offset
 
-DENSE_GENERAL = range(15, 501)
-DENSE_CONVEX = range(7, 501)
 SPOT_ORDERS = (1_000, 10_000, 1_000_000)
 GENERAL_RATIO_LIMIT = 64.0 / 2401.0
 LIMIT_SPOT_ORDER = 1_000_000
@@ -186,14 +186,27 @@ def _slope_bracket(x, p):
     )
 
 
+# At x near n the bracket's terms reach n^11, and (2**93)**11 = 2**1023 is
+# the largest power of two a double holds: from 2**93 both bracket forms
+# return nan or inf, and past it their powers of n overflow.
+_MAX_SLOPE_ORDER = 2**93
+
+
+def _check_slope_order(n) -> None:
+    if not n < _MAX_SLOPE_ORDER:  # NaN fails too
+        raise ValueError(f"n must be below 2**93, where the bracket leaves the double range, got {n!r}")
+
+
 def slope_bracket_general(x, n: int):
     """Bracket polynomial in the derivative of tail_ratio_general.
 
-    Degree 9 in x (from the -3 x^9 and -6 n^2 x^9 terms) and 7 in n.
+    Degree 9 in x (from the -3 x^9 and -6 n^2 x^9 terms) and 7 in n;
+    n must be below 2**93.
 
     Entered term group by term group exactly as derived, with n**k written
     p[k]; no re-expansion.
     """
+    _check_slope_order(n)
     return _slope_bracket(x, _powers(n, 8))
 
 
@@ -229,12 +242,14 @@ def _slope_bracket_scaled(k, p):
 def slope_bracket_scaled(k, n: int):
     """Slope bracket under the substitution x = n/k, assembled from the parts.
 
-    Valid for k in [1, 3]; agrees with slope_bracket_general(n/k, n) to
-    roundoff, which is what the Q-identity claim certifies.
+    Valid for k in [1, 3] and n below 2**93; agrees with
+    slope_bracket_general(n/k, n) to roundoff, which is what the Q-identity
+    claim certifies.
     """
     ks = np.asarray(k)
     if not ((ks >= 1) & (ks <= 3)).all():
         raise ValueError(f"k must lie in [1, 3], got {k!r}")
+    _check_slope_order(n)
     return _slope_bracket_scaled(k, _powers(n, 12))
 
 
@@ -295,8 +310,13 @@ def _aux_c(x: float) -> float:
     return 2.0 - math.log(math.log(x)) / math.log(x)
 
 
+# bound once: reading an Enum member off its class costs about 0.2 us, and
+# the convex offset is taken once per order
+_convex_offset = partial(log_offset, FamilyClass.CONVEX)
+
+
 def _convex_ratio_parts(n: int) -> tuple[float, float, float]:
-    beta = log_offset_convex(n)
+    beta = _convex_offset(n)
     ln = math.log(n)
     common = (1.0 - beta / (2.0 * n)) ** 3
     t1 = 16.0 * ln**2 / beta**4 * common
@@ -416,34 +436,28 @@ class _RatioFamily:
 
     log_ratio: Callable  # the private core: log_ratio(x, *factors(n))
     factors: Callable
-    offset: Callable[[int], float]
-    dense: range
     limit: float
     limit_text: str
     tol: str  # text, so the report states the tolerance as written
 
-    def orders(self) -> list[int]:
-        return list(self.dense) + list(SPOT_ORDERS)
-
-    def ratio_at_offset(self, n: int) -> float:
-        return np.exp(self.log_ratio(self.offset(n), *self.factors(n)))
-
 
 _RATIO_FAMILIES = {
     FamilyClass.GENERAL: _RatioFamily(
-        _log_ratio_general, _general_factors, log_offset_general, DENSE_GENERAL, GENERAL_RATIO_LIMIT,
-        "64/2401", "1e-3",
+        _log_ratio_general, _general_factors, GENERAL_RATIO_LIMIT, "64/2401", "1e-3"
     ),
-    FamilyClass.CONVEX: _RatioFamily(
-        _log_ratio_convex, _convex_factors, log_offset_convex, DENSE_CONVEX, 0.5, "1/2", "1e-2"
-    ),
+    FamilyClass.CONVEX: _RatioFamily(_log_ratio_convex, _convex_factors, 0.5, "1/2", "1e-2"),
 }
+
+
+def _dense(family: FamilyClass, stop: int = 501) -> range:
+    """The orders from the family's first bound order up to, not including, stop."""
+    return range(_FAMILIES[family].first_bound_order, stop)
 
 
 def _decrease_block(family: FamilyClass, ns: list):
     """Adjacent decrease of the log ratio on [offset_n, n]; convex also checks its derivative bracket."""
     fam = _RATIO_FAMILIES[family]
-    xs = _grid_rows([fam.offset(n) for n in ns], ns, 257)
+    xs = _grid_rows([log_offset(family, n) for n in ns], ns, 257)
     logs = fam.log_ratio(xs, *_columns(fam.factors, ns))
     checks = [("log-ratio decrease", logs[:, :-1] - logs[:, 1:])]
     if family is FamilyClass.CONVEX:
@@ -455,7 +469,7 @@ def _decrease_block(family: FamilyClass, ns: list):
 
 def _below_one_block(family: FamilyClass, ns: list):
     fam = _RATIO_FAMILIES[family]
-    x, *factors = _columns(lambda n: (fam.offset(n), *fam.factors(n)), ns)
+    x, *factors = _columns(lambda n: (log_offset(family, n), *fam.factors(n)), ns)
     value = np.exp(fam.log_ratio(x, *factors))
     return None, [("ratio < 1", 1.0 - value), ("ratio > 0", value)]
 
@@ -463,7 +477,7 @@ def _below_one_block(family: FamilyClass, ns: list):
 def _ratio_limit(family: FamilyClass, m: _Margins) -> None:
     fam = _RATIO_FAMILIES[family]
     n = LIMIT_SPOT_ORDER
-    value = fam.ratio_at_offset(n)
+    value = np.exp(fam.log_ratio(log_offset(family, n), *fam.factors(n)))
     m.add(float(fam.tol) - abs(value - fam.limit), n=n, value=value,
           check=f"|ratio - {fam.limit_text}| < {fam.tol}")
 
@@ -532,7 +546,7 @@ def _bound_helpers(m: _Margins) -> None:
     m.add(_aux_a(9) - math.sqrt(2.0), n=9, check="helper a(9) > sqrt(2)")
     m.add(1e-4 - abs(_aux_b(16) - 2.2627), n=16, check="helper b(16), tol 1e-4")
     m.add(1e-5 - abs(_aux_c(16) - 1.63219), n=16, check="helper c(16), tol 1e-5")
-    for n in range(7, 500):
+    for n in _dense(FamilyClass.CONVEX, 500):
         m.add(_aux_a(n + 1) - _aux_a(n), n=n, check="helper a increasing")
         m.add(_aux_b(n + 1) - _aux_b(n), n=n, check="helper b increasing")
     for n in range(16, 500):
@@ -541,7 +555,7 @@ def _bound_helpers(m: _Margins) -> None:
 
 def _decomposition_block(ns: list):
     x, parts, *factors = _columns(
-        lambda n: (log_offset_convex(n), sum(_convex_ratio_parts(n)), *_convex_factors(n)), ns
+        lambda n: (_convex_offset(n), sum(_convex_ratio_parts(n)), *_convex_factors(n)), ns
     )
     direct = np.exp(_log_ratio_convex(x, *factors))
     return None, [("summand decomposition, tol 1e-12", 1e-12 - np.abs(parts - direct) / direct)]
@@ -561,12 +575,12 @@ _R_GRID = np.arange(1, 100) / 100.0
 
 
 def _floor_block(ns: list):
-    gap = (1.0 - _R_GRID) ** 2 / (1.0 + _R_GRID) ** 4 - distortion_floor_general(_R_GRID)
+    gap = (1.0 - _R_GRID) ** 2 / (1.0 + _R_GRID) ** 4 - distortion_floor(FamilyClass.GENERAL, _R_GRID)
     return _R_GRID, [("local floor - two-point floor >= 0", gap)]
 
 
-_GENERAL_ORDERS = _RATIO_FAMILIES[FamilyClass.GENERAL].orders()
-_CONVEX_ORDERS = _RATIO_FAMILIES[FamilyClass.CONVEX].orders()
+_GENERAL_ORDERS = [*_dense(FamilyClass.GENERAL), *SPOT_ORDERS]
+_CONVEX_ORDERS = [*_dense(FamilyClass.CONVEX), *SPOT_ORDERS]
 
 # The registry: id, the range text its report states, then the steps it runs
 # in order.  CLAIMS maps each id to one run of its row.
@@ -583,12 +597,12 @@ _TABLE: tuple[tuple, ...] = (
      "bracket normalized by its constant term",
      _blocked(_GENERAL_ORDERS, 1000, _q2_block)),
     ("q1-negative", "n in {15..100}; 512-point x grid on (0, n]",
-     _blocked(range(15, 101), 512, _q1_block)),
+     _blocked(_dense(FamilyClass.GENERAL, 101), 512, _q1_block)),
     ("Q-roots", "each scaled-bracket part: real roots on [-10, 10] vs catalogued "
      "values (tol 1e-5; exact-root residual 1e-12); sign constant and positive on [1, 3]",
      _part_roots),
     ("Q-identity", "n in {15..60}; 201-point k grid on [1, 3]; |assembled - direct| / |direct| < 1e-10",
-     _blocked(range(15, 61), 201, _identity_block)),
+     _blocked(_dense(FamilyClass.GENERAL, 61), 201, _identity_block)),
     ("T-decreasing", "n in {7..500} u {1e3,1e4,1e6}; 257-point x grid on [offset_n, n]; "
      "log decrease and derivative-bracket positivity",
      _blocked(_CONVEX_ORDERS, 257, partial(_decrease_block, FamilyClass.CONVEX))),
@@ -603,7 +617,8 @@ _TABLE: tuple[tuple, ...] = (
     ("abc-bounds", "helper values at 9/16 with stated tolerances; helpers increasing on "
      "{7..500} (a, b) and {16..500} (c); summand bounds on {16..500}; "
      "summand decomposition identity on {7..500}",
-     _bound_helpers, partial(_summand_bounds, "summand"), _blocked(range(7, 501), 1, _decomposition_block)),
+     _bound_helpers, partial(_summand_bounds, "summand"),
+     _blocked(_dense(FamilyClass.CONVEX), 1, _decomposition_block)),
     ("distortion-min-rule", "r in {0.01..0.99} step 0.01; general two-point floor below the "
      "local-univalence floor (1-r)^2/(1+r)^4",
      _blocked((0,), len(_R_GRID), _floor_block)),

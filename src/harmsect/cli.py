@@ -50,6 +50,8 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, float):
         return f"{value:.12g}"
+    if isinstance(value, dict):
+        return json.dumps(value)
     return str(value)
 
 
@@ -134,21 +136,14 @@ def cmd_thresholds(args) -> int:
 
 def cmd_verify(args) -> int:
     reports = verify_all() if args.claim == "all" else [verify_claim(args.claim)]
-    rows = []
-    text = []
-    for rep in reports:
-        row = rep.as_dict()
-        row["witness"] = json.dumps(rep.witness)
-        rows.append(row)
-        text.append(
-            f"[{rep.verdict:4s}] {rep.claim_id:18s} worst_margin={rep.worst_margin:.6g} "
-            f"witness={rep.witness}  checked: {rep.parameter_range}"
-        )
-    if args.format == "json":
-        print(json.dumps([rep.as_dict() for rep in reports]))
-    else:
-        _print_report(rows, ["claim_id", "verdict", "worst_margin", "parameter_range", "witness"],
-                      args.format, text, always_list=True)
+    text = [
+        f"[{rep.verdict:4s}] {rep.claim_id:18s} worst_margin={rep.worst_margin:.6g} "
+        f"witness={rep.witness}  checked: {rep.parameter_range}"
+        for rep in reports
+    ]
+    _print_report([rep.as_dict() for rep in reports],
+                  ["claim_id", "verdict", "worst_margin", "parameter_range", "witness"],
+                  args.format, text, always_list=True)
     return EXIT_OK if all(rep.passed for rep in reports) else EXIT_CLAIM_FAILED
 
 

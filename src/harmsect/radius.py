@@ -21,15 +21,21 @@ Evaluation at r <= 0 or r >= 1 (or at NaN) is a hard error, not a limit
 value: the rational forms are singular at the endpoints and silent
 extrapolation near them has bitten before.  Orders must be integers from
 2 up to, but not including, 2**341, past which the tails' n**3 overflows.
-There is one evaluation path per margin, the floor minus two tails of the
-one tail core; the combined equal-order, polynomial and elementary-tail
+The two families differ only in the facts one `_FAMILIES` record holds:
+the distortion floor, the analytic and co-analytic tail weights, the
+constants (a, b) of the asymptotic bound 1 - (a ln n - b ln ln n)/n and
+the first order at which that bound is positive.  `distortion_floor`,
+`log_offset` and `lower_bound` take the family and read its record, and
+both margins are the one core `_margin`: the floor minus two tails of the
+one tail core.  The combined equal-order, polynomial and elementary-tail
 forms that cross-check it live with the tests.
 
-Arguments are checked once, at the public entry: each public floor and
-margin checks its orders and r, then evaluates the unchecked cores
-(`_floor_general`, `tails._tail_weighted`) with the orders as Python ints.
-So one margin evaluation makes one r check, and `solve_radius`, which
-calls the public margin, makes one per evaluation.
+Arguments are checked once, at the public entry: the public floor and
+each margin check their orders and r, then evaluate the unchecked cores
+(the record's floor, `tails._tail_weighted`) with the orders as Python
+ints.  So one margin evaluation makes one r check, and `solve_radius`,
+which calls the public margin through `margin_fn`, makes one per
+evaluation.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -55,6 +62,11 @@ class FamilyClass(enum.Enum):
 
     GENERAL = "general"
     CONVEX = "convex"
+
+    # Enum hashes a member by its name in Python code; each margin and log
+    # offset looks its family up in _FAMILIES, so hash by identity in C
+    # (members are singletons, and Enum compares them by identity)
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True)
@@ -106,94 +118,102 @@ def _check_orders(n: int, m: int) -> tuple[int, int]:
     return n, m
 
 
-def distortion_floor_general(r):
-    """Two-point distortion lower bound for the general families.
-
-    (1/(12r)) u^3 (1 - u^6) with u = (1-r)/(1+r); tends to 1 as r -> 0+.
-    """
-    return _floor_general(_check_r_open(r))
-
-
 def _floor_general(r):
     u = (1.0 - r) / (1.0 + r)
     return u**3 * (1.0 - u**6) / (12.0 * r)
-
-
-def distortion_floor_convex(r):
-    """Two-point distortion lower bound for the convex family: (1-r)/(1+r)^3."""
-    return _floor_convex(_check_r_open(r))
 
 
 def _floor_convex(r):
     return (1.0 - r) / (1.0 + r) ** 3
 
 
-def margin_general(n: int, m: int, r):
-    """General-family univalence margin at radius r for the (n, m) section."""
+@dataclass(frozen=True)
+class _Family:
+    """What the margin and the asymptotic bound take from one family."""
+
+    floor: Callable  # the unchecked distortion floor core
+    analytic: TailClass
+    co_analytic: TailClass
+    log_a: float  # the bound is 1 - (log_a ln n - log_b ln ln n)/n
+    log_b: float
+    first_bound_order: int  # the first n at which that bound is positive
+
+
+_FAMILIES = {
+    FamilyClass.GENERAL: _Family(
+        _floor_general, TailClass.GENERAL_ANALYTIC, TailClass.GENERAL_CO_ANALYTIC, 7.0, 4.0, 15
+    ),
+    FamilyClass.CONVEX: _Family(
+        _floor_convex, TailClass.CONVEX_ANALYTIC, TailClass.CONVEX_CO_ANALYTIC, 4.0, 2.0, 7
+    ),
+}
+
+
+def distortion_floor(family: FamilyClass, r):
+    """Two-point distortion lower bound of `family` at radius r.
+
+    General: (1/(12r)) u^3 (1 - u^6) with u = (1-r)/(1+r); convex:
+    (1-r)/(1+r)^3.  Both tend to 1 as r -> 0+.
+    """
+    return _FAMILIES[family].floor(_check_r_open(r))
+
+
+def _margin(family: FamilyClass, n: int, m: int, r):
     n, m = _check_orders(n, m)
     r = _check_r_open(r)
-    return (
-        _floor_general(r)
-        - _tail_weighted(TailClass.GENERAL_ANALYTIC, n, r)
-        - _tail_weighted(TailClass.GENERAL_CO_ANALYTIC, m, r)
-    )
+    fam = _FAMILIES[family]
+    return fam.floor(r) - _tail_weighted(fam.analytic, n, r) - _tail_weighted(fam.co_analytic, m, r)
+
+
+def margin_general(n: int, m: int, r):
+    """General-family univalence margin at radius r for the (n, m) section."""
+    return _margin(FamilyClass.GENERAL, n, m, r)
 
 
 def margin_convex(n: int, m: int, r):
     """Convex-family univalence margin at radius r for the (n, m) section."""
-    n, m = _check_orders(n, m)
-    r = _check_r_open(r)
-    return (
-        _floor_convex(r)
-        - _tail_weighted(TailClass.CONVEX_ANALYTIC, n, r)
-        - _tail_weighted(TailClass.CONVEX_CO_ANALYTIC, m, r)
-    )
+    return _margin(FamilyClass.CONVEX, n, m, r)
 
 
 def margin_fn(family: FamilyClass):
     """Margin function f(n, m, r) for the given family."""
+    # the module globals, looked up per call, so a function bound in their
+    # place sees every margin call the solver and the thresholds make
     return margin_general if family is FamilyClass.GENERAL else margin_convex
 
 
-def _order_from(n, least: int, what: str) -> int:
-    """n as a Python int, once it is shown to be an integer from `least` on."""
+def _order_from(n, least: int, what: str, *args) -> int:
+    """n as a Python int, once it is shown to be an integer from `least` on.
+
+    `what` names the quantity, formatted with `args` on the error path only.
+    """
     try:
         n = operator.index(n)
     except TypeError:
-        raise ValueError(f"{what} requires an integer n, got {n!r}") from None
+        raise ValueError(f"{what.format(*args)} requires an integer n, got {n!r}") from None
     if n < least:
-        raise ValueError(f"{what} requires n >= {least}, got {n}")
+        raise ValueError(f"{what.format(*args)} requires n >= {least}, got {n}")
     return n
 
 
-def log_offset_general(n: int) -> float:
-    """7 ln n - 4 ln ln n; the general lower bound is 1 minus this over n."""
-    n = _order_from(n, 2, "the general log offset")
-    return 7.0 * math.log(n) - 4.0 * math.log(math.log(n))
+def log_offset(family: FamilyClass, n: int) -> float:
+    """a ln n - b ln ln n, with (a, b) = (7, 4) general and (4, 2) convex.
 
-
-def log_offset_convex(n: int) -> float:
-    """4 ln n - 2 ln ln n; the convex lower bound is 1 minus this over n."""
-    n = _order_from(n, 2, "the convex log offset")
-    return 4.0 * math.log(n) - 2.0 * math.log(math.log(n))
-
-
-def lower_bound_general(n: int) -> float:
-    """Asymptotic lower bound 1 - (7 ln n - 4 ln ln n)/n for the general root.
-
-    Positive exactly from n = 15 on, hence the domain restriction.
+    The family's lower bound is 1 minus this over n.
     """
-    n = _order_from(n, 15, "general lower bound")
-    return 1.0 - log_offset_general(n) / n
+    fam = _FAMILIES[family]
+    n = _order_from(n, 2, "the {0.value} log offset", family)
+    return fam.log_a * math.log(n) - fam.log_b * math.log(math.log(n))
 
 
-def lower_bound_convex(n: int) -> float:
-    """Asymptotic lower bound 1 - (4 ln n - 2 ln ln n)/n for the convex root.
+def lower_bound(family: FamilyClass, n: int) -> float:
+    """Asymptotic lower bound 1 - log_offset(family, n)/n for the family's root.
 
-    Positive exactly from n = 7 on.
+    Positive exactly from n = 15 (general) and n = 7 (convex) on, hence the
+    domain restriction.
     """
-    n = _order_from(n, 7, "convex lower bound")
-    return 1.0 - log_offset_convex(n) / n
+    n = _order_from(n, _FAMILIES[family].first_bound_order, "{0.value} lower bound", family)
+    return 1.0 - log_offset(family, n) / n
 
 
 def close_to_convex_radius(n: int) -> float:
@@ -245,12 +265,8 @@ def solve_radius(family: FamilyClass, n: int, m: int) -> RadiusResult:
 
     radius = 0.5 * (lo + hi)
     low_order = min(n, m)
-    if family is FamilyClass.GENERAL and low_order >= 15:
-        bound = lower_bound_general(low_order)
-    elif family is FamilyClass.CONVEX and low_order >= 7:
-        bound = lower_bound_convex(low_order)
-    else:
-        bound = None
+    first = _FAMILIES[family].first_bound_order
+    bound = lower_bound(family, low_order) if low_order >= first else None
     if bound is not None and radius <= bound:
         warnings.warn(
             f"computed radius {radius} does not dominate the asymptotic lower "

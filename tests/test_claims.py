@@ -23,7 +23,7 @@ from harmsect.claims import (
     verify_claim,
 )
 from harmsect.polyroots import isolate_real_roots
-from harmsect.radius import log_offset_convex, log_offset_general
+from harmsect.radius import FamilyClass, log_offset
 
 # the two limit claims are registered as single spot checks at n = 1e6, where
 # the logarithmic convergence has not arrived: |ratio - limit| is 0.135 (convex,
@@ -72,7 +72,7 @@ class TestGeneralRatio:
         # the analytic limit 64/2401 ~ 0.0266556 is approached only
         # logarithmically and is still ~0.017 away here
         n = 10**6
-        value = tail_ratio_general(log_offset_general(n), n)
+        value = tail_ratio_general(log_offset(FamilyClass.GENERAL, n), n)
         assert value == pytest.approx(0.0437134843, rel=1e-8)
 
     @pytest.mark.parametrize("exponent", [76, 77, 100, 200])
@@ -82,7 +82,7 @@ class TestGeneralRatio:
         # for int 10**78); the oracle is the unscaled formula in 60-digit
         # decimal arithmetic
         n = 10**exponent
-        x = log_offset_general(n)
+        x = log_offset(FamilyClass.GENERAL, n)
         with decimal.localcontext() as ctx:
             ctx.prec = 60
             X, N = decimal.Decimal(x), decimal.Decimal(n)
@@ -142,6 +142,19 @@ class TestGeneralRatio:
         for n in (15, 33):
             assert slope_bracket_general(0.0, n) == pytest.approx(2688.0 * n**7, rel=1e-15)
 
+    @pytest.mark.parametrize("n", [2**92, float(2**92)])
+    def test_bracket_finite_below_the_order_bound(self, n):
+        # the q2-positive grid: 1000 points on (0, n]
+        xs = np.linspace(float(n) / 1000.0, float(n), 1000)
+        assert np.isfinite(slope_bracket_general(xs, n)).all()
+
+    @pytest.mark.parametrize("n", [2**93, 1e40, 10**50])
+    def test_bracket_rejects_orders_from_the_bound(self, n):
+        # from 2**93 the bracket is nan or inf, and at int 10**50 its powers
+        # of n raised OverflowError
+        with pytest.raises(ValueError, match=r"n must be below 2\*\*93"):
+            slope_bracket_general(1.0, n)
+
     def test_prefactor_finite_at_x_equals_n(self):
         # denominator at x = n is (3 n^4)^2 n^8 > 0
         n = 20
@@ -158,6 +171,18 @@ class TestScaledBracket:
             direct = slope_bracket_general(n / ks, n)
             assembled = slope_bracket_scaled(ks, n)
             assert np.all(np.abs(assembled - direct) / np.abs(direct) < 1e-10)
+
+    @pytest.mark.parametrize("n", [2**92, float(2**92)])
+    def test_finite_below_the_order_bound(self, n):
+        # the Q-identity grid: 201 points on [1, 3]
+        assert np.isfinite(slope_bracket_scaled(np.linspace(1.0, 3.0, 201), n)).all()
+
+    @pytest.mark.parametrize("n", [2**93, 1e40, 10**50])
+    def test_rejects_orders_from_the_bound(self, n):
+        # from 2**93 the assembly is nan or inf, and from 2**94 its n**11
+        # raised OverflowError
+        with pytest.raises(ValueError, match=r"n must be below 2\*\*93"):
+            slope_bracket_scaled(2.0, n)
 
     def test_part_roots_against_numpy(self):
         for part in SCALED_BRACKET_PARTS:
@@ -209,12 +234,12 @@ class TestConvexRatio:
         # actual value at the registered spot order; the analytic limit is
         # 1/2 but the approach is logarithmic (~0.135 away here)
         n = 10**6
-        value = tail_ratio_convex(log_offset_convex(n), n)
+        value = tail_ratio_convex(log_offset(FamilyClass.CONVEX, n), n)
         assert value == pytest.approx(0.6353795903, rel=1e-8)
 
     @pytest.mark.parametrize("n", [7, 12, 15, 100, 500])
     def test_below_one_at_offset(self, n):
-        value = tail_ratio_convex(log_offset_convex(n), n)
+        value = tail_ratio_convex(log_offset(FamilyClass.CONVEX, n), n)
         assert 0.0 < value < 1.0
 
     @pytest.mark.parametrize("n", [7, 40, 200])
@@ -274,7 +299,7 @@ class TestBoundParts:
     @pytest.mark.parametrize("n", [7, 16, 50, 500])
     def test_summands_reassemble_ratio(self, n):
         total = sum(claims._convex_ratio_parts(n))
-        direct = tail_ratio_convex(log_offset_convex(n), n)
+        direct = tail_ratio_convex(log_offset(FamilyClass.CONVEX, n), n)
         assert abs(total - direct) / direct < 1e-12
 
     @pytest.mark.parametrize("n", [16, 100, 500])
@@ -359,21 +384,32 @@ def one_point(fn, x, n):
     return fn(np.array([x]), n)[0]
 
 
+# the orders each ratio claim states: dense from the family's first bound
+# order to 500, then the spot orders
+RATIO_ORDERS = {
+    FamilyClass.GENERAL: [*range(15, 501), 1_000, 10_000, 1_000_000],
+    FamilyClass.CONVEX: [*range(7, 501), 1_000, 10_000, 1_000_000],
+}
+
+
 class TestBlocks:
     """Each blocked step's arrays equal the per-order public evaluation, element for element."""
 
+    def test_registered_orders(self):
+        assert claims._GENERAL_ORDERS == RATIO_ORDERS[FamilyClass.GENERAL]
+        assert claims._CONVEX_ORDERS == RATIO_ORDERS[FamilyClass.CONVEX]
+
     @pytest.mark.parametrize("family", list(claims.FamilyClass))
     def test_decrease_block(self, family):
-        fam = claims._RATIO_FAMILIES[family]
         log_ratio = log_tail_ratio_general if family is claims.FamilyClass.GENERAL else log_tail_ratio_convex
-        for ns in blocks(fam.orders(), 257):
+        for ns in blocks(RATIO_ORDERS[family], 257):
             xs, checks = claims._decrease_block(family, ns)
             assert [label for label, _ in checks] == (
                 ["log-ratio decrease"]
                 + (["derivative bracket > 0 (normalized)"] if family is claims.FamilyClass.CONVEX else [])
             )
             for i, n in enumerate(ns):
-                grid = np.linspace(fam.offset(n), n, 257)
+                grid = np.linspace(log_offset(family, n), n, 257)
                 assert np.array_equal(xs[i], grid)
                 logs = log_ratio(grid, n)
                 assert np.array_equal(checks[0][1][i], logs[:-1] - logs[1:])
@@ -383,12 +419,11 @@ class TestBlocks:
 
     @pytest.mark.parametrize("family", list(claims.FamilyClass))
     def test_below_one_block(self, family):
-        fam = claims._RATIO_FAMILIES[family]
         ratio = tail_ratio_general if family is claims.FamilyClass.GENERAL else tail_ratio_convex
-        for ns in blocks(fam.orders(), 1):
+        for ns in blocks(RATIO_ORDERS[family], 1):
             xs, checks = claims._below_one_block(family, ns)
             assert xs is None
-            value = np.array([one_point(ratio, fam.offset(n), n) for n in ns])
+            value = np.array([one_point(ratio, log_offset(family, n), n) for n in ns])
             assert [label for label, _ in checks] == ["ratio < 1", "ratio > 0"]
             assert np.array_equal(checks[0][1].ravel(), 1.0 - value)
             assert np.array_equal(checks[1][1].ravel(), value)
@@ -403,8 +438,7 @@ class TestBlocks:
         assert np.array_equal(checks[1][1].ravel(), 1e-12 - np.abs(value - closed) / closed)
 
     def test_q2_block(self):
-        ns = claims._GENERAL_ORDERS
-        for chunk in blocks(ns, 1000):
+        for chunk in blocks(RATIO_ORDERS[FamilyClass.GENERAL], 1000):
             xs, [(_, margins)] = claims._q2_block(chunk)
             for i, n in enumerate(chunk):
                 grid = np.linspace(n / 1000.0, n, 1000)
@@ -446,7 +480,7 @@ class TestBlocks:
         ns = list(range(7, 501))
         (chunk,) = blocks(ns, 1)
         _, [(_, margins)] = claims._decomposition_block(chunk)
-        direct = np.array([one_point(tail_ratio_convex, log_offset_convex(n), n) for n in ns])
+        direct = np.array([one_point(tail_ratio_convex, log_offset(FamilyClass.CONVEX, n), n) for n in ns])
         parts = np.array([sum(claims._convex_ratio_parts(n)) for n in ns])
         assert np.array_equal(margins.ravel(), 1e-12 - np.abs(parts - direct) / direct)
 

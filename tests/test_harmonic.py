@@ -24,7 +24,7 @@ from harmsect.harmonic import (
 )
 from harmsect.radius import (
     FamilyClass,
-    distortion_floor_general,
+    distortion_floor,
     solve_radius,
 )
 from harmsect.tails import TailClass, tail_weighted
@@ -319,7 +319,7 @@ class TestDividedDifferenceIdentity:
         eta_grid, psi_grid = np.meshgrid(etas, psis)
         mask = np.abs(np.exp(1j * eta_grid) - np.exp(1j * psi_grid)) > 1e-9
         dd = np.abs(divided_difference(p, r, eta_grid[mask], psi_grid[mask]))
-        floor = distortion_floor_general(r)
+        floor = distortion_floor(FamilyClass.GENERAL, r)
         tails = tail_weighted(TailClass.GENERAL_ANALYTIC, 60, r) + tail_weighted(
             TailClass.GENERAL_CO_ANALYTIC, 60, r
         )

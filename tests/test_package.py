@@ -1,13 +1,16 @@
 """The package's public surface: the names `harmsect` exports, and the
-functions the benchmark traces by name."""
+names the benchmark traces and reads."""
 
 import ast
+import contextlib
 import importlib
 from pathlib import Path
 
 import harmsect
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS = PERFBENCH / "spans.py"
+WORKLOADS = PERFBENCH / "workloads.py"
 
 PUBLIC_NAMES = [
     "CLAIMS",
@@ -23,8 +26,7 @@ PUBLIC_NAMES = [
     "TailClass",
     "UnknownClaimError",
     "close_to_convex_radius",
-    "distortion_floor_convex",
-    "distortion_floor_general",
+    "distortion_floor",
     "divided_difference",
     "empirical_scan",
     "evaluate",
@@ -32,10 +34,8 @@ PUBLIC_NAMES = [
     "jacobian",
     "kernel",
     "kernel_min_modulus",
-    "log_offset_convex",
-    "log_offset_general",
-    "lower_bound_convex",
-    "lower_bound_general",
+    "log_offset",
+    "lower_bound",
     "margin_convex",
     "margin_general",
     "section",
@@ -55,7 +55,7 @@ PUBLIC_NAMES = [
 class TestPublicSurface:
     def test_exported_names_are_pinned(self):
         # one name per quantity; the cross-check forms live in tests/oracles.py
-        assert len(PUBLIC_NAMES) == 39
+        assert len(PUBLIC_NAMES) == 36
         assert sorted(harmsect.__all__) == PUBLIC_NAMES
 
     def test_every_exported_name_resolves(self):
@@ -75,6 +75,45 @@ def traced_bindings():
     raise AssertionError(f"no TRACED table in {SPANS}")
 
 
+def workload_reads():
+    """The dotted harmsect names perfbench/workloads.py reads, such as harmsect.cli.main.
+
+    Each attribute chain on a name the file binds to a harmsect module
+    (`harmsect`, `hs_radius`), read from the source as `traced_bindings`
+    reads spans.py.
+    """
+    tree = ast.parse(WORKLOADS.read_text())
+    roots = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                # `import a.b` binds a; `import a.b as c` binds c to a.b
+                top = alias.name.split(".")[0]
+                roots[alias.asname or top] = alias.name if alias.asname else top
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            roots.update((a.asname or a.name, f"{node.module}.{a.name}") for a in node.names)
+    reads = set()
+    for node in ast.walk(tree):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.append(node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and roots.get(node.id, "").split(".")[0] == "harmsect":
+            reads.add(".".join([roots[node.id], *reversed(chain)]))
+    return sorted(reads)
+
+
+def resolve(dotted):
+    """The object a dotted harmsect name reads, or None; each prefix that is a submodule is imported."""
+    parts = dotted.split(".")
+    target = importlib.import_module(parts[0])
+    for i, part in enumerate(parts[1:], start=2):
+        with contextlib.suppress(ImportError):
+            importlib.import_module(".".join(parts[:i]))
+        target = getattr(target, part, None)
+    return target
+
+
 class TestBenchmarkBindings:
     def test_every_traced_function_resolves(self):
         # the benchmark wraps these by name; a renamed or removed one would
@@ -84,3 +123,13 @@ class TestBenchmarkBindings:
         for module, function in bindings:
             target = getattr(importlib.import_module(f"harmsect.{module}"), function, None)
             assert callable(target), (module, function)
+
+    def test_every_workload_read_resolves(self):
+        # the benchmark's requests call these; a renamed one, such as the
+        # margin_fn the solver calls the margins through, would otherwise
+        # show only when the benchmark runs
+        reads = workload_reads()
+        assert "harmsect.radius.margin_fn" in reads
+        assert "harmsect.cli.main" in reads
+        for dotted in reads:
+            assert resolve(dotted) is not None, dotted

@@ -3,6 +3,7 @@
 import math
 import warnings
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,12 +13,9 @@ from harmsect.radius import (
     FamilyClass,
     RadiusResult,
     close_to_convex_radius,
-    distortion_floor_convex,
-    distortion_floor_general,
-    log_offset_convex,
-    log_offset_general,
-    lower_bound_convex,
-    lower_bound_general,
+    distortion_floor,
+    log_offset,
+    lower_bound,
     margin_convex,
     margin_fn,
     margin_general,
@@ -45,22 +43,21 @@ R_GRID = np.asarray([0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99])
 # Reference solver: the margin composed from the public floor and the public
 # weighted tails, with the solver's end checks and bisection of the fixed
 # bracket.  Every public call checks its own r.  With `tail=tail_combination`
-# it composes the mixed-sign combination of elementary tails instead.
+# it composes the mixed-sign combination of elementary tails instead.  The
+# tail classes and the first order of each family's asymptotic bound are
+# stated here again, not read from the library's family record.
 TAIL_CLASSES = {
     FamilyClass.GENERAL: (TailClass.GENERAL_ANALYTIC, TailClass.GENERAL_CO_ANALYTIC),
     FamilyClass.CONVEX: (TailClass.CONVEX_ANALYTIC, TailClass.CONVEX_CO_ANALYTIC),
 }
+FIRST_BOUND_ORDER = {FamilyClass.GENERAL: 15, FamilyClass.CONVEX: 7}
 BRACKET = (2.0**-10, 1.0 - 2.0**-53)
 SCAN_GRID = np.arange(1, 1000) * 1e-3
 
 
-def reference_floor(family):
-    return distortion_floor_general if family is FamilyClass.GENERAL else distortion_floor_convex
-
-
 def reference_margin(family, n, m, r, tail=tail_weighted):
     analytic, co_analytic = TAIL_CLASSES[family]
-    return reference_floor(family)(r) - tail(analytic, n, r) - tail(co_analytic, m, r)
+    return distortion_floor(family, r) - tail(analytic, n, r) - tail(co_analytic, m, r)
 
 
 def bisect(margin, lo, hi):
@@ -84,12 +81,7 @@ def reference_solve(family, n, m, tail=tail_weighted):
     lo, hi, iterations = bisect(margin, *BRACKET)
     root = 0.5 * (lo + hi)
     low = min(n, m)
-    if family is FamilyClass.GENERAL and low >= 15:
-        bound = lower_bound_general(low)
-    elif family is FamilyClass.CONVEX and low >= 7:
-        bound = lower_bound_convex(low)
-    else:
-        bound = None
+    bound = lower_bound(family, low) if low >= FIRST_BOUND_ORDER[family] else None
     return RadiusResult(root, lo, hi, float(margin(root)), iterations, bound)
 
 
@@ -112,6 +104,11 @@ def random_pairs(family, count=200):
             for _ in range(count)]
 
 
+def per_family(fn):
+    """fn with each family bound as its first argument, with ids such as lower_bound_general."""
+    return [pytest.param(partial(fn, family), id=f"{fn.__name__}_{family.value}") for family in FamilyClass]
+
+
 def dense_sign_scan(f, step=1e-6):
     """Oracle: first positive-to-nonpositive crossing of f on a dense r grid."""
     rs = np.arange(1, int(1 / step)) * step
@@ -124,23 +121,23 @@ def dense_sign_scan(f, step=1e-6):
 
 class TestDistortionFloors:
     def test_general_limit_at_zero(self):
-        assert distortion_floor_general(1e-8) == pytest.approx(1.0, abs=1e-6)
+        assert distortion_floor(FamilyClass.GENERAL, 1e-8) == pytest.approx(1.0, abs=1e-6)
 
     def test_general_at_half(self):
         # u = 1/3: (1/6) (1/27) (1 - 3^-6)
         exact = (1.0 / 6.0) * (1.0 / 27.0) * (1.0 - 1.0 / 729.0)
-        assert distortion_floor_general(0.5) == pytest.approx(exact, rel=1e-14)
+        assert distortion_floor(FamilyClass.GENERAL, 0.5) == pytest.approx(exact, rel=1e-14)
         assert exact == pytest.approx(0.00616437, abs=5e-9)
 
     def test_general_to_one(self):
-        assert distortion_floor_general(1 - 1e-9) == pytest.approx(0.0, abs=1e-6)
+        assert distortion_floor(FamilyClass.GENERAL, 1 - 1e-9) == pytest.approx(0.0, abs=1e-6)
 
     def test_convex_values(self):
-        assert distortion_floor_convex(1e-9) == pytest.approx(1.0, abs=1e-6)
-        assert distortion_floor_convex(0.5) == pytest.approx(0.5 / 3.375, rel=1e-14)
-        assert distortion_floor_convex(1 - 1e-9) == pytest.approx(0.0, abs=1e-6)
+        assert distortion_floor(FamilyClass.CONVEX, 1e-9) == pytest.approx(1.0, abs=1e-6)
+        assert distortion_floor(FamilyClass.CONVEX, 0.5) == pytest.approx(0.5 / 3.375, rel=1e-14)
+        assert distortion_floor(FamilyClass.CONVEX, 1 - 1e-9) == pytest.approx(0.0, abs=1e-6)
 
-    @pytest.mark.parametrize("fn", [distortion_floor_general, distortion_floor_convex])
+    @pytest.mark.parametrize("fn", per_family(distortion_floor))
     @pytest.mark.parametrize("r", [0.0, 1.0, -0.5, 1.5])
     def test_domain(self, fn, r):
         with pytest.raises(ValueError):
@@ -171,7 +168,7 @@ class TestMargins:
         # a float r takes the scalar path, whose pow may differ in the last bit
         assert np.ravel(expected) == pytest.approx([fn(5, 8, x) for x in np.ravel(r)], rel=1e-14)
 
-    @pytest.mark.parametrize("fn", [distortion_floor_general, distortion_floor_convex])
+    @pytest.mark.parametrize("fn", per_family(distortion_floor))
     def test_floor_of_a_sequence(self, fn):
         assert np.array_equal(fn([0.1, 0.2]), fn(np.array([0.1, 0.2])))
 
@@ -186,7 +183,7 @@ class TestMargins:
 
     def test_convex_diag_positive_at_lower_bound(self):
         n = 7
-        r = 1.0 - log_offset_convex(n) / n
+        r = 1.0 - log_offset(FamilyClass.CONVEX, n) / n
         assert margin_convex_diag(n, r) > 0
 
     @pytest.mark.parametrize("n", range(2, 51))
@@ -225,8 +222,8 @@ class TestMargins:
         for call in (
             lambda: margin_general(2, 2, r),
             lambda: margin_convex(2, 2, r),
-            lambda: distortion_floor_general(r),
-            lambda: distortion_floor_convex(r),
+            lambda: distortion_floor(FamilyClass.GENERAL, r),
+            lambda: distortion_floor(FamilyClass.CONVEX, r),
         ):
             with pytest.raises(ValueError, match=r"r must lie in \(0, 1\)"):
                 call()
@@ -306,7 +303,7 @@ def assert_same_bracket(result, family, n, m):
     old = reference_solve(family, n, m, tail=tail_combination)
     assert (result.radius, result.bracket_lo, result.bracket_hi, result.iterations) == (
         old.radius, old.bracket_lo, old.bracket_hi, old.iterations), (n, m)
-    ulp = math.ulp(reference_floor(family)(result.radius))
+    ulp = math.ulp(distortion_floor(family, result.radius))
     assert abs(result.residual - old.residual) <= 8 * ulp, (n, m)
 
 
@@ -393,7 +390,7 @@ class TestSolver:
         assert solve_radius(FamilyClass.CONVEX, 7, 7).lower_bound is not None
         # the off-diagonal bound comes from the smaller order
         res = solve_radius(FamilyClass.GENERAL, 40, 15)
-        assert res.lower_bound == pytest.approx(lower_bound_general(15), rel=1e-15)
+        assert res.lower_bound == pytest.approx(lower_bound(FamilyClass.GENERAL, 15), rel=1e-15)
 
     def test_off_diagonal_against_dense_scan(self):
         res = solve_radius(FamilyClass.GENERAL, 2, 3)
@@ -484,38 +481,44 @@ class TestSolver:
             u = (1 - r) / (1 + r)
             closed = u**3 * (1 - u**6) / (12 * r)
             assert closed == sum(w * u**k for k, w in enumerate(weights)) / 12
-            assert distortion_floor_general(float(r)) == pytest.approx(float(closed), rel=1e-14)
+            assert distortion_floor(FamilyClass.GENERAL, float(r)) == pytest.approx(float(closed), rel=1e-14)
 
 
 class TestBounds:
     def test_general_value(self):
         expected = 1.0 - (7 * math.log(15) - 4 * math.log(math.log(15))) / 15
-        assert lower_bound_general(15) == pytest.approx(expected, rel=1e-15)
+        assert lower_bound(FamilyClass.GENERAL, 15) == pytest.approx(expected, rel=1e-15)
         assert expected == pytest.approx(0.0019, abs=5e-5)
 
-    def test_general_domain(self):
-        with pytest.raises(ValueError):
-            lower_bound_general(14)
+    @pytest.mark.parametrize("family", list(FamilyClass))
+    def test_first_bound_order_is_the_first_positive_order(self, family):
+        # the domain starts exactly where the bound turns positive: at the
+        # order before it the same formula is -0.0423 (general, n = 14) and
+        # -1.07e-4 (convex, n = 6)
+        first = FIRST_BOUND_ORDER[family]
+        assert lower_bound(family, first) > 0.0
+        assert 1.0 - log_offset(family, first - 1) / (first - 1) <= 0.0
+        with pytest.raises(ValueError, match=f"requires n >= {first}"):
+            lower_bound(family, first - 1)
 
     def test_general_large_n(self):
-        assert lower_bound_general(10**6) > 0.9999
+        assert lower_bound(FamilyClass.GENERAL, 10**6) > 0.9999
 
     def test_general_monotone(self):
         ns = [15, 16, 20, 40, 100, 1_000, 10_000, 100_000]
-        vals = [lower_bound_general(n) for n in ns]
+        vals = [lower_bound(FamilyClass.GENERAL, n) for n in ns]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_convex_values(self):
-        assert lower_bound_convex(7) > 0
-        assert lower_bound_convex(10**6) > 0.9999
-        with pytest.raises(ValueError):
-            lower_bound_convex(6)
+        expected = 1.0 - (4 * math.log(7) - 2 * math.log(math.log(7))) / 7
+        assert lower_bound(FamilyClass.CONVEX, 7) == pytest.approx(expected, rel=1e-15)
+        assert lower_bound(FamilyClass.CONVEX, 10**6) > 0.9999
 
     @pytest.mark.parametrize(
-        "fn", [lower_bound_general, lower_bound_convex, log_offset_general, log_offset_convex, close_to_convex_radius]
+        "fn", [*per_family(lower_bound), *per_family(log_offset), close_to_convex_radius]
     )
     def test_non_integral_order_rejected(self, fn):
-        # lower_bound_general(15.5) once returned 0.0224, a bound for no section
+        # lower_bound(GENERAL, 15.5) once returned 0.0224, a bound for no section
         for n in (15.5, 16.0, "16"):
             with pytest.raises(ValueError, match="requires an integer n"):
                 fn(n)
