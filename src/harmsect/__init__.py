@@ -44,7 +44,6 @@ from .radius import (
     solve_radius,
     threshold_order,
 )
-from .tails import TailClass, tail_weighted
 
 __version__ = "0.1.0"
 
@@ -59,7 +58,6 @@ __all__ = [
     "ProbeGrid",
     "RadiusResult",
     "RealPolynomial",
-    "TailClass",
     "UnknownClaimError",
     "close_to_convex_radius",
     "distortion_floor",
@@ -81,7 +79,6 @@ __all__ = [
     "solve_radius",
     "tail_ratio_convex",
     "tail_ratio_general",
-    "tail_weighted",
     "threshold_order",
     "verify_all",
     "verify_claim",

@@ -6,7 +6,9 @@ one double of 1, and a section order above 1000), 3 I/O error.  Output
 formats: text (default), csv (header row, comma separated, LF line endings,
 numbers at 12 significant digits), json (snake_case keys).  SVG is produced
 only by the plot subcommand.  The environment variable HS_GRID_SCALE
-(integer) scales the default probe grid of the scan subcommand.
+(an integer from 1 to 8) scales the default probe grid of the scan
+subcommand; any other value is a usage error, reported before any grid is
+built.
 """
 
 from __future__ import annotations
@@ -147,6 +149,12 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(rep.passed for rep in reports) else EXIT_CLAIM_FAILED
 
 
+# at scale 8 the Jacobian grid has 512 x 2048 = 1 048 576 points, 16 MB of
+# complex values, the size the section-order cap allows the kernel table;
+# the grid grows with the square of the scale
+_MAX_GRID_SCALE = 8
+
+
 def _grid_scale_from_env() -> int:
     raw = os.environ.get("HS_GRID_SCALE", "")
     if not raw:
@@ -155,8 +163,8 @@ def _grid_scale_from_env() -> int:
         scale = int(raw)
     except ValueError as exc:
         raise ValueError(f"HS_GRID_SCALE must be an integer, got {raw!r}") from exc
-    if scale < 1:
-        raise ValueError(f"HS_GRID_SCALE must be >= 1, got {scale}")
+    if not 1 <= scale <= _MAX_GRID_SCALE:
+        raise ValueError(f"HS_GRID_SCALE must lie in 1..{_MAX_GRID_SCALE}, got {scale}")
     return scale
 
 

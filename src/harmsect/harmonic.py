@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .radius import FamilyClass
+from .radius import _FAMILIES, FamilyClass
 
 # t values per kernel block on the circle: small enough that the
 # (block, N_theta) temporaries stay in cache, and bounded however many
@@ -91,20 +91,19 @@ class ExtremalCoefficients:
     h = (z - z^2/2 + z^3/6)/(1 - z)^3 and g = (z^2/2 + z^3/6)/(1 - z)^3.
     For the convex family a_k = (k+1)/2 and b_k = (k-1)/2: the half-plane
     map with h = (z - z^2/2)/(1 - z)^2 and g = -(z^2/2)/(1 - z)^2, except
-    that every b_k has the opposite sign.
+    that every b_k has the opposite sign.  Each bound is read off the
+    family record of `radius` as w(k)/k, the last entry of the margin's
+    tail row at order k, so the scanned maps and the margins share one
+    statement of the bounds.
     """
 
     family: FamilyClass
 
     def analytic(self, k: np.ndarray) -> np.ndarray:
-        if self.family is FamilyClass.GENERAL:
-            return (k + 1) * (2 * k + 1) / 6.0
-        return (k + 1) / 2.0
+        return _FAMILIES[self.family].analytic(k)[-1] / k
 
     def co_analytic(self, k: np.ndarray) -> np.ndarray:
-        if self.family is FamilyClass.GENERAL:
-            return (k - 1) * (2 * k - 1) / 6.0
-        return (k - 1) / 2.0
+        return _FAMILIES[self.family].co_analytic(k)[-1] / k
 
 
 # the largest section order: a default-grid kernel pass at this degree
@@ -235,8 +234,13 @@ class ProbeGrid:
 
     def __post_init__(self) -> None:
         for name in ("radial_points", "angular_points", "t_points"):
-            if getattr(self, name) < 8:
-                raise ValueError(f"{name} must be >= 8, got {getattr(self, name)}")
+            count = getattr(self, name)
+            try:
+                count = operator.index(count)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {count!r}") from None
+            if count < 8:
+                raise ValueError(f"{name} must be >= 8, got {count}")
         if not 0.0 < self.radius < 1.0:
             raise ValueError(f"radius must lie in (0, 1), got {self.radius}")
 
@@ -249,6 +253,10 @@ class ProbeGrid:
         return np.linspace(0.0, math.pi / 2.0, self.t_points)
 
     def scaled(self, factor: int) -> "ProbeGrid":
+        try:
+            factor = operator.index(factor)
+        except TypeError:
+            raise ValueError(f"grid scale must be an integer, got {factor!r}") from None
         if factor < 1:
             raise ValueError(f"grid scale must be >= 1, got {factor}")
         return dataclasses.replace(

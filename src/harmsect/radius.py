@@ -22,9 +22,12 @@ value: the rational forms are singular at the endpoints and silent
 extrapolation near them has bitten before.  Orders must be integers from
 2 up to, but not including, 2**341, past which the tails' n**3 overflows.
 The two families differ only in the facts one `_FAMILIES` record holds:
-the distortion floor, the analytic and co-analytic tail weights, the
-constants (a, b) of the asymptotic bound 1 - (a ln n - b ln ln n)/n and
-the first order at which that bound is positive.  `distortion_floor`,
+the distortion floor, the closed-form rows of the analytic and
+co-analytic tails, the constants (a, b) of the asymptotic bound
+1 - (a ln n - b ln ln n)/n and the first order at which that bound is
+positive.  Each row ends in the tail's weight w(k) = k |a_k| (or k |b_k|),
+so the family's coefficient bounds, which `harmonic.ExtremalCoefficients`
+takes with equality, are read off the same rows.  `distortion_floor`,
 `log_offset` and `lower_bound` take the family and read its record, and
 both margins are the one core `_margin`: the floor minus two tails of the
 one tail core.  The combined equal-order, polynomial and elementary-tail
@@ -32,7 +35,7 @@ forms that cross-check it live with the tests.
 
 Arguments are checked once, at the public entry: the public floor and
 each margin check their orders and r, then evaluate the unchecked cores
-(the record's floor, `tails._tail_weighted`) with the orders as Python
+(the record's floor, `tails.tail_weighted`) with the orders as Python
 ints.  So one margin evaluation makes one r check, and `solve_radius`,
 which calls the public margin through `margin_fn`, makes one per
 evaluation.
@@ -49,7 +52,7 @@ from typing import Callable
 
 import numpy as np
 
-from .tails import _MAX_ORDER, TailClass, _tail_weighted
+from .tails import tail_weighted
 
 # every root lies inside: see solve_radius
 _BRACKET = (2.0**-10, 1.0 - 2.0**-53)
@@ -104,6 +107,11 @@ def _check_r_open(r):
     raise ValueError(f"r must lie in (0, 1), got {r!r}")
 
 
+# n**3, the highest power of n the tail rows take, is a finite double for
+# every n below this
+_MAX_ORDER = 2**341
+
+
 def _check_orders(n: int, m: int) -> tuple[int, int]:
     # numpy integers come back as Python ints: the tail coefficients take
     # n**3, which wraps in int64 from n = 2.1e6
@@ -132,19 +140,31 @@ class _Family:
     """What the margin and the asymptotic bound take from one family."""
 
     floor: Callable  # the unchecked distortion floor core
-    analytic: TailClass
-    co_analytic: TailClass
+    # the rows n -> (e_0(n), ..., e_{d-1}(n)) of the analytic and co-analytic
+    # tails' closed forms (see tails), exact integers for a Python int n and
+    # checked exactly against the series in tests/test_tails.py; the last
+    # entry is the weight w(n) = n |a_n| (or n |b_n|)
+    analytic: Callable
+    co_analytic: Callable
     log_a: float  # the bound is 1 - (log_a ln n - log_b ln ln n)/n
     log_b: float
     first_bound_order: int  # the first n at which that bound is positive
 
 
 _FAMILIES = {
+    # |a_k| <= (k+1)(2k+1)/6, |b_k| <= (k-1)(2k-1)/6
     FamilyClass.GENERAL: _Family(
-        _floor_general, TailClass.GENERAL_ANALYTIC, TailClass.GENERAL_CO_ANALYTIC, 7.0, 4.0, 15
+        _floor_general,
+        lambda n: (2, 2 * n - 1, n**2, n * (n + 1) * (2 * n + 1) // 6),
+        lambda n: (2, 2 * n - 3, (n - 1) ** 2, n * (n - 1) * (2 * n - 1) // 6),
+        7.0, 4.0, 15,
     ),
+    # |a_k| <= (k+1)/2, |b_k| <= (k-1)/2
     FamilyClass.CONVEX: _Family(
-        _floor_convex, TailClass.CONVEX_ANALYTIC, TailClass.CONVEX_CO_ANALYTIC, 4.0, 2.0, 7
+        _floor_convex,
+        lambda n: (1, n, n * (n + 1) // 2),
+        lambda n: (1, n - 1, n * (n - 1) // 2),
+        4.0, 2.0, 7,
     ),
 }
 
@@ -162,7 +182,7 @@ def _margin(family: FamilyClass, n: int, m: int, r):
     n, m = _check_orders(n, m)
     r = _check_r_open(r)
     fam = _FAMILIES[family]
-    return fam.floor(r) - _tail_weighted(fam.analytic, n, r) - _tail_weighted(fam.co_analytic, m, r)
+    return fam.floor(r) - tail_weighted(fam.analytic, n, r) - tail_weighted(fam.co_analytic, m, r)
 
 
 def margin_general(n: int, m: int, r):

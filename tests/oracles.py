@@ -1,14 +1,19 @@
 """Independent evaluation forms that the tests compare the library against.
 
 None of these is a production path: the library evaluates every tail and
-margin through one closed form per weight (the coefficient rows of
-`tails._COEFFICIENTS`, evaluated by `tails._tail_weighted`, which the
-margins in `radius` call).  The forms here take other routes to the same
-numbers, a termwise weight polynomial, a truncated sum, the mixed-sign
-combination of the three elementary tails (k, k^2, k^3) and the fully
-combined equal-order closed forms, so that agreement between the two
-routes checks both.  Their inputs come from the tests, so they
-check no arguments.
+margin through one closed form per weight (the coefficient rows of the
+family record `radius._FAMILIES`, evaluated by `tails.tail_weighted`,
+which the margins in `radius` call).  The forms here take other routes to
+the same numbers, a termwise weight polynomial, a truncated sum, the
+mixed-sign combination of the three elementary tails (k, k^2, k^3) and the
+fully combined equal-order closed forms, so that agreement between the two
+routes checks both.  They state the weights again rather than read the
+record.  Their inputs come from the tests, so they check no arguments.
+
+A tail is named by its (family, part) pair, the part "analytic" or
+"co_analytic".  `record_row` and `record_tail` read the library's own row
+and tail of such a pair, for the tests that compare them with the forms
+here.
 """
 
 from __future__ import annotations
@@ -17,23 +22,50 @@ import math
 
 import numpy as np
 
-from harmsect.tails import TailClass
+from harmsect.radius import _FAMILIES, FamilyClass
+from harmsect.tails import tail_weighted
+
+GENERAL, CONVEX = FamilyClass.GENERAL, FamilyClass.CONVEX
+
+# the four tails of the margins, general before convex, analytic before co-analytic
+TAILS = [(family, part) for family in FamilyClass for part in ("analytic", "co_analytic")]
 
 
-def weight(cls: TailClass, k):
-    """Evaluate the weight polynomial of `cls` at index k (scalar or array)."""
-    if cls is TailClass.GENERAL_ANALYTIC:
-        return k * (k + 1) * (2 * k + 1) / 6.0
-    if cls is TailClass.GENERAL_CO_ANALYTIC:
-        return k * (k - 1) * (2 * k - 1) / 6.0
-    if cls is TailClass.CONVEX_ANALYTIC:
-        return k * (k + 1) / 2.0
-    if cls is TailClass.CONVEX_CO_ANALYTIC:
-        return k * (k - 1) / 2.0
-    raise ValueError(f"unknown tail class {cls!r}")
+def tail_id(tail) -> str:
+    """A tail's test id, such as TailClass.GENERAL_ANALYTIC.
+
+    These are the names the tail tests have always been reported under,
+    kept so that their results stay comparable across runs.
+    """
+    family, part = tail
+    return f"TailClass.{family.name}_{part.upper()}"
 
 
-def tail_brute(cls: TailClass, n: int, r: float, terms: int) -> float:
+def record_row(tail):
+    """The library's closed-form row of `tail`, as the family record holds it."""
+    family, part = tail
+    return getattr(_FAMILIES[family], part)
+
+
+def record_tail(tail, n: int, r):
+    """The library's tail of `tail`: the tail core on the record's row."""
+    return tail_weighted(record_row(tail), n, r)
+
+
+WEIGHTS = {
+    (GENERAL, "analytic"): lambda k: k * (k + 1) * (2 * k + 1) / 6.0,
+    (GENERAL, "co_analytic"): lambda k: k * (k - 1) * (2 * k - 1) / 6.0,
+    (CONVEX, "analytic"): lambda k: k * (k + 1) / 2.0,
+    (CONVEX, "co_analytic"): lambda k: k * (k - 1) / 2.0,
+}
+
+
+def weight(tail, k):
+    """Evaluate the weight polynomial of `tail` at index k (scalar or array)."""
+    return WEIGHTS[tail](k)
+
+
+def tail_brute(tail, n: int, r: float, terms: int) -> float:
     """Truncated sum sum_{k=n+1..n+terms} w(k) r^(k-1).
 
     Summation uses math.fsum, so the result is the correctly rounded value
@@ -43,7 +75,7 @@ def tail_brute(cls: TailClass, n: int, r: float, terms: int) -> float:
     """
     ks = np.arange(n + 1, n + terms + 1, dtype=float)
     with np.errstate(under="ignore"):
-        summands = weight(cls, ks) * np.power(float(r), ks - 1.0)
+        summands = weight(tail, ks) * np.power(float(r), ks - 1.0)
     return math.fsum(summands)
 
 
@@ -74,16 +106,16 @@ def tail_cube(n: int, r):
 #   k(k+1)/2       = k^2/2 + k/2
 #   k(k-1)/2       = k^2/2 - k/2
 COMBINATION = {
-    TailClass.GENERAL_ANALYTIC: (1.0 / 6.0, 0.5, 1.0 / 3.0),
-    TailClass.GENERAL_CO_ANALYTIC: (1.0 / 6.0, -0.5, 1.0 / 3.0),
-    TailClass.CONVEX_ANALYTIC: (0.5, 0.5, 0.0),
-    TailClass.CONVEX_CO_ANALYTIC: (-0.5, 0.5, 0.0),
+    (GENERAL, "analytic"): (1.0 / 6.0, 0.5, 1.0 / 3.0),
+    (GENERAL, "co_analytic"): (1.0 / 6.0, -0.5, 1.0 / 3.0),
+    (CONVEX, "analytic"): (0.5, 0.5, 0.0),
+    (CONVEX, "co_analytic"): (-0.5, 0.5, 0.0),
 }
 
 
-def tail_combination(cls: TailClass, n: int, r):
+def tail_combination(tail, n: int, r):
     """The weighted tail as its mixed-sign combination of elementary tails."""
-    c1, c2, c3 = COMBINATION[cls]
+    c1, c2, c3 = COMBINATION[tail]
     out = c1 * tail_linear(n, r) + c2 * tail_square(n, r)
     if c3:
         out = out + c3 * tail_cube(n, r)
@@ -93,8 +125,8 @@ def tail_combination(cls: TailClass, n: int, r):
 def tail_general_pair_diag(n: int, r):
     """Combined analytic + co-analytic general tail at equal order n.
 
-    Closed form of tail_weighted(GENERAL_ANALYTIC, n, r)
-    + tail_weighted(GENERAL_CO_ANALYTIC, n, r), i.e. of
+    Closed form of the general analytic plus co-analytic tail at order n,
+    i.e. of
     sum_{k>n} k(2k^2+1)/3 r^(k-1):
 
         r^n [12 + 12(n-1)(1-r) + 3(2n^2-2n+1)(1-r)^2 + (2n^3+n)(1-r)^3]

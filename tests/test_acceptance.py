@@ -26,7 +26,14 @@ from fractions import Fraction
 import numpy as np
 
 import harmsect as hs
-from oracles import margin_convex_diag, margin_general_diag, tail_brute, weight
+from oracles import (
+    TAILS,
+    margin_convex_diag,
+    margin_general_diag,
+    record_tail,
+    tail_brute,
+    weight,
+)
 
 TABLE_GENERAL = {
     2: 0.108193,
@@ -238,22 +245,22 @@ def test_criterion_6_oracle_equivalence():
     rs = np.arange(1, 100) / 100.0
     worst_tail = 0.0
     ks = np.arange(1, n_max + terms + 1, dtype=float)
-    weights = [(cls, weight(cls, ks)) for cls in hs.TailClass]
+    weights = [(tail, weight(tail, ks)) for tail in TAILS]
     for r in rs:
         # the powers are the same for every weight, so they are formed once per r
         with np.errstate(under="ignore"):
             powers = np.power(r, ks - 1.0)
-        for cls, w in weights:
+        for tail, w in weights:
             arr = w * powers
             suffix = np.concatenate([np.cumsum(arr[::-1])[::-1], [0.0]])
             for n in range(1, n_max + 1):
                 brute = suffix[n] - suffix[n + terms]
-                closed = hs.tail_weighted(cls, n, float(r))
+                closed = record_tail(tail, n, float(r))
                 worst_tail = max(worst_tail, abs(closed - brute) / (1.0 + closed))
     # tie the fsum truncation oracle to the vectorized one
-    for cls in hs.TailClass:
-        direct = tail_brute(cls, 3, 0.9, terms)
-        closed = hs.tail_weighted(cls, 3, 0.9)
+    for tail in TAILS:
+        direct = tail_brute(tail, 3, 0.9, terms)
+        closed = record_tail(tail, 3, 0.9)
         assert abs(direct - closed) / (1.0 + closed) < 1e-10
 
     worst_diag = 0.0

@@ -339,6 +339,16 @@ class TestScan:
         assert code == 2
         assert "HS_GRID_SCALE" in err
 
+    @pytest.mark.parametrize("scale", [9, 10**6])
+    def test_grid_scale_above_the_cap_is_a_usage_error(self, capsys, monkeypatch, scale):
+        # the Jacobian grid grows with the square of the scale: at 10**6 it
+        # would have asked for 1.6e16 complex values before failing
+        monkeypatch.setenv("HS_GRID_SCALE", str(scale))
+        code, out, err = run(capsys, "scan", "--class", "general", "--n", "2", "--m", "2")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: HS_GRID_SCALE must lie in 1..8, got {scale}\n"
+
 
 class TestPlot:
     def test_psi_curve_marks_root(self, tmp_path, capsys):

@@ -27,7 +27,7 @@ from harmsect.radius import (
     distortion_floor,
     solve_radius,
 )
-from harmsect.tails import TailClass, tail_weighted
+from oracles import record_tail
 
 GENERAL = ExtremalCoefficients(FamilyClass.GENERAL)
 CONVEX = ExtremalCoefficients(FamilyClass.CONVEX)
@@ -320,8 +320,8 @@ class TestDividedDifferenceIdentity:
         mask = np.abs(np.exp(1j * eta_grid) - np.exp(1j * psi_grid)) > 1e-9
         dd = np.abs(divided_difference(p, r, eta_grid[mask], psi_grid[mask]))
         floor = distortion_floor(FamilyClass.GENERAL, r)
-        tails = tail_weighted(TailClass.GENERAL_ANALYTIC, 60, r) + tail_weighted(
-            TailClass.GENERAL_CO_ANALYTIC, 60, r
+        tails = record_tail((FamilyClass.GENERAL, "analytic"), 60, r) + record_tail(
+            (FamilyClass.GENERAL, "co_analytic"), 60, r
         )
         eps_tail = tails / floor
         assert dd.min() >= floor * (1.0 - eps_tail)
@@ -335,6 +335,13 @@ class TestProbeGrid:
             ProbeGrid(radius=1.0)
         with pytest.raises(ValueError):
             ProbeGrid(radius=0.0)
+        # a fractional count was accepted and failed later: radial_points=8.5
+        # as a TypeError in z_points, angular_points=8.5 as an IndexError in
+        # kernel_min_modulus
+        for name in ("radial_points", "angular_points", "t_points"):
+            for count in (8.5, 16.0, "16"):
+                with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+                    ProbeGrid(**{name: count})
 
     def test_z_points_exclude_origin(self):
         grid = ProbeGrid(radial_points=8, angular_points=8, t_points=8, radius=0.5)
@@ -349,6 +356,10 @@ class TestProbeGrid:
         assert grid.t_points == 256
         with pytest.raises(ValueError):
             ProbeGrid().scaled(0)
+        # scaled(1.5) once gave 12.0-point grids
+        for factor in (1.5, 2.0):
+            with pytest.raises(ValueError, match="^grid scale must be an integer"):
+                ProbeGrid().scaled(factor)
 
 
 class TestKernelScan:

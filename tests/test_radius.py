@@ -8,7 +8,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from harmsect import radius, tails
+from harmsect import radius
 from harmsect.radius import (
     FamilyClass,
     RadiusResult,
@@ -22,8 +22,7 @@ from harmsect.radius import (
     solve_radius,
     threshold_order,
 )
-from harmsect.tails import TailClass, tail_weighted
-from oracles import margin_convex_diag, margin_general_diag, tail_combination
+from oracles import margin_convex_diag, margin_general_diag, record_tail, tail_combination
 
 # printed six-decimal equal-order general radii (half-ulp tolerance 5e-7)
 TABLE_GENERAL = {
@@ -40,24 +39,20 @@ TABLE_GENERAL = {
 R_GRID = np.asarray([0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99])
 
 
-# Reference solver: the margin composed from the public floor and the public
-# weighted tails, with the solver's end checks and bisection of the fixed
-# bracket.  Every public call checks its own r.  With `tail=tail_combination`
-# it composes the mixed-sign combination of elementary tails instead.  The
-# tail classes and the first order of each family's asymptotic bound are
-# stated here again, not read from the library's family record.
-TAIL_CLASSES = {
-    FamilyClass.GENERAL: (TailClass.GENERAL_ANALYTIC, TailClass.GENERAL_CO_ANALYTIC),
-    FamilyClass.CONVEX: (TailClass.CONVEX_ANALYTIC, TailClass.CONVEX_CO_ANALYTIC),
-}
+# Reference solver: the margin composed from the public floor, which checks
+# r, and the tail core on each of the family's two rows, with the solver's
+# end checks and bisection of the fixed bracket.  With
+# `tail=tail_combination` it composes the mixed-sign combination of
+# elementary tails instead.  The first order of each family's asymptotic
+# bound is stated here again, not read from the library's family record.
 FIRST_BOUND_ORDER = {FamilyClass.GENERAL: 15, FamilyClass.CONVEX: 7}
 BRACKET = (2.0**-10, 1.0 - 2.0**-53)
 SCAN_GRID = np.arange(1, 1000) * 1e-3
 
 
-def reference_margin(family, n, m, r, tail=tail_weighted):
-    analytic, co_analytic = TAIL_CLASSES[family]
-    return distortion_floor(family, r) - tail(analytic, n, r) - tail(co_analytic, m, r)
+def reference_margin(family, n, m, r, tail=record_tail):
+    return (distortion_floor(family, r) - tail((family, "analytic"), n, r)
+            - tail((family, "co_analytic"), m, r))
 
 
 def bisect(margin, lo, hi):
@@ -73,7 +68,7 @@ def bisect(margin, lo, hi):
     return lo, hi, iterations
 
 
-def reference_solve(family, n, m, tail=tail_weighted):
+def reference_solve(family, n, m, tail=record_tail):
     def margin(r):
         return reference_margin(family, n, m, r, tail)
 
@@ -244,6 +239,7 @@ class TestMargins:
 
     def test_numpy_integer_orders_accepted(self):
         assert margin_general(np.int64(3), np.int32(4), 0.3) == margin_general(3, 4, 0.3)
+        assert margin_convex(np.uint8(3), np.int64(4), 0.3) == margin_convex(3, 4, 0.3)
 
     @pytest.mark.parametrize("fn", [margin_general, margin_convex])
     def test_numpy_integer_orders_do_not_wrap(self, fn):
@@ -262,11 +258,10 @@ class TestMargins:
 
 @pytest.fixture
 def r_checks(monkeypatch):
-    """Record every r domain check, at each place the checks are bound."""
+    """Record every r domain check; the margins' check is the only one."""
     calls = []
-    for module, name in ((radius, "_check_r_open"), (tails, "_check_r_halfopen")):
-        check = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda r, check=check: calls.append(r) or check(r))
+    check = radius._check_r_open
+    monkeypatch.setattr(radius, "_check_r_open", lambda r: calls.append(r) or check(r))
     return calls
 
 
