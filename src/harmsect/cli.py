@@ -211,6 +211,8 @@ def cmd_scan(args) -> int:
 def cmd_plot(args) -> int:
     if args.kind in ("psi-curve", "mu-curve"):
         family = FamilyClass.GENERAL if args.kind == "psi-curve" else FamilyClass.CONVEX
+        if args.target is not None and not math.isfinite(args.target):
+            raise ValueError(f"--target must be finite, got {args.target}")
         n = args.n
         result = solve_radius(family, n, n)
         lo, hi = curve_window(result.radius)

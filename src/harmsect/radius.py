@@ -35,10 +35,12 @@ forms that cross-check it live with the tests.
 
 Arguments are checked once, at the public entry: the public floor and
 each margin check their orders and r, then evaluate the unchecked cores
-(the record's floor, `tails.tail_weighted`) with the orders as Python
-ints.  So one margin evaluation makes one r check, and `solve_radius`,
-which calls the public margin through `margin_fn`, makes one per
-evaluation.
+(the record's floor, `tails.tail_weighted`).  So one margin evaluation
+makes one r check.  `_margin_at` does a section's setup once: it checks
+the orders and forms both tail rows as floats, and returns the unchecked
+margin in r, which every public margin call goes through.  `solve_radius`
+builds it once per solve and bisects it with no r check at all: every r
+it evaluates lies in the fixed bracket.
 """
 
 from __future__ import annotations
@@ -178,11 +180,27 @@ def distortion_floor(family: FamilyClass, r):
     return _FAMILIES[family].floor(_check_r_open(r))
 
 
-def _margin(family: FamilyClass, n: int, m: int, r):
+def _margin_at(family: FamilyClass, n: int, m: int) -> Callable:
+    """The unchecked margin r -> margin(n, m, r) of `family`, set up once.
+
+    The orders are checked and both tail rows formed here, as floats, so a
+    call evaluates the floor and two tails and nothing else; r must already
+    lie in (0, 1).  float(e) is the double nearest e, which is also what
+    float and numpy arithmetic make of the int e, so the float rows give
+    the same bits as the int rows.
+    """
     n, m = _check_orders(n, m)
-    r = _check_r_open(r)
     fam = _FAMILIES[family]
-    return fam.floor(r) - tail_weighted(fam.analytic, n, r) - tail_weighted(fam.co_analytic, m, r)
+    floor = fam.floor
+    a = tuple(map(float, fam.analytic(n)))
+    c = tuple(map(float, fam.co_analytic(m)))
+    # tail_weighted is read as a module global at each call, so a function
+    # bound in its place sees every tail evaluation
+    return lambda r: floor(r) - tail_weighted(a, n, r) - tail_weighted(c, m, r)
+
+
+def _margin(family: FamilyClass, n: int, m: int, r):
+    return _margin_at(family, n, m)(_check_r_open(r))
 
 
 def margin_general(n: int, m: int, r):
@@ -198,7 +216,8 @@ def margin_convex(n: int, m: int, r):
 def margin_fn(family: FamilyClass):
     """Margin function f(n, m, r) for the given family."""
     # the module globals, looked up per call, so a function bound in their
-    # place sees every margin call the solver and the thresholds make
+    # place sees every margin call `threshold_order` makes; `solve_radius`
+    # bisects its own evaluator (see _margin_at)
     return margin_general if family is FamilyClass.GENERAL else margin_convex
 
 
@@ -264,12 +283,11 @@ def solve_radius(family: FamilyClass, n: int, m: int) -> RadiusResult:
     may fail to dominate the asymptotic lower bound; that is reported as
     a warning.
     """
-    _check_orders(n, m)
-    f = margin_fn(family)
+    f = _margin_at(family, n, m)
     lo, hi = _BRACKET
-    if not f(n, m, lo) > 0.0:
+    if not f(lo) > 0.0:
         raise ValueError(f"the {family.value} margin (n={n}, m={m}) is not positive at r = {lo}")
-    if f(n, m, hi) > 0.0:
+    if f(hi) > 0.0:
         raise ValueError(
             f"the {family.value} margin (n={n}, m={m}) is still positive at r = 1 - 2**-53: "
             f"its root lies within one double of 1"
@@ -277,7 +295,7 @@ def solve_radius(family: FamilyClass, n: int, m: int) -> RadiusResult:
     iterations = 0
     while hi - lo > BRACKET_WIDTH:
         mid = 0.5 * (lo + hi)
-        if f(n, m, mid) > 0.0:
+        if f(mid) > 0.0:
             lo = mid
         else:
             hi = mid
@@ -297,7 +315,7 @@ def solve_radius(family: FamilyClass, n: int, m: int) -> RadiusResult:
         radius=radius,
         bracket_lo=lo,
         bracket_hi=hi,
-        residual=float(f(n, m, radius)),
+        residual=f(radius),
         iterations=iterations,
         lower_bound=bound,
     )

@@ -13,26 +13,26 @@ tail has one closed form
 whose d integer coefficients e_j(n) form the tail's row; the last entry
 e_{d-1}(n) is the weight w(n) itself.  The rows are written once, in the
 family record of `radius`, and are nonnegative for n >= 2.  One core,
-`tail_weighted`, evaluates every row.
+`tail_weighted`, evaluates every row, once it is formed at one order.
 
 `tail_weighted` checks no argument: its callers, the margins in `radius`,
-have already checked r and passed the orders on as Python ints, whose
-products do not wrap, below 2**341, where the general rows' n**3 would
-leave the double range.
+have already checked r and formed each row from the orders as Python
+ints, whose products do not wrap, below 2**341, where the general rows'
+n**3 would leave the double range.
 """
 
 from __future__ import annotations
 
 
-def tail_weighted(row, n: int, r):
-    """sum_{k=n+1..inf} w(k) r^(k-1) for the weight whose closed form has `row`.
+def tail_weighted(coefficients, n: int, r):
+    """sum_{k=n+1..inf} w(k) r^(k-1) for the weight whose row at n is `coefficients`.
 
-    `row` maps an order n to the integer coefficients (e_0(n), ...,
-    e_{d-1}(n)).  Unchecked: n must be a Python int from 1 below 2**341
-    and r a float or array in [0, 1).  At r = 0 the tail is exactly 0.
+    `coefficients` is the formed row (e_0(n), ..., e_{d-1}(n)), as ints or
+    as the floats nearest them; both give the same bits.  Unchecked: n
+    must be a Python int from 1 below 2**341 and r a float or array in
+    [0, 1).  At r = 0 the tail is exactly 0.
     """
     s = 1.0 - r
-    coefficients = row(n)
     num = 0.0
     for e in reversed(coefficients):
         num = num * s + e

@@ -48,8 +48,8 @@ def record_row(tail):
 
 
 def record_tail(tail, n: int, r):
-    """The library's tail of `tail`: the tail core on the record's row."""
-    return tail_weighted(record_row(tail), n, r)
+    """The library's tail of `tail`: the tail core on the record's row at n."""
+    return tail_weighted(record_row(tail)(n), n, r)
 
 
 WEIGHTS = {

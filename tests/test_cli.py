@@ -410,6 +410,18 @@ class TestPlot:
         assert out == ""
         assert err == "error: section orders must lie in 1..1000, got (10000000000, 2)\n"
 
+    @pytest.mark.parametrize("kind", ["psi-curve", "mu-curve"])
+    @pytest.mark.parametrize("target", ["nan", "inf", "-inf"])
+    def test_non_finite_target_is_a_usage_error(self, capsys, tmp_path, kind, target):
+        # a non-finite target once wrote x1="nan" and vline=nan into the plot
+        svg = tmp_path / "x.svg"
+        code, out, err = run(capsys, "plot", kind, "--n", "7", f"--target={target}",
+                             "--out", str(svg))
+        assert not svg.exists()
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --target must be finite, got {float(target)}\n"
+
     def test_bad_radius(self, capsys, tmp_path):
         code, _, _ = run(
             capsys, "plot", "boundary-image", "--r", "1.5",

@@ -22,7 +22,16 @@ from harmsect.radius import (
     solve_radius,
     threshold_order,
 )
-from oracles import margin_convex_diag, margin_general_diag, record_tail, tail_combination
+from harmsect.tails import tail_weighted
+from oracles import (
+    TAILS,
+    margin_convex_diag,
+    margin_general_diag,
+    record_row,
+    record_tail,
+    tail_combination,
+    tail_id,
+)
 
 # printed six-decimal equal-order general radii (half-ulp tolerance 5e-7)
 TABLE_GENERAL = {
@@ -274,15 +283,21 @@ class TestOneCheckPerCall:
 
     @pytest.mark.parametrize("family", list(FamilyClass))
     def test_solver_checks_r_at_most_once_per_evaluation(self, monkeypatch, r_checks, family):
-        evaluations = []
-        name = margin_fn(family).__name__
-        margin = getattr(radius, name)
-        monkeypatch.setattr(
-            radius, name, lambda n, m, r: evaluations.append(r) or margin(n, m, r)
-        )
+        # one evaluator per solve, its rows formed once, and no r check at
+        # all: every r the solver evaluates lies in the fixed bracket
+        sections, evaluations = [], []
+        build = radius._margin_at
+
+        def spy(*section):
+            sections.append(section)
+            f = build(*section)
+            return lambda r: evaluations.append(r) or f(r)
+
+        monkeypatch.setattr(radius, "_margin_at", spy)
         solve_radius(family, 40, 60)
+        assert sections == [(family, 40, 60)]
         assert len(evaluations) == 43  # the two bracket ends, 40 bisection steps, the residual
-        assert len(r_checks) <= len(evaluations)
+        assert r_checks == []
         # one evaluation form for every sign: an array r takes numpy's SIMD
         # power, whose last bits can differ from the scalar form's
         assert all(type(r) is float for r in evaluations)
@@ -325,10 +340,78 @@ class TestReferenceEquivalence:
             assert abs(result.radius - scan_solve(family, n, m)) <= 1e-12, (n, m)
 
     @pytest.mark.parametrize("family", list(FamilyClass))
-    @pytest.mark.parametrize("n,m", [(2, 2), (3, 9), (50, 50), (287, 287), (1000, 40)])
+    @pytest.mark.parametrize("n,m", [(2, 2), (3, 9), (50, 50), (287, 287), (1000, 40),
+                                     (10**17, 2), (2**200 - 1, 3), (2**340, 2**340)])
     def test_margin_on_scan_grid(self, family, n, m):
         assert np.array_equal(margin_fn(family)(n, m, SCAN_GRID),
                               reference_margin(family, n, m, SCAN_GRID))
+
+
+def public_solve(family, n, m):
+    """The solver's earlier form: the public margin, which checks r, at every r."""
+    f = margin_fn(family)
+
+    def margin(r):
+        return f(n, m, r)
+
+    assert margin(BRACKET[0]) > 0.0 >= margin(BRACKET[1]), (n, m)
+    lo, hi, iterations = bisect(margin, *BRACKET)
+    root = 0.5 * (lo + hi)
+    return root, lo, hi, float(margin(root)), iterations
+
+
+def int_row_tail(row, n, r):
+    """The tail core's earlier body: the row formed at n as ints inside the Horner loop."""
+    s = 1.0 - r
+    coefficients = row(n)
+    num = 0.0
+    for e in reversed(coefficients):
+        num = num * s + e
+    return r**n * num / s ** len(coefficients)
+
+
+# orders from 1 to 2**340, below the 2**341 cap: past int64 and past 2**53,
+# from which doubles no longer hold every integer
+ORDER_LADDER = [1, 2, 3, 7, 287, 10**4, 2**31 + 1, 2**53 + 1, 10**17, 3 * 10**18 + 7,
+                2**100 + 1, 2**200 - 1, 2**300 + 3, 2**340]
+
+
+class TestBitIdentity:
+    """The once-formed evaluator gives the same bits as the public margin
+    at every r, and the float rows the same bits as the int rows."""
+
+    @staticmethod
+    def assert_same_solve(family, n, m):
+        with warnings.catch_warnings():
+            # the lower-bound warning fires from about n = 1e13 on
+            warnings.simplefilter("ignore", UserWarning)
+            res = solve_radius(family, n, m)
+            ref = public_solve(family, n, m)
+        got = (res.radius, res.bracket_lo, res.bracket_hi, res.residual)
+        assert [x.hex() for x in got] == [x.hex() for x in ref[:4]], (n, m)
+        assert type(res.residual) is float
+        assert res.iterations == ref[4], (n, m)
+
+    @pytest.mark.parametrize("family", list(FamilyClass))
+    def test_solver_equals_the_public_margin_bisection(self, family):
+        rng = np.random.default_rng(20261019 if family is FamilyClass.GENERAL else 20261020)
+        pairs = [tuple(int(v) for v in np.exp(rng.uniform(math.log(2), math.log(1e17), 2)))
+                 for _ in range(90)]
+        pairs += [(n, n) for n in range(2, 301)]
+        pairs += [(n, n) for n in (10**5, 10**12, 10**18)] + [(3 * 10**18, 2)]
+        for n, m in pairs:
+            self.assert_same_solve(family, n, m)
+
+    @pytest.mark.parametrize("tail", TAILS, ids=tail_id)
+    def test_float_row_equals_int_row(self, tail):
+        row = record_row(tail)
+        rs = [2.0**-10, *map(float, R_GRID), 0.999, 1.0 - 2.0**-53]
+        for n in ORDER_LADDER:
+            formed = tuple(map(float, row(n)))
+            for r in rs:
+                assert tail_weighted(formed, n, r).hex() == int_row_tail(row, n, r).hex(), (n, r)
+            assert np.array_equal(tail_weighted(formed, n, SCAN_GRID),
+                                  int_row_tail(row, n, SCAN_GRID)), n
 
 
 def margin_convex_poly(n: int, r):
