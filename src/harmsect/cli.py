@@ -149,9 +149,9 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(rep.passed for rep in reports) else EXIT_CLAIM_FAILED
 
 
-# at scale 8 the Jacobian grid has 512 x 2048 = 1 048 576 points, 16 MB of
-# complex values, the size the section-order cap allows the kernel table;
-# the grid grows with the square of the scale
+# both passes run on the circle, whose 4 x 256 angles grow with the scale:
+# at 8 the kernel's e^(ik theta) table at the largest section order holds
+# 1000 x 8192 complex values, 131 MB
 _MAX_GRID_SCALE = 8
 
 
@@ -197,8 +197,8 @@ def cmd_scan(args) -> int:
     text = [
         f"family={family.value} n={args.n} m={args.m} model={row['model']}",
         f"certified radius = {certified:.9f}",
-        f"empirical radius = {scan.radius:.4f} (grid "
-        f"{grid.radial_points}x{grid.angular_points}x{grid.t_points}, one-sided)",
+        f"empirical radius = {scan.radius:.4f} (circle "
+        f"{4 * grid.angular_points}x{grid.t_points}, one-sided)",
         f"binding predicate = {row['binding']}",
         f"kernel minimum at empirical radius = {scan.witness.min_modulus:.6g} at "
         f"z={scan.witness.argmin_z:.6f}, t={scan.witness.argmin_t:.6f}",

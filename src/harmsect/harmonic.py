@@ -23,11 +23,17 @@ b = 0 every zero counts +1 and winding 1 proves the disk free of further
 zeros at that t, but for b != 0 a sense-preserving and a sense-reversing
 zero can cancel, and a count of 1 proves nothing.
 
-The empirical radius conjoins the kernel's winding test on the circle
-with Jacobian positivity on a disk grid and records which predicate failed
-first.  The Jacobian is checked first at each radius, and the kernel pass
-runs only where it passes; the witness is the kernel pass at the last
-radius that passed both.
+The empirical radius conjoins the kernel's winding test with Jacobian
+positivity, both on the circle, and records which predicate failed first.
+J = |h'|^2 - |g'|^2 is positive on the closed disk |z| <= r exactly when
+h' has no zero there and |g'| < |h'| on |z| = r: where h' has no zero,
+g'/h' is analytic and the maximum principle carries |g'/h'| < 1 inside
+(Duren, Harmonic Mappings in the Plane, 2004, section 2.2).  The zeros of
+h' are counted by its winding number on the circle, guarded like the
+kernel's, so no interior critical point can slip between samples.  The
+Jacobian is checked first at each radius, and the kernel pass runs only
+where it passes; the witness is the kernel pass at the last radius that
+passed both.
 """
 
 from __future__ import annotations
@@ -169,10 +175,14 @@ def evaluate(p: HarmonicPolynomial, z):
     return z * h + np.conj(z * g)
 
 
+def _derivatives(p: HarmonicPolynomial) -> tuple:
+    """The coefficients k a_k and k b_k of h'(z) and g'(z), in powers z^(k-1)."""
+    return np.arange(1, p.a.size + 1) * p.a, np.arange(1, p.b.size + 1) * p.b
+
+
 def jacobian(p: HarmonicPolynomial, z):
     """|h'(z)|^2 - |g'(z)|^2; positive where f is sense-preserving."""
-    hp, gp = _horner((np.arange(1, p.a.size + 1) * p.a, np.arange(1, p.b.size + 1) * p.b),
-                     _as_points(z))
+    hp, gp = _horner(_derivatives(p), _as_points(z))
     return abs(hp) ** 2 - abs(gp) ** 2
 
 
@@ -220,11 +230,12 @@ def divided_difference(p: HarmonicPolynomial, r: float, eta: float, psi: float):
 class ProbeGrid:
     """Resolution of a kernel/Jacobian scan at one radius.
 
-    The Jacobian is sampled on radial_points concentric circles of
-    angular_points each (z_points).  The kernel is evaluated only on the
-    outer circle |z| = radius, at 4 * angular_points angles or more, for
-    each of the t_points values of t, so radial_points sizes only the
-    Jacobian pass.
+    Both passes run on the circle |z| = radius only, at 4 * angular_points
+    angles or more: the Jacobian once, the kernel for each of the t_points
+    values of t.  No scan reads radial_points any more; the field is
+    still validated and scaled, because the benchmark's point counts
+    read it, and it goes when those counts are brought in line with the
+    circle passes.
     """
 
     radial_points: int = 64
@@ -243,11 +254,6 @@ class ProbeGrid:
                 raise ValueError(f"{name} must be >= 8, got {count}")
         if not 0.0 < self.radius < 1.0:
             raise ValueError(f"radius must lie in (0, 1), got {self.radius}")
-
-    def z_points(self) -> np.ndarray:
-        radii = np.linspace(self.radius / self.radial_points, self.radius, self.radial_points)
-        angles = 2.0 * np.pi * np.arange(self.angular_points) / self.angular_points
-        return (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
 
     def t_values(self) -> np.ndarray:
         return np.linspace(0.0, math.pi / 2.0, self.t_points)
@@ -286,6 +292,21 @@ class KernelScan:
     winding: int = 1
 
 
+def _windings(vals: np.ndarray) -> tuple:
+    """Winding numbers around 0 of the closed curves in the rows of vals.
+
+    Each row samples a curve at equally spaced angles.  A row's count is
+    the sum of its wrapped arg steps, the args of vals[j+1] conj(vals[j])
+    (the last step wraps to the first sample), over 2 pi, and it is
+    guarded when every step stays below pi/2 in modulus.  Returns the
+    per-row guard flags and the rounded counts.
+    """
+    steps = np.roll(vals, -1, axis=-1)
+    steps *= vals.conj()
+    guarded = (steps.real > 0.0).all(axis=-1)  # every |step| < pi/2
+    return guarded, np.rint(np.angle(steps).sum(axis=-1) / (2.0 * np.pi))
+
+
 def _ratio_table(ks: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """sin(k t)/sin(t) with k down the rows and t across; k exactly where sin t = 0."""
     sin_t = np.sin(ts)
@@ -306,9 +327,8 @@ def kernel_min_modulus(p: HarmonicPolynomial, grid: ProbeGrid) -> KernelScan:
     to 64 * grid.angular_points, and a t still unguarded there counts as
     winding 0.  By the argument principle a winding other than 1 means a
     zero of K(., t) in the open disk besides z = 0; winding 1 rules such a
-    zero out only for b = 0 (see KernelScan).  The radial points of the
-    grid play no part here.  The reduction is over fixed grids, so the
-    result does not depend on evaluation order.
+    zero out only for b = 0 (see KernelScan).  The reduction is over fixed
+    grids, so the result does not depend on evaluation order.
     """
     # unlike kernel, no Horner pass per t: on the circle the terms
     # a_k r^k e^(ik theta) are shared by every t, and one matrix product
@@ -339,12 +359,8 @@ def kernel_min_modulus(p: HarmonicPolynomial, grid: ProbeGrid) -> KernelScan:
                 best = float(mod.flat[flat])
                 best_z = complex(grid.radius * np.exp(1j * thetas[flat % n_theta]))
                 best_t = float(ts[block[flat // n_theta]])
-            # K(theta_{j+1}) conj K(theta_j), wrapping at 2 pi: its arg is the step
-            steps = np.roll(vals, -1, axis=1)
-            steps *= vals.conj()
-            guarded = (steps.real > 0.0).all(axis=1)  # every |step| < pi/2
-            turns = np.angle(steps).sum(axis=1) / (2.0 * np.pi)
-            windings[block[guarded]] = np.rint(turns[guarded])
+            guarded, turns = _windings(vals)
+            windings[block[guarded]] = turns[guarded]
             unguarded.append(block[~guarded])
         rows = np.concatenate(unguarded)
         n_theta *= 2
@@ -354,23 +370,44 @@ def kernel_min_modulus(p: HarmonicPolynomial, grid: ProbeGrid) -> KernelScan:
 
 
 def _jacobian_min(p: HarmonicPolynomial, grid: ProbeGrid) -> float:
-    return float(np.min(jacobian(p, grid.z_points())))
+    """min |h'|^2 - |g'|^2 on the circle |z| = grid.radius, or at most 0.
+
+    The minimum is taken at 4 * grid.angular_points equally spaced angles,
+    where the winding number of h' around 0 is counted as in
+    kernel_min_modulus: a count whose arg steps are not all below pi/2 is
+    made again at twice the angles, up to 64 * grid.angular_points.  A
+    guarded count of 0 means h' has no zero in the disk, and the minimum
+    on the circle then decides the sign on the closed disk (maximum
+    principle, see the module docstring).  Any other count means h' has a
+    zero z0 inside, where J = -|g'(z0)|^2 <= 0, and a count still
+    unguarded fails alike: either way the result is min(minimum, 0.0).
+    """
+    n_theta = 4 * grid.angular_points
+    while True:
+        thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
+        hp, gp = _horner(_derivatives(p), grid.radius * np.exp(1j * thetas))
+        least = float(np.min(abs(hp) ** 2 - abs(gp) ** 2))
+        guarded, turns = _windings(hp)
+        if guarded or n_theta >= 64 * grid.angular_points:
+            return least if guarded and turns == 0 else min(least, 0.0)
+        n_theta *= 2
 
 
 @dataclass(frozen=True)
 class EmpiricalScan:
     """Largest radius passing both predicates, with the failure context.
 
-    The predicates at radius r are Jacobian positivity on the disk grid
-    and, for the kernel, winding number 1 with |K| > 0 on the circle
-    |z| = r at every t (see kernel_min_modulus).  `binding` names the
-    predicate that failed just above the returned radius ("jacobian" wins
-    when both fail, since sense-preservation loss already implies a kernel
-    zero at t = 0, and the kernel is then not evaluated); None when nothing
-    failed below the unit disk.  `witness` is the kernel on the circle at
-    the returned radius, taken from the last bisection step that passed (or
-    from a pass at radius 1e-6 when none did), and `min_jacobian` is the
-    Jacobian minimum of that same pass.  A kernel failure is a counted
+    The predicates at radius r are Jacobian positivity on the closed disk
+    |z| <= r, decided on the circle |z| = r (see _jacobian_min), and, for
+    the kernel, winding number 1 with |K| > 0 on that circle at every t
+    (see kernel_min_modulus).  `binding` names the predicate that failed
+    just above the returned radius ("jacobian" wins when both fail, since
+    sense-preservation loss already implies a kernel zero at t = 0, and the
+    kernel is then not evaluated); None when nothing failed below the unit
+    disk.  `witness` is the kernel on the circle at the returned radius,
+    taken from the last bisection step that passed (or from a pass at
+    radius 1e-6 when none did), and `min_jacobian` is the Jacobian minimum
+    on the circle of that same pass.  A kernel failure is a counted
     violation, so for b = 0 the radius estimates the univalence radius from
     above, to the bisection width; for b != 0 sense-reversing zeros can
     cancel in the count, and the evidence is one-sided.
@@ -385,11 +422,12 @@ class EmpiricalScan:
 def empirical_scan(p: HarmonicPolynomial, grid: ProbeGrid) -> EmpiricalScan:
     """Binary search for the largest grid-clean radius, to 1e-3.
 
-    The predicate at radius r is [min Jacobian > 0 over the disk grid, and
-    min |kernel| > 0 with winding number 1 on the circle |z| = r], with the
-    grid rescaled to r.  The Jacobian is evaluated first, and the kernel
-    pass runs only at radii where it is positive, so a step whose Jacobian
-    fails costs no kernel evaluation.  Semantics are "no violation found at
+    The predicate at radius r is [J > 0 on the closed disk, which holds
+    when h' winds 0 times and J > 0 on the circle |z| = r, and min |kernel|
+    > 0 with winding number 1 on that circle], with the grid rescaled to
+    r.  The Jacobian is evaluated first, and the kernel pass runs only at
+    radii where it is positive, so a step whose Jacobian fails costs no
+    kernel evaluation.  Semantics are "no violation found at
     this resolution": the result is an upper-style estimate that must
     dominate the certified radius, never a certificate.
     """

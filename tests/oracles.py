@@ -14,6 +14,9 @@ A tail is named by its (family, part) pair, the part "analytic" or
 "co_analytic".  `record_row` and `record_tail` read the library's own row
 and tail of such a pair, for the tests that compare them with the forms
 here.
+
+`disk_jacobian_min` samples the Jacobian on a disk grid, the way the
+empirical scan once did, as the oracle for the scan's circle test.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import math
 
 import numpy as np
 
+from harmsect.harmonic import jacobian
 from harmsect.radius import _FAMILIES, FamilyClass
 from harmsect.tails import tail_weighted
 
@@ -152,3 +156,16 @@ def margin_convex_diag(n: int, r):
     s = 1.0 - r
     tail = r**n * (2.0 + (2 * n - 1) * s + n**2 * s**2) / s**3
     return s / (1.0 + r) ** 3 - tail
+
+
+def disk_points(grid):
+    """grid.radial_points concentric circles of grid.angular_points points
+    each, from radius/radial_points out to the circle |z| = grid.radius."""
+    radii = np.linspace(grid.radius / grid.radial_points, grid.radius, grid.radial_points)
+    angles = 2.0 * np.pi * np.arange(grid.angular_points) / grid.angular_points
+    return (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
+
+
+def disk_jacobian_min(p, grid) -> float:
+    """The smallest Jacobian |h'|^2 - |g'|^2 sampled at disk_points(grid)."""
+    return float(np.min(jacobian(p, disk_points(grid))))

@@ -311,6 +311,14 @@ class TestScan:
             '"witness_t": 0.0, "min_jacobian": 0.001312255859375}\n'
         )
 
+    @pytest.mark.parametrize("scale,circle", [("1", "1024x128"), ("2", "2048x256")])
+    def test_text_names_the_circle_sampled(self, capsys, monkeypatch, scale, circle):
+        # both passes run on the circle: 4 x angular angles for each of the t values
+        monkeypatch.setenv("HS_GRID_SCALE", scale)
+        code, out, _ = run(capsys, "scan", "--class", "general", "--n", "2", "--m", "2")
+        assert code == 0
+        assert out.splitlines()[2] == f"empirical radius = 0.1660 (circle {circle}, one-sided)"
+
     def test_identity_override(self, capsys):
         code, out, _ = run(
             capsys, "scan", "--class", "general", "--n", "2", "--m", "2",
@@ -341,8 +349,8 @@ class TestScan:
 
     @pytest.mark.parametrize("scale", [9, 10**6])
     def test_grid_scale_above_the_cap_is_a_usage_error(self, capsys, monkeypatch, scale):
-        # the Jacobian grid grows with the square of the scale: at 10**6 it
-        # would have asked for 1.6e16 complex values before failing
+        # the circle passes grow with the scale: at 10**6 the Jacobian pass
+        # alone would have asked for 1.0e9 complex values before failing
         monkeypatch.setenv("HS_GRID_SCALE", str(scale))
         code, out, err = run(capsys, "scan", "--class", "general", "--n", "2", "--m", "2")
         assert code == 2

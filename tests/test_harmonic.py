@@ -27,7 +27,7 @@ from harmsect.radius import (
     distortion_floor,
     solve_radius,
 )
-from oracles import record_tail
+from oracles import disk_jacobian_min, disk_points, record_tail
 
 GENERAL = ExtremalCoefficients(FamilyClass.GENERAL)
 CONVEX = ExtremalCoefficients(FamilyClass.CONVEX)
@@ -41,12 +41,17 @@ def exponential_section(lam, degree=30):
     return HarmonicPolynomial(a=a, b=[0.0])
 
 
-def zero_between_the_samples():
-    """f(z) = z - z^2/(2w), whose K(z, 0) = z (1 - z/w) vanishes at w: just
-    outside the circle |z| = 1/2, and midway between two of its samples at
-    every angle count up to 64 x 1024, so each count there has a step near pi."""
-    w = 0.5 * (1.0 + 1e-9) * cmath.exp(1j * math.pi / 16384)
+def critical_point_at(w):
+    """f(z) = z - z^2/(2w): h' = 1 - z/w and J = |1 - z/w|^2 vanish only at
+    w, and K(z, 0) = z h'(z), so f is locally univalent exactly in |z| < |w|."""
     return HarmonicPolynomial(a=[1.0, -0.5 / w], b=[0.0])
+
+
+def zero_between_the_samples():
+    """critical_point_at(w) with w just outside the circle |z| = 1/2, and
+    midway between two of its samples at every angle count up to 64 x 1024,
+    so each count there has a step near pi."""
+    return critical_point_at(0.5 * (1.0 + 1e-9) * cmath.exp(1j * math.pi / 16384))
 
 
 def sin_ratio(ks, t):
@@ -191,7 +196,8 @@ class TestJacobian:
         certified = solve_radius(family, n, n).radius
         p = section(ExtremalCoefficients(family), n, n)
         grid = ProbeGrid(radius=0.95 * certified)
-        assert np.all(jacobian(p, grid.z_points()) > 0)
+        assert disk_jacobian_min(p, grid) > 0
+        assert harmonic._jacobian_min(p, grid) > 0
 
 
 class TestKernel:
@@ -336,18 +342,12 @@ class TestProbeGrid:
         with pytest.raises(ValueError):
             ProbeGrid(radius=0.0)
         # a fractional count was accepted and failed later: radial_points=8.5
-        # as a TypeError in z_points, angular_points=8.5 as an IndexError in
-        # kernel_min_modulus
+        # as a TypeError in the disk grid, angular_points=8.5 as an IndexError
+        # in kernel_min_modulus
         for name in ("radial_points", "angular_points", "t_points"):
             for count in (8.5, 16.0, "16"):
                 with pytest.raises(ValueError, match=f"^{name} must be an integer"):
                     ProbeGrid(**{name: count})
-
-    def test_z_points_exclude_origin(self):
-        grid = ProbeGrid(radial_points=8, angular_points=8, t_points=8, radius=0.5)
-        zs = grid.z_points()
-        assert zs.size == 64
-        assert np.min(np.abs(zs)) > 0
 
     def test_scaled(self):
         grid = ProbeGrid().scaled(2)
@@ -511,10 +511,11 @@ class TestEmpiricalRadius:
 
     def test_guard_failure_fails_the_step(self):
         # the first bisection step, r = 1/2, cannot guard its count (see
-        # TestKernelScan::test_guard_failure_counts_zero), although min |K| > 0
-        # and the Jacobian passes there, so the radius stays below 1/2
+        # TestKernelScan::test_guard_failure_counts_zero), so the radius stays
+        # below 1/2.  With b = 0, K(z, 0) = z h'(z), so the Jacobian pass meets
+        # the same unguarded count in h' first, and it binds
         scan = empirical_scan(zero_between_the_samples(), ProbeGrid())
-        assert scan.binding == "kernel"
+        assert scan.binding == "jacobian"
         assert scan.radius == 0.5 - 2.0**-10
         assert scan.witness.winding == 1
 
@@ -523,6 +524,71 @@ class TestEmpiricalRadius:
 
         p = section(CONVEX, 5, 5)
         assert empirical_scan(p, ProbeGrid()).radius >= close_to_convex_radius(5) - 1e-3
+
+
+class TestJacobianOnTheCircle:
+    def test_disk_points_exclude_origin(self):
+        grid = ProbeGrid(radial_points=8, angular_points=8, t_points=8, radius=0.5)
+        zs = disk_points(grid)
+        assert zs.size == 64
+        assert np.min(np.abs(zs)) > 0
+
+    def test_a_critical_point_between_the_disk_samples_binds(self):
+        # J vanishes only at z = rho, which lies on none of the disk grid's
+        # 64 circles: the disk grid passes r just above rho, where only the
+        # winding of h' fails it
+        rho = 0.6123
+        p = critical_point_at(rho)
+        scan = empirical_scan(p, ProbeGrid())
+        assert scan.binding == "jacobian"
+        assert scan.radius <= rho
+        assert scan.radius == 0.611328125
+        above = ProbeGrid(radius=0.6123046875)
+        assert disk_jacobian_min(p, above) > 0.0
+        assert harmonic._jacobian_min(p, above) <= 0.0
+
+    def test_convex_three_binds_below_the_disk_grid(self):
+        # at r = 0.326171875 the disk grid's 256 angles call J clean, but J < 0
+        # on the circle between them (about -2.05e-5 at 200 001 angles)
+        p = section(CONVEX, 3, 3)
+        at = ProbeGrid(radius=0.326171875)
+        assert disk_jacobian_min(p, at) > 0.0
+        assert harmonic._jacobian_min(p, at) <= 0.0
+        scan = empirical_scan(p, ProbeGrid())
+        assert scan.radius == 0.3251953125
+        assert scan.binding == "jacobian"
+
+    def test_the_winding_of_h_prime_catches_what_the_circle_misses(self):
+        # general (2, 2): J = |1 + 5z|^2 - |z|^2 >= 2 on |z| = 1/2, but h'
+        # vanishes at -1/5 inside, where J = -1/25
+        p = section(GENERAL, 2, 2)
+        zs = 0.5 * np.exp(2j * np.pi * np.arange(4096) / 4096)
+        assert jacobian(p, zs).min() > 1.99
+        assert harmonic._jacobian_min(p, ProbeGrid(radius=0.5)) <= 0.0
+
+    def test_unguarded_count_fails(self):
+        # h' = 1 - z/w vanishes 2.5e-10 outside |z| = 1/2, and no refinement
+        # brings the arg step next to it below pi/2, although J > 0 there
+        p = zero_between_the_samples()
+        assert disk_jacobian_min(p, ProbeGrid(radius=0.5)) > 0.0
+        assert harmonic._jacobian_min(p, ProbeGrid(radius=0.5)) == 0.0
+        assert harmonic._jacobian_min(p, ProbeGrid(radius=0.499)) > 0.0
+
+    def test_dense_disk_grid_finds_no_failure_the_circle_passes(self):
+        # wherever a 128 x 512 disk grid samples J <= 0, the circle test fails
+        rng = np.random.default_rng(8)
+        cases = [section(GENERAL, n, n) for n in (2, 5, 10)]
+        cases += [section(CONVEX, n, n) for n in (5, 10, 17)]
+        cases += [random_polynomial(rng, n=10, m=10) for _ in range(12)]
+        seen = {True: 0, False: 0}
+        for p in cases:
+            for r in np.linspace(0.1, 0.9, 9):
+                dense = ProbeGrid(radial_points=128, angular_points=512, radius=float(r))
+                disk_fails = disk_jacobian_min(p, dense) <= 0.0
+                if disk_fails:
+                    assert harmonic._jacobian_min(p, ProbeGrid(radius=float(r))) <= 0.0, (p, r)
+                seen[disk_fails] += 1
+        assert seen[True] >= 50 and seen[False] >= 30
 
 
 def reference_scan(p, grid):
