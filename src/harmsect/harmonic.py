@@ -34,14 +34,26 @@ kernel's, so no interior critical point can slip between samples.  The
 Jacobian is checked first at each radius, and the kernel pass runs only
 where it passes; the witness is the kernel pass at the last radius that
 passed both.
+
+The pointwise functions (evaluate, jacobian, kernel, divided_difference)
+take one point or an array of points.  One point, a Python or numpy
+number, runs on Python numbers and returns a Python complex (a float for
+jacobian); an array runs on numpy arrays and returns an array.  The scalar
+form makes no numpy temporary: a handful of coefficients costs more to
+put into arrays than to evaluate.  The two forms make the same operations
+in the same order, but numpy's vectorized complex product and modulus can
+round differently from Python's complex arithmetic (about half of all
+calls differ in the last bit with numpy 2.4 on AVX-512 hardware), so one
+point and a one-element array agree to rounding, not bit for bit.
 """
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,15 +70,23 @@ class HarmonicPolynomial:
     """Coefficients a_1..a_n of the analytic part and b_1..b_m of the co-analytic.
 
     Normalized so that a_1 = 1 and b_1 = 0; evaluation is
-    f(z) = sum a_k z^k + conj(sum b_k z^k).
+    f(z) = sum a_k z^k + conj(sum b_k z^k).  The coefficients k a_k and
+    k b_k of h' and g', in powers z^(k-1), are formed once, here.
     """
 
     a: np.ndarray
     b: np.ndarray
+    _da: np.ndarray = field(init=False, repr=False, compare=False)
+    _db: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         a = np.atleast_1d(np.asarray(self.a, dtype=complex))
         b = np.atleast_1d(np.asarray(self.b, dtype=complex))
+        for name, part in (("a", a), ("b", b)):
+            if part.ndim != 1:
+                raise ValueError(
+                    f"part {name} needs one-dimensional coefficients, got shape {part.shape}"
+                )
         if a.size < 1 or b.size < 1:
             raise ValueError("need at least one coefficient in each part")
         for name, part in (("a", a), ("b", b)):
@@ -82,6 +102,8 @@ class HarmonicPolynomial:
             raise ValueError(f"normalization requires b_1 = 0, got {b[0]}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+        object.__setattr__(self, "_da", np.arange(1, a.size + 1) * a)
+        object.__setattr__(self, "_db", np.arange(1, b.size + 1) * b)
 
     @property
     def degree(self) -> int:
@@ -151,38 +173,45 @@ def section(source, n: int, m: int) -> HarmonicPolynomial:
 def _horner(coeffs, z) -> list:
     """[sum_k c_k z^(k-1) for c in coeffs] by Horner's rule, one value per part.
 
-    A Python complex z runs on Python complex numbers, which is several
-    times faster than numpy scalars; an array z runs elementwise on arrays.
+    Each part is an array or a list of coefficients.  A Python complex z
+    runs on Python complex numbers, an array part first turned into a
+    list, which is several times faster than numpy scalars; an array z
+    runs elementwise on arrays (see the module docstring for the split).
     """
     scalar = isinstance(z, complex)
     values = []
     for part in coeffs:
         acc = 0.0
-        for c in (part.tolist() if scalar else part)[::-1]:
+        for c in (part.tolist() if scalar and isinstance(part, np.ndarray) else part)[::-1]:
             acc = acc * z + c
         values.append(acc)
     return values
 
 
+# the scalar types taken as one point; numpy's float64 and complex128
+# subclass float and complex, and np.generic holds the other numpy scalars
+_SCALARS = (complex, float, int, np.generic)
+
+
 def _as_points(z):
-    return complex(z) if np.isscalar(z) else np.asarray(z, dtype=complex)
+    return complex(z) if isinstance(z, _SCALARS) else np.asarray(z, dtype=complex)
+
+
+def _all(mask) -> bool:
+    # a comparison of Python numbers is already a bool; an array is reduced
+    return mask if isinstance(mask, bool) else bool(mask.all())
 
 
 def evaluate(p: HarmonicPolynomial, z):
     """f(z) = h(z) + conj(g(z)) by Horner evaluation of both parts."""
     z = _as_points(z)
     h, g = _horner((p.a, p.b), z)
-    return z * h + np.conj(z * g)
-
-
-def _derivatives(p: HarmonicPolynomial) -> tuple:
-    """The coefficients k a_k and k b_k of h'(z) and g'(z), in powers z^(k-1)."""
-    return np.arange(1, p.a.size + 1) * p.a, np.arange(1, p.b.size + 1) * p.b
+    return z * h + (z * g).conjugate()
 
 
 def jacobian(p: HarmonicPolynomial, z):
     """|h'(z)|^2 - |g'(z)|^2; positive where f is sense-preserving."""
-    hp, gp = _horner(_derivatives(p), _as_points(z))
+    hp, gp = _horner((p._da, p._db), _as_points(z))
     return abs(hp) ** 2 - abs(gp) ** 2
 
 
@@ -199,10 +228,16 @@ def kernel(p: HarmonicPolynomial, z, t: float):
     if not 0.0 <= t <= math.pi / 2.0:
         raise ValueError(f"t must lie in [0, pi/2], got {t}")
     z = _as_points(z)
-    if not (np.abs(z) < 1.0).all():
+    if not _all(abs(z) < 1.0):
         raise ValueError("kernel is defined on |z| < 1")
-    ratio = _ratio_table(np.arange(1, p.degree + 1, dtype=float), np.array([t]))[:, 0]
-    h, g = _horner((p.a * ratio[: p.a.size], -p.b * ratio[: p.b.size]), z)
+    # the ratios of one t as Python floats: the same operations as a row of
+    # _ratio_table, with no array built for a handful of numbers
+    sin_t = math.sin(t)
+    ks = range(1, p.degree + 1)
+    ratio = [math.sin(k * t) / sin_t for k in ks] if sin_t != 0.0 else [float(k) for k in ks]
+    a = [c * q for c, q in zip(p.a.tolist(), ratio)]
+    b = [-c * q for c, q in zip(p.b.tolist(), ratio)]
+    h, g = _horner((a, b), z)
     return z * h + (z * g).conjugate()
 
 
@@ -211,15 +246,21 @@ def _finite(x) -> bool:
     return math.isfinite(x) if isinstance(x, (int, float)) else bool(np.isfinite(x).all())
 
 
+def _circle_point(r, angle):
+    """r e^(i angle): a Python complex for real scalars, else an array."""
+    if isinstance(r, (int, float)) and isinstance(angle, (int, float)):
+        return float(r) * cmath.exp(1j * angle)
+    return r * np.exp(1j * np.asarray(angle))
+
+
 def divided_difference(p: HarmonicPolynomial, r: float, eta: float, psi: float):
     """(f(r e^(i eta)) - f(r e^(i psi))) / (r e^(i eta) - r e^(i psi))."""
     # finiteness is checked before the chord is formed: an infinite r, eta
     # or psi would form it through inf * 0 or e^(i inf), which numpy warns about
     if _finite(r) and _finite(eta) and _finite(psi):
-        z1 = r * np.exp(1j * np.asarray(eta))
-        z2 = r * np.exp(1j * np.asarray(psi))
+        z1, z2 = _circle_point(r, eta), _circle_point(r, psi)
         dz = z1 - z2
-        if (np.abs(dz) > 0).all():
+        if _all(abs(dz) > 0.0):
             return (evaluate(p, z1) - evaluate(p, z2)) / dz
     raise ValueError(
         f"chord endpoints must be distinct and finite, got r={r}, eta={eta}, psi={psi}"
@@ -385,7 +426,7 @@ def _jacobian_min(p: HarmonicPolynomial, grid: ProbeGrid) -> float:
     n_theta = 4 * grid.angular_points
     while True:
         thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
-        hp, gp = _horner(_derivatives(p), grid.radius * np.exp(1j * thetas))
+        hp, gp = _horner((p._da, p._db), grid.radius * np.exp(1j * thetas))
         least = float(np.min(abs(hp) ** 2 - abs(gp) ** 2))
         guarded, turns = _windings(hp)
         if guarded or n_theta >= 64 * grid.angular_points:

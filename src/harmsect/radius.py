@@ -35,12 +35,12 @@ forms that cross-check it live with the tests.
 
 Arguments are checked once, at the public entry: the public floor and
 each margin check their orders and r, then evaluate the unchecked cores
-(the record's floor, `tails.tail_weighted`).  So one margin evaluation
-makes one r check.  `_margin_at` does a section's setup once: it checks
-the orders and forms both tail rows as floats, and returns the unchecked
-margin in r, which every public margin call goes through.  `solve_radius`
-builds it once per solve and bisects it with no r check at all: every r
-it evaluates lies in the fixed bracket.
+(the record's floor, `tails.tail_weighted` on the record's integer
+rows).  So one margin evaluation makes one r check and builds nothing it
+does not use.  `_margin_at` is the solver's setup, done once per solve: it
+checks the orders and forms both tail rows as floats, and returns the
+unchecked margin in r.  `solve_radius` bisects it with no r check at all:
+every r it evaluates lies in the fixed bracket.
 """
 
 from __future__ import annotations
@@ -200,7 +200,14 @@ def _margin_at(family: FamilyClass, n: int, m: int) -> Callable:
 
 
 def _margin(family: FamilyClass, n: int, m: int, r):
-    return _margin_at(family, n, m)(_check_r_open(r))
+    # one evaluation: the record's int rows go straight to the tail core,
+    # which gives the bits of the float rows (see _margin_at) without a
+    # closure and two float tuples built for a single use
+    n, m = _check_orders(n, m)
+    r = _check_r_open(r)
+    fam = _FAMILIES[family]
+    return (fam.floor(r) - tail_weighted(fam.analytic(n), n, r)
+            - tail_weighted(fam.co_analytic(m), m, r))
 
 
 def margin_general(n: int, m: int, r):

@@ -147,6 +147,17 @@ class TestSection:
         with pytest.raises(ValueError, match="part b .* b_3"):
             HarmonicPolynomial(a=[1.0, 0.2], b=[0.0, 0.1, bad])
 
+    @pytest.mark.parametrize(
+        "a,b,part",
+        [([[1, 2]], [0], "a"), ([1.0], [[0.0, 0.5]], "b"), ([[1.0], [2.0]], [[0.0]], "a")],
+        ids=["a-row", "b-row", "both"],
+    )
+    def test_two_dimensional_coefficients_rejected(self, a, b, part):
+        # a 2-D part once reached the normalization check, where numpy
+        # raised "the truth value of an array ... is ambiguous"
+        with pytest.raises(ValueError, match=f"part {part} needs one-dimensional coefficients"):
+            HarmonicPolynomial(a=a, b=b)
+
 
 class TestEvaluate:
     def test_identity(self):
@@ -331,6 +342,159 @@ class TestDividedDifferenceIdentity:
         )
         eps_tail = tails / floor
         assert dd.min() >= floor * (1.0 - eps_tail)
+
+
+def hexes(value):
+    """The bits of a complex or real value, as float.hex of each part."""
+    value = complex(value)
+    return value.real.hex(), value.imag.hex()
+
+
+def numpy_scalar_horner(coeffs, z):
+    """Horner's rule on numpy complex scalars, whose product is the textbook
+    (ac - bd) + (ad + bc)i, rounded once per operation, as Python's is."""
+    values = []
+    for part in coeffs:
+        acc = np.complex128(0.0)
+        for c in part[::-1]:
+            acc = acc * z + c
+        values.append(acc)
+    return values
+
+
+def ratio_table_kernel(p, z, t):
+    """The kernel with its coefficients weighted by a row of _ratio_table, as
+    arrays, and evaluated on numpy scalars: the form the scalar kernel replaced."""
+    ratio = harmonic._ratio_table(np.arange(1, p.degree + 1, dtype=float), np.array([t]))[:, 0]
+    z = np.complex128(z)
+    h, g = numpy_scalar_horner((p.a * ratio[: p.a.size], -p.b * ratio[: p.b.size]), z)
+    return z * h + np.conj(z * g)
+
+
+def numpy_scalar_evaluate(p, z):
+    z = np.complex128(z)
+    h, g = numpy_scalar_horner((p.a, p.b), z)
+    return z * h + np.conj(z * g)
+
+
+def numpy_scalar_jacobian(p, z):
+    derivatives = (np.arange(1, p.a.size + 1) * p.a, np.arange(1, p.b.size + 1) * p.b)
+    hp, gp = numpy_scalar_horner(derivatives, np.complex128(z))
+    return abs(hp) ** 2 - abs(gp) ** 2
+
+
+def scalar_cases():
+    """Seeded polynomials of degree 1 to 30, each with three points in the disk
+    and its t values 0, pi/2 and one seeded in between."""
+    rng = np.random.default_rng(20261019)
+    for degree in range(1, 31):
+        for _ in range(3):
+            other = int(rng.integers(1, degree + 1))
+            n, m = (degree, other) if rng.integers(2) else (other, degree)
+            p = random_polynomial(rng, n, m)
+            zs = rng.uniform(0.0, 0.95, 3) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 3))
+            ts = (0.0, math.pi / 2, float(rng.uniform(0.0, math.pi / 2)))
+            yield p, [complex(z) for z in zs], ts
+
+
+class TestScalarPath:
+    """One point runs on Python numbers: the same bits as the numpy-scalar forms."""
+
+    def test_kernel_matches_the_ratio_table_form(self):
+        for p, zs, ts in scalar_cases():
+            for z in zs:
+                for t in ts:
+                    value = kernel(p, z, t)
+                    assert hexes(value) == hexes(ratio_table_kernel(p, z, t)), (p.degree, z, t)
+                    assert hexes(kernel(p, np.complex128(z), np.float64(t))) == hexes(value)
+
+    def test_evaluate_and_jacobian_match_the_numpy_scalar_forms(self):
+        for p, zs, _ in scalar_cases():
+            for z in zs:
+                assert hexes(evaluate(p, z)) == hexes(numpy_scalar_evaluate(p, z)), (p.degree, z)
+                assert jacobian(p, z).hex() == float(numpy_scalar_jacobian(p, z)).hex()
+
+    def test_one_point_and_a_one_element_array_agree(self):
+        # to rounding only: numpy's vectorized complex product and modulus
+        # round differently from Python's (see the module docstring)
+        for p, zs, ts in scalar_cases():
+            # |h'|^2 + |g'|^2 on the unit disk is at most this
+            scale = np.sum(np.abs(p._da)) ** 2 + np.sum(np.abs(p._db)) ** 2
+            for z in zs:
+                for t in ts:
+                    assert kernel(p, z, t) == pytest.approx(kernel(p, np.array([z]), t)[0], rel=1e-13)
+                assert evaluate(p, z) == pytest.approx(evaluate(p, np.array([z]))[0], rel=1e-13)
+                assert abs(jacobian(p, z) - jacobian(p, np.array([z]))[0]) <= 1e-14 * scale
+
+    def test_divided_difference_agrees_with_the_array_path(self):
+        # the endpoints are the bits of numpy's; the quotient is Python's
+        # complex division, which can differ from numpy's in the last bit
+        rng = np.random.default_rng(20261020)
+        for p, _, _ in scalar_cases():
+            r = float(rng.uniform(0.05, 0.95))
+            eta, psi = (float(x) for x in rng.uniform(0.0, 2.0 * math.pi, 2))
+            value = divided_difference(p, r, eta, psi)
+            z1, z2 = r * np.exp(1j * np.asarray(eta)), r * np.exp(1j * np.asarray(psi))
+            assert hexes(r * cmath.exp(1j * eta)) == hexes(z1)
+            numpy_quotient = (evaluate(p, z1) - evaluate(p, z2)) / (z1 - z2)
+            assert abs(value - numpy_quotient) <= 1e-15 * abs(value)
+            array = divided_difference(p, r, np.array([eta]), np.array([psi]))[0]
+            # the two evaluations round apart by about 1e-16 of |f| each, and
+            # the difference of f cancels down to about |dz| |value|
+            spread = (abs(evaluate(p, z1)) + abs(evaluate(p, z2))) / abs(z1 - z2)
+            assert abs(value - array) <= 1e-14 * spread
+
+
+class TestReturnTypes:
+    P = section(GENERAL, 4, 3)
+
+    @pytest.mark.parametrize(
+        "z",
+        [0.3 + 0.4j, 0.5, 0, np.float64(0.5), np.complex128(0.3 - 0.4j), np.float32(0.25)],
+        ids=["complex", "float", "int", "float64", "complex128", "float32"],
+    )
+    def test_one_point_gives_python_numbers(self, z):
+        assert type(evaluate(self.P, z)) is complex
+        assert type(kernel(self.P, z, 0.7)) is complex
+        assert type(jacobian(self.P, z)) is float
+        assert hexes(evaluate(self.P, z)) == hexes(evaluate(self.P, complex(z)))
+
+    @pytest.mark.parametrize("zs", [[0.1, 0.2j], np.array([0.3 + 0.1j]), np.array(0.4)],
+                             ids=["list", "one-element", "zero-d"])
+    def test_points_give_arrays(self, zs):
+        for value in (evaluate(self.P, zs), kernel(self.P, zs, 0.7), jacobian(self.P, zs)):
+            assert np.shape(value) == np.shape(zs)
+            # a 0-d array gives a numpy scalar, as it always has
+            assert isinstance(value, np.ndarray if np.ndim(zs) else np.generic)
+
+    @pytest.mark.parametrize("cast", [float, np.float64], ids=["float", "float64"])
+    def test_divided_difference_of_real_scalars_is_a_python_complex(self, cast):
+        value = divided_difference(self.P, cast(0.5), cast(1.0), cast(2.0))
+        assert type(value) is complex
+        assert value == divided_difference(self.P, 0.5, 1, 2)
+
+    def test_divided_difference_of_arrays_is_an_array(self):
+        value = divided_difference(self.P, 0.5, np.array([1.0, 1.5]), np.array([2.0, 0.0]))
+        assert isinstance(value, np.ndarray) and value.shape == (2,)
+        assert value[0] == pytest.approx(divided_difference(self.P, 0.5, 1.0, 2.0), rel=1e-14)
+
+
+class TestModuleGlobals:
+    """The chord quotient calls evaluate through the module global, so a
+    function bound in its place sees every evaluation."""
+
+    @pytest.mark.parametrize("eta", [1.0, np.array([1.0, 1.5])], ids=["scalar", "array"])
+    def test_divided_difference_calls_evaluate(self, monkeypatch, eta):
+        calls = []
+        original = harmonic.evaluate
+
+        def spy(p, z):
+            calls.append(z)
+            return original(p, z)
+
+        monkeypatch.setattr(harmonic, "evaluate", spy)
+        divided_difference(section(GENERAL, 3, 3), 0.5, eta, 2.0)
+        assert len(calls) == 2
 
 
 class TestProbeGrid:

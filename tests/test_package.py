@@ -4,11 +4,16 @@ names the benchmark traces and reads."""
 import ast
 import contextlib
 import importlib
+import re
+import sys
 from pathlib import Path
+
+import pytest
 
 import harmsect
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 SPANS = PERFBENCH / "spans.py"
 WORKLOADS = PERFBENCH / "workloads.py"
 
@@ -131,3 +136,33 @@ class TestBenchmarkBindings:
         assert "harmsect.cli.main" in reads
         for dotted in reads:
             assert resolve(dotted) is not None, dotted
+
+
+def imported_packages(path):
+    """The top-level package of every absolute import in the file at `path`."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def declared_dependencies():
+    """The distribution names in pyproject.toml's [project] dependencies."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as handle:
+        project = tomllib.load(handle)["project"]
+    return {re.match(r"[A-Za-z0-9_.-]+", spec).group().lower().replace("-", "_")
+            for spec in project.get("dependencies", [])}
+
+
+class TestImports:
+    def test_every_import_is_stdlib_harmsect_or_declared(self):
+        # a module the package imports must come with Python or with the
+        # package's declared dependencies, or an install would lack it
+        allowed = set(sys.stdlib_module_names) | {"harmsect"} | declared_dependencies()
+        sources = sorted((ROOT / "src" / "harmsect").glob("*.py"))
+        assert sources
+        for path in sources:
+            for package in imported_packages(path):
+                assert package in allowed, (path.name, package)

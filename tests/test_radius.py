@@ -303,6 +303,49 @@ class TestOneCheckPerCall:
         assert all(type(r) is float for r in evaluations)
 
 
+class TestOneShotMargins:
+    """A public margin evaluates the record's int rows through the module-global
+    tail core, and builds no evaluator for a single use."""
+
+    @pytest.fixture
+    def tails(self, monkeypatch):
+        calls = []
+        core = radius.tail_weighted
+
+        def spy(coefficients, n, r):
+            calls.append((coefficients, n))
+            return core(coefficients, n, r)
+
+        monkeypatch.setattr(radius, "tail_weighted", spy)
+        monkeypatch.setattr(radius, "_margin_at", refuse_setup)
+        return calls
+
+    @pytest.mark.parametrize("family", list(FamilyClass))
+    @pytest.mark.parametrize("r", [0.3, np.array([0.1, 0.5, 0.9])])
+    def test_margin_calls_the_tail_core_twice(self, tails, family, r):
+        margin_fn(family)(40, 60, r)
+        fam = radius._FAMILIES[family]
+        assert tails == [(fam.analytic(40), 40), (fam.co_analytic(60), 60)]
+        assert all(type(e) is int for row, _ in tails for e in row)
+
+    def test_threshold_makes_two_tail_calls_per_order(self, tails):
+        assert threshold_order(FamilyClass.GENERAL, 0.5) == 22
+        assert [n for _, n in tails] == [n for n in range(2, 23) for _ in (0, 1)]
+
+    @pytest.mark.parametrize("fn", [margin_general, margin_convex])
+    def test_same_bits_as_the_solver_evaluator(self, fn):
+        family = FamilyClass.GENERAL if fn is margin_general else FamilyClass.CONVEX
+        for n, m in [(2, 2), (287, 287), (5, 8), (10**12, 3), (2**340, 2**340)]:
+            f = radius._margin_at(family, n, m)
+            for r in [2.0**-10, 0.3, 0.7, 1.0 - 2.0**-53]:
+                assert fn(n, m, r).hex() == f(r).hex(), (n, m, r)
+            assert np.array_equal(fn(n, m, SCAN_GRID), f(SCAN_GRID))
+
+
+def refuse_setup(*section):
+    raise AssertionError(f"a one-shot margin built the solver's evaluator for {section}")
+
+
 def assert_same_bracket(result, family, n, m):
     """`result` has the bracket of the elementary-combination margin.
 
