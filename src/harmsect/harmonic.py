@@ -37,14 +37,17 @@ passed both.
 
 The pointwise functions (evaluate, jacobian, kernel, divided_difference)
 take one point or an array of points.  One point, a Python or numpy
-number, runs on Python numbers and returns a Python complex (a float for
-jacobian); an array runs on numpy arrays and returns an array.  The scalar
-form makes no numpy temporary: a handful of coefficients costs more to
-put into arrays than to evaluate.  The two forms make the same operations
-in the same order, but numpy's vectorized complex product and modulus can
-round differently from Python's complex arithmetic (about half of all
-calls differ in the last bit with numpy 2.4 on AVX-512 hardware), so one
-point and a one-element array agree to rounding, not bit for bit.
+number, runs on Python numbers and returns a scalar: a Python complex for
+kernel, a float for jacobian, and a numpy.complex128 (a subclass of
+complex) for evaluate, whose last step is numpy's conj, and so for
+divided_difference.  An array runs on numpy arrays and returns an array.
+The scalar form makes no numpy array: a handful of coefficients costs
+more to put into arrays than to evaluate.  The two forms make the same
+operations in the same order, but numpy's vectorized complex product and
+modulus can round differently from Python's complex arithmetic (about
+half of all calls differ in the last bit with numpy 2.4 on AVX-512
+hardware), so one point and a one-element array agree to rounding, not
+bit for bit.
 """
 
 from __future__ import annotations
@@ -206,7 +209,7 @@ def evaluate(p: HarmonicPolynomial, z):
     """f(z) = h(z) + conj(g(z)) by Horner evaluation of both parts."""
     z = _as_points(z)
     h, g = _horner((p.a, p.b), z)
-    return z * h + (z * g).conjugate()
+    return z * h + np.conj(z * g)
 
 
 def jacobian(p: HarmonicPolynomial, z):

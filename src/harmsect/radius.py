@@ -187,7 +187,12 @@ def _margin_at(family: FamilyClass, n: int, m: int) -> Callable:
     call evaluates the floor and two tails and nothing else; r must already
     lie in (0, 1).  float(e) is the double nearest e, which is also what
     float and numpy arithmetic make of the int e, so the float rows give
-    the same bits as the int rows.
+    the same bits as the int rows.  The rows are floats because the solver
+    makes about 40 calls per solve, each of which would otherwise convert
+    every int entry again: with int rows here, `certify`'s wall_s rose
+    3.4% and req_p50_ms 3.9% (medians of ten alternating perfbench pairs,
+    worse in 9 and 10 of 10; 2-core x86_64, Python 3.11, numpy 2.4;
+    BENCH_pointwise_scalar.json).
     """
     n, m = _check_orders(n, m)
     fam = _FAMILIES[family]

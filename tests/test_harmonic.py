@@ -362,10 +362,22 @@ def numpy_scalar_horner(coeffs, z):
     return values
 
 
-def ratio_table_kernel(p, z, t):
-    """The kernel with its coefficients weighted by a row of _ratio_table, as
-    arrays, and evaluated on numpy scalars: the form the scalar kernel replaced."""
-    ratio = harmonic._ratio_table(np.arange(1, p.degree + 1, dtype=float), np.array([t]))[:, 0]
+def table_ratios(degree, t):
+    """The row of _ratio_table at t: sin(kt)/sin(t) by numpy's sin."""
+    return harmonic._ratio_table(np.arange(1, degree + 1, dtype=float), np.array([t]))[:, 0]
+
+
+def math_ratios(degree, t):
+    """The same row by math.sin, whose bits numpy's sin need not share."""
+    sin_t = math.sin(t)
+    ks = range(1, degree + 1)
+    return np.array([math.sin(k * t) / sin_t if sin_t != 0.0 else float(k) for k in ks])
+
+
+def ratio_table_kernel(p, z, ratio):
+    """The kernel with its coefficients weighted by the row `ratio`, as arrays,
+    and evaluated on numpy scalars: the form the scalar kernel replaced, which
+    took `ratio` from _ratio_table."""
     z = np.complex128(z)
     h, g = numpy_scalar_horner((p.a * ratio[: p.a.size], -p.b * ratio[: p.b.size]), z)
     return z * h + np.conj(z * g)
@@ -401,12 +413,24 @@ class TestScalarPath:
     """One point runs on Python numbers: the same bits as the numpy-scalar forms."""
 
     def test_kernel_matches_the_ratio_table_form(self):
+        # bit for bit on the ratios of math.sin, which the kernel uses; numpy's
+        # sin is also within about an ulp of sin(kt), but a SIMD build of it
+        # need not give math.sin's bits, so the _ratio_table row and the
+        # kernel it gives agree to rounding
+        eps = np.finfo(float).eps
         for p, zs, ts in scalar_cases():
-            for z in zs:
-                for t in ts:
+            for t in ts:
+                ratio, table = math_ratios(p.degree, t), table_ratios(p.degree, t)
+                # an ulp or two of sin(kt), divided by sin t
+                per_unit = 1.0 / math.sin(t) if t else 0.0
+                assert np.all(np.abs(table - ratio) <= 4 * eps * (np.abs(ratio) + per_unit))
+                scale = sum(np.sum(np.abs(c) * (np.abs(ratio[: c.size]) + per_unit))
+                            for c in (p.a, p.b))
+                for z in zs:
                     value = kernel(p, z, t)
-                    assert hexes(value) == hexes(ratio_table_kernel(p, z, t)), (p.degree, z, t)
+                    assert hexes(value) == hexes(ratio_table_kernel(p, z, ratio)), (p.degree, z, t)
                     assert hexes(kernel(p, np.complex128(z), np.float64(t))) == hexes(value)
+                    assert abs(value - ratio_table_kernel(p, z, table)) <= 1e-13 * scale
 
     def test_evaluate_and_jacobian_match_the_numpy_scalar_forms(self):
         for p, zs, _ in scalar_cases():
@@ -427,22 +451,27 @@ class TestScalarPath:
                 assert abs(jacobian(p, z) - jacobian(p, np.array([z]))[0]) <= 1e-14 * scale
 
     def test_divided_difference_agrees_with_the_array_path(self):
-        # the endpoints are the bits of numpy's; the quotient is Python's
-        # complex division, which can differ from numpy's in the last bit
+        # real scalars form the endpoints with cmath.exp, then take evaluate's
+        # quotient; numpy's exp is also within about an ulp of e^(i eta), but
+        # need not give cmath's bits, so the array path agrees to rounding
+        eps = np.finfo(float).eps
         rng = np.random.default_rng(20261020)
         for p, _, _ in scalar_cases():
             r = float(rng.uniform(0.05, 0.95))
             eta, psi = (float(x) for x in rng.uniform(0.0, 2.0 * math.pi, 2))
             value = divided_difference(p, r, eta, psi)
-            z1, z2 = r * np.exp(1j * np.asarray(eta)), r * np.exp(1j * np.asarray(psi))
-            assert hexes(r * cmath.exp(1j * eta)) == hexes(z1)
-            numpy_quotient = (evaluate(p, z1) - evaluate(p, z2)) / (z1 - z2)
-            assert abs(value - numpy_quotient) <= 1e-15 * abs(value)
+            w1, w2 = r * cmath.exp(1j * eta), r * cmath.exp(1j * psi)
+            assert hexes(value) == hexes((evaluate(p, w1) - evaluate(p, w2)) / (w1 - w2))
+            z1, z2 = r * np.exp(1j * np.array([eta])), r * np.exp(1j * np.array([psi]))
+            assert abs(w1 - z1[0]) <= 4 * eps * r and abs(w2 - z2[0]) <= 4 * eps * r
             array = divided_difference(p, r, np.array([eta]), np.array([psi]))[0]
             # the two evaluations round apart by about 1e-16 of |f| each, and
-            # the difference of f cancels down to about |dz| |value|
-            spread = (abs(evaluate(p, z1)) + abs(evaluate(p, z2))) / abs(z1 - z2)
-            assert abs(value - array) <= 1e-14 * spread
+            # the difference of f cancels down to about |dz| |value|; moving an
+            # endpoint by an ulp moves f by at most sum k (|a_k| + |b_k|) ulps
+            dz = abs(w1 - w2)
+            spread = (abs(evaluate(p, w1)) + abs(evaluate(p, w2))) / dz
+            lipschitz = np.sum(np.abs(p._da)) + np.sum(np.abs(p._db))
+            assert abs(value - array) <= 1e-14 * (spread + (lipschitz + abs(value)) * r / dz)
 
 
 class TestReturnTypes:
@@ -453,8 +482,10 @@ class TestReturnTypes:
         [0.3 + 0.4j, 0.5, 0, np.float64(0.5), np.complex128(0.3 - 0.4j), np.float32(0.25)],
         ids=["complex", "float", "int", "float64", "complex128", "float32"],
     )
-    def test_one_point_gives_python_numbers(self, z):
-        assert type(evaluate(self.P, z)) is complex
+    def test_one_point_gives_scalars(self, z):
+        # evaluate's last step is numpy's conj, so one point of f is a
+        # numpy.complex128, which subclasses complex
+        assert type(evaluate(self.P, z)) is np.complex128
         assert type(kernel(self.P, z, 0.7)) is complex
         assert type(jacobian(self.P, z)) is float
         assert hexes(evaluate(self.P, z)) == hexes(evaluate(self.P, complex(z)))
@@ -468,9 +499,10 @@ class TestReturnTypes:
             assert isinstance(value, np.ndarray if np.ndim(zs) else np.generic)
 
     @pytest.mark.parametrize("cast", [float, np.float64], ids=["float", "float64"])
-    def test_divided_difference_of_real_scalars_is_a_python_complex(self, cast):
+    def test_divided_difference_of_real_scalars_is_a_complex_scalar(self, cast):
+        # a quotient of two values of evaluate, so numpy.complex128 as well
         value = divided_difference(self.P, cast(0.5), cast(1.0), cast(2.0))
-        assert type(value) is complex
+        assert type(value) is np.complex128
         assert value == divided_difference(self.P, 0.5, 1, 2)
 
     def test_divided_difference_of_arrays_is_an_array(self):
