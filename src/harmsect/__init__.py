@@ -12,8 +12,7 @@ from .claims import (
     slope_bracket_general,
     slope_bracket_scaled,
     slope_prefactor_general,
-    tail_ratio_convex,
-    tail_ratio_general,
+    tail_ratio,
     verify_all,
     verify_claim,
 )
@@ -77,8 +76,7 @@ __all__ = [
     "slope_bracket_scaled",
     "slope_prefactor_general",
     "solve_radius",
-    "tail_ratio_convex",
-    "tail_ratio_general",
+    "tail_ratio",
     "threshold_order",
     "verify_all",
     "verify_claim",

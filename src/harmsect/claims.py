@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import partial
 from typing import Callable
 
@@ -53,7 +54,6 @@ from .polyroots import RealPolynomial, isolate_real_roots
 from .radius import _FAMILIES, FamilyClass, distortion_floor, log_offset
 
 SPOT_ORDERS = (1_000, 10_000, 1_000_000)
-GENERAL_RATIO_LIMIT = 64.0 / 2401.0
 LIMIT_SPOT_ORDER = 1_000_000
 
 
@@ -124,21 +124,6 @@ def _log_ratio_general(x, n, ln_n, u, c1, c2, c3):
     )
 
 
-def log_tail_ratio_general(x, n: int):
-    """ln of tail_ratio_general; finite on all of (0, n] for n up to 1e300."""
-    _check_x_range(x, n)
-    x = np.asarray(x, dtype=float) if not np.isscalar(x) else float(x)
-    return _log_ratio_general(x, *_general_factors(n))
-
-
-def tail_ratio_general(x, n: int):
-    """Scaled tail-to-floor ratio of the general margin at r = 1 - x/n.
-
-    The equal-order general margin is positive wherever this is below 1.
-    """
-    return np.exp(log_tail_ratio_general(x, n))
-
-
 def _slope_prefactor(x, n, u, c1, c2, c3):
     _, den, _ = _bracket_num_den(x, u, c1, c2, c3)
     if np.any(np.asarray(den) == 0):
@@ -148,13 +133,12 @@ def _slope_prefactor(x, n, u, c1, c2, c3):
 
 
 def slope_prefactor_general(x, n: int):
-    """Strictly negative prefactor in d/dx of tail_ratio_general.
+    """Strictly negative prefactor in d/dx of the general tail_ratio, x in (0, n].
 
     -(2n - x)^8 e^-x / (x^8 D(x, n)^2); the full derivative is this times
     slope_bracket_general.
     """
-    if not (np.asarray(x) > 0).all():
-        raise ValueError(f"x must be positive, got {x!r}")
+    _check_x_range(x, n)
     return _slope_prefactor(x, n, *_num_den_factors(n))
 
 
@@ -198,7 +182,7 @@ def _check_slope_order(n) -> None:
 
 
 def slope_bracket_general(x, n: int):
-    """Bracket polynomial in the derivative of tail_ratio_general.
+    """Bracket polynomial in the derivative of the general tail_ratio.
 
     Degree 9 in x (from the -3 x^9 and -6 n^2 x^9 terms) and 7 in n;
     n must be below 2**93.
@@ -262,16 +246,42 @@ def _log_ratio_convex(x, n, ln_n):
     return -x + 4.0 * (ln_n - np.log(x)) + 3.0 * np.log(2.0 - x / n) + np.log(inner)
 
 
-def log_tail_ratio_convex(x, n: int):
-    """ln of tail_ratio_convex."""
+@dataclass(frozen=True)
+class _RatioFamily:
+    """One family's tail-to-floor ratio: its core, the core's factors, and the claimed limit."""
+
+    log_ratio: Callable  # the private core: log_ratio(x, *factors(n))
+    factors: Callable
+    limit: Fraction  # exact, so the check states it as str(limit) and measures with float(limit)
+    tol: str  # text, so the report states the tolerance as written
+
+
+_RATIO_FAMILIES = {
+    FamilyClass.GENERAL: _RatioFamily(_log_ratio_general, _general_factors, Fraction(64, 2401), "1e-3"),
+    FamilyClass.CONVEX: _RatioFamily(_log_ratio_convex, _convex_factors, Fraction(1, 2), "1e-2"),
+}
+
+
+def log_tail_ratio(family: FamilyClass, x, n: int):
+    """ln of tail_ratio(family, x, n).
+
+    The general form is finite on all of (0, n] for n up to 1e300.  The
+    convex form forms (2n - 1) x and x^2, so it is finite on all of (0, n]
+    only for n up to about 9.4e153; past the double range it returns inf or
+    raises OverflowError (inf already at x = 50 for n = 2**1021).
+    """
     _check_x_range(x, n)
+    fam = _RATIO_FAMILIES[family]
     x = np.asarray(x, dtype=float) if not np.isscalar(x) else float(x)
-    return _log_ratio_convex(x, *_convex_factors(n))
+    return fam.log_ratio(x, *fam.factors(n))
 
 
-def tail_ratio_convex(x, n: int):
-    """Scaled tail-to-floor ratio of the convex margin at r = 1 - x/n."""
-    return np.exp(log_tail_ratio_convex(x, n))
+def tail_ratio(family: FamilyClass, x, n: int):
+    """Scaled tail-to-floor ratio of the family's equal-order margin at r = 1 - x/n, x in (0, n].
+
+    The equal-order margin is positive wherever this is below 1.
+    """
+    return np.exp(log_tail_ratio(family, x, n))
 
 
 def _convex_bracket(x, n, n2):
@@ -284,7 +294,7 @@ def _convex_bracket(x, n, n2):
 
 
 def convex_slope_bracket(x, n: int):
-    """Positive bracket in -d/dx of tail_ratio_convex.
+    """Positive bracket in -d/dx of the convex tail_ratio.
 
     The derivative equals -(2n - x)^2 * this / (e^x x^5), so positivity of
     the bracket certifies that the convex ratio decreases.
@@ -430,25 +440,6 @@ def _grid_rows(starts: list, stops: list, num: int) -> np.ndarray:
     return np.ascontiguousarray(np.linspace(starts, stops, num, axis=1))
 
 
-@dataclass(frozen=True)
-class _RatioFamily:
-    """What the shared ratio steps need of one family's tail-to-floor ratio."""
-
-    log_ratio: Callable  # the private core: log_ratio(x, *factors(n))
-    factors: Callable
-    limit: float
-    limit_text: str
-    tol: str  # text, so the report states the tolerance as written
-
-
-_RATIO_FAMILIES = {
-    FamilyClass.GENERAL: _RatioFamily(
-        _log_ratio_general, _general_factors, GENERAL_RATIO_LIMIT, "64/2401", "1e-3"
-    ),
-    FamilyClass.CONVEX: _RatioFamily(_log_ratio_convex, _convex_factors, 0.5, "1/2", "1e-2"),
-}
-
-
 def _dense(family: FamilyClass, stop: int = 501) -> range:
     """The orders from the family's first bound order up to, not including, stop."""
     return range(_FAMILIES[family].first_bound_order, stop)
@@ -478,22 +469,22 @@ def _ratio_limit(family: FamilyClass, m: _Margins) -> None:
     fam = _RATIO_FAMILIES[family]
     n = LIMIT_SPOT_ORDER
     value = np.exp(fam.log_ratio(log_offset(family, n), *fam.factors(n)))
-    m.add(float(fam.tol) - abs(value - fam.limit), n=n, value=value,
-          check=f"|ratio - {fam.limit_text}| < {fam.tol}")
+    m.add(float(fam.tol) - abs(value - float(fam.limit)), n=n, value=value,
+          check=f"|ratio - {fam.limit}| < {fam.tol}")
 
 
-_SUMMAND_BOUNDS = ((1.0 / 32.0, "1/32"), (1.0 / 6.0, "1/6"), (19.0 / 24.0, "19/24"))
+_SUMMAND_BOUNDS = (Fraction(1, 32), Fraction(1, 6), Fraction(19, 24))
 
 
 def _summand_bounds(word: str, m: _Margins) -> None:
-    checks = [(bound, f"{word} {i} < {text}") for i, (bound, text) in enumerate(_SUMMAND_BOUNDS, start=1)]
+    checks = [(float(bound), f"{word} {i} < {bound}") for i, bound in enumerate(_SUMMAND_BOUNDS, start=1)]
     for n in range(16, 501):
         for t, (bound, label) in zip(_convex_ratio_parts(n), checks):
             m.add(bound - t, n=n, check=label)
 
 
 def _closed_at_n(n: int) -> float:
-    """tail_ratio_general(n, n) in closed form."""
+    """tail_ratio(FamilyClass.GENERAL, n, n) in closed form."""
     return math.exp(-n) * (2.0 * n**3 + 6.0 * n**2 + 7.0 * n + 3.0) / 3.0
 
 

@@ -2,12 +2,14 @@
 
 No external assets, no CSS classes: every style is a presentation
 attribute, so the files stand alone.  Writes are atomic (temp file plus
-os.replace).  Machine-readable plot metadata (root location, radius, ...)
-goes into the <desc> element as semicolon-separated key=value pairs.
+os.replace; the temp file is removed if either fails).  Machine-readable
+plot metadata (root location, radius, ...) goes into the <desc> element as
+semicolon-separated key=value pairs.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 from dataclasses import dataclass
 
@@ -46,25 +48,6 @@ class Frame:
         }
 
 
-def _atomic_write(path: str, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
-def _header(width: float, height: float, title: str, desc: dict) -> list[str]:
-    desc_text = ";".join(f"{k}={v}" for k, v in desc.items())
-    return [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width:g}" height="{height:g}" viewBox="0 0 {width:g} {height:g}">',
-        f"<title>{title}</title>",
-        f"<desc>{desc_text}</desc>",
-        f'<rect x="0" y="0" width="{width:g}" height="{height:g}" fill="white"/>',
-    ]
-
-
 def _axis_box(frame: Frame, x_label: str, y_label: str) -> list[str]:
     parts = [
         f'<rect x="{_PAD:g}" y="{_PAD:g}" width="{frame.width - 2 * _PAD:g}" '
@@ -100,6 +83,39 @@ def _polyline(frame: Frame, xs, ys, color: str) -> str:
     return f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.6"/>'
 
 
+def _write(path: str, frame: Frame, title: str, desc: dict, x_label: str, y_label: str, body: list[str]) -> Frame:
+    """Write the header, axes, body, title and </svg> to path atomically.
+
+    The text goes to path.tmp, which replaces path; if the write or the
+    replace raises, the temp file is removed and the error goes on.
+    """
+    desc_text = ";".join(f"{k}={v}" for k, v in desc.items())
+    width, height = frame.width, frame.height
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{width:g}" height="{height:g}" viewBox="0 0 {width:g} {height:g}">',
+        f"<title>{title}</title>",
+        f"<desc>{desc_text}</desc>",
+        f'<rect x="0" y="0" width="{width:g}" height="{height:g}" fill="white"/>',
+        *_axis_box(frame, x_label, y_label),
+        *body,
+        f'<text x="{width / 2:.1f}" y="30" font-family="sans-serif" font-size="15" '
+        f'text-anchor="middle" fill="#000">{title}</text>',
+        "</svg>",
+    ]
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(parts) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+    return frame
+
+
 def write_curve_plot(
     path: str,
     xs,
@@ -129,31 +145,26 @@ def write_curve_plot(
         desc["root"] = f"{root:.9g}"
     if vline is not None:
         desc["vline"] = f"{vline:.9g}"
-    parts = _header(width, height, title, desc)
-    parts += _axis_box(frame, x_label, y_label)
+    body = []
     if y_lo < 0.0 < y_hi:
         y0px = frame.py(0.0)
-        parts.append(
+        body.append(
             f'<line x1="{_PAD:g}" y1="{y0px:.2f}" x2="{width - _PAD:g}" y2="{y0px:.2f}" '
             f'stroke="#999" stroke-width="0.8"/>'
         )
-    parts.append(_polyline(frame, xs[keep], ys[keep], "#1f6fb2"))
+    body.append(_polyline(frame, xs[keep], ys[keep], "#1f6fb2"))
     if vline is not None:
         xpx = frame.px(vline)
-        parts.append(
+        body.append(
             f'<line x1="{xpx:.2f}" y1="{_PAD:g}" x2="{xpx:.2f}" y2="{height - _PAD:g}" '
             f'stroke="#2a8f2a" stroke-width="1.2" stroke-dasharray="6 4"/>'
         )
     if root is not None:
-        parts.append(
+        body.append(
             f'<circle cx="{frame.px(root):.2f}" cy="{frame.py(0.0):.2f}" r="4.5" '
             f'fill="#c23b22" stroke="none"/>'
         )
-    parts.append(f'<text x="{width / 2:.1f}" y="30" font-family="sans-serif" font-size="15" '
-                 f'text-anchor="middle" fill="#000">{title}</text>')
-    parts.append("</svg>")
-    _atomic_write(path, "\n".join(parts) + "\n")
-    return frame
+    return _write(path, frame, title, desc, x_label, y_label, body)
 
 
 def write_boundary_plot(path: str, points, *, title: str, radius: float) -> Frame:
@@ -163,20 +174,11 @@ def write_boundary_plot(path: str, points, *, title: str, radius: float) -> Fram
     cx = (xs.min() + xs.max()) / 2.0
     cy = (ys.min() + ys.max()) / 2.0
     half = max(xs.max() - xs.min(), ys.max() - ys.min(), 1e-9) / 2.0 * 1.1
-    width = height = _BOUNDARY_SIDE
-    frame = Frame(width, height, cx - half, cx + half, cy - half, cy + half)
+    frame = Frame(_BOUNDARY_SIDE, _BOUNDARY_SIDE, cx - half, cx + half, cy - half, cy + half)
 
     desc = {"kind": "boundary", "radius": f"{radius:.9g}", "points": str(pts.size), **frame.desc_items()}
-    parts = _header(width, height, title, desc)
-    parts += _axis_box(frame, "Re", "Im")
-    closed_x = np.append(xs, xs[0])
-    closed_y = np.append(ys, ys[0])
-    parts.append(_polyline(frame, closed_x, closed_y, "#6a3bb2"))
-    parts.append(f'<text x="{width / 2:.1f}" y="30" font-family="sans-serif" font-size="15" '
-                 f'text-anchor="middle" fill="#000">{title}</text>')
-    parts.append("</svg>")
-    _atomic_write(path, "\n".join(parts) + "\n")
-    return frame
+    body = [_polyline(frame, np.append(xs, xs[0]), np.append(ys, ys[0]), "#6a3bb2")]
+    return _write(path, frame, title, desc, "Re", "Im", body)
 
 
 def curve_window(root: float) -> tuple[float, float]:

@@ -177,11 +177,9 @@ def test_criterion_4_asymptotic_domination():
 # where the logarithmic convergence is still far from the limit; they are
 # checked here on a ladder of orders where it arrives
 LIMIT_CLAIMS = {
-    # id: (ratio, family, limit, registered tolerance, (value at 1e6, tol))
-    "T-limit-half": (hs.tail_ratio_convex, hs.FamilyClass.CONVEX, 0.5, 1e-2, (0.63538, 1e-4)),
-    "t-limit-64-2401": (
-        hs.tail_ratio_general, hs.FamilyClass.GENERAL, 64.0 / 2401.0, 1e-3, (0.043713, 1e-5)
-    ),
+    # id: (family, limit, registered tolerance, (value at 1e6, tol))
+    "T-limit-half": (hs.FamilyClass.CONVEX, 0.5, 1e-2, (0.63538, 1e-4)),
+    "t-limit-64-2401": (hs.FamilyClass.GENERAL, 64.0 / 2401.0, 1e-3, (0.043713, 1e-5)),
 }
 LIMIT_LADDER = (10**6, 10**9, 10**12, 10**18, 10**60, 10**100, 10**150, 10**200)
 
@@ -194,7 +192,7 @@ def test_criterion_5_claim_suite():
     spot_witness_ok = {}
     ladders = {}
     limits_hold = {}
-    for claim_id, (ratio, family, limit, tol, (witness, witness_tol)) in LIMIT_CLAIMS.items():
+    for claim_id, (family, limit, tol, (witness, witness_tol)) in LIMIT_CLAIMS.items():
         rep = limit_reports.get(claim_id)
         spot_witness_ok[claim_id] = (
             rep is not None
@@ -202,7 +200,7 @@ def test_criterion_5_claim_suite():
             and rep.witness.get("n") == 1e6
             and abs(rep.witness.get("value", math.inf) - witness) < witness_tol
         )
-        dist = [abs(float(ratio(hs.log_offset(family, n), n)) - limit) for n in LIMIT_LADDER]
+        dist = [abs(float(hs.tail_ratio(family, hs.log_offset(family, n), n)) - limit) for n in LIMIT_LADDER]
         ladders[claim_id] = dist
         # strictly shrinking along the ladder, and inside the tolerance at its top
         limits_hold[claim_id] = all(b < a for a, b in zip(dist, dist[1:])) and dist[-1] < tol

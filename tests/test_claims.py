@@ -2,6 +2,7 @@
 
 import decimal
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,13 +13,11 @@ from harmsect.claims import (
     SCALED_BRACKET_PARTS,
     UnknownClaimError,
     convex_slope_bracket,
-    log_tail_ratio_convex,
-    log_tail_ratio_general,
+    log_tail_ratio,
     slope_bracket_general,
     slope_bracket_scaled,
     slope_prefactor_general,
-    tail_ratio_convex,
-    tail_ratio_general,
+    tail_ratio,
     verify_all,
     verify_claim,
 )
@@ -60,19 +59,19 @@ def fd_derivative(f, x, h):
 
 class TestGeneralRatio:
     def test_value_at_one(self):
-        assert tail_ratio_general(1, 1) == pytest.approx(6.0 / math.e, rel=1e-13)
+        assert tail_ratio(FamilyClass.GENERAL, 1, 1) == pytest.approx(6.0 / math.e, rel=1e-13)
 
     @pytest.mark.parametrize("n", [1, 2, 15, 73, 200, 500])
     def test_closed_form_at_x_equals_n(self, n):
         closed = math.exp(-n) * (2.0 * n**3 + 6.0 * n**2 + 7.0 * n + 3.0) / 3.0
-        assert tail_ratio_general(n, n) == pytest.approx(closed, rel=1e-12)
+        assert tail_ratio(FamilyClass.GENERAL, n, n) == pytest.approx(closed, rel=1e-12)
 
     def test_limit_value_frozen(self):
         # actual value at the registered spot order, frozen from this code;
         # the analytic limit 64/2401 ~ 0.0266556 is approached only
         # logarithmically and is still ~0.017 away here
         n = 10**6
-        value = tail_ratio_general(log_offset(FamilyClass.GENERAL, n), n)
+        value = tail_ratio(FamilyClass.GENERAL, log_offset(FamilyClass.GENERAL, n), n)
         assert value == pytest.approx(0.0437134843, rel=1e-8)
 
     @pytest.mark.parametrize("exponent", [76, 77, 100, 200])
@@ -96,28 +95,28 @@ class TestGeneralRatio:
             log_oracle = -X + 7 * (N.ln() - X.ln()) + 9 * (2 - X / N).ln() + num.ln() - den.ln()
             oracle = float(log_oracle.exp())
         for order in (n, float(n)):
-            assert math.isfinite(log_tail_ratio_general(x, order))
-            assert tail_ratio_general(x, order) == pytest.approx(oracle, rel=1e-12)
+            assert math.isfinite(log_tail_ratio(FamilyClass.GENERAL, x, order))
+            assert tail_ratio(FamilyClass.GENERAL, x, order) == pytest.approx(oracle, rel=1e-12)
 
     @pytest.mark.parametrize("exponent", [103, 200])
     def test_log_finite_where_x_cubed_overflows(self, exponent):
         # at x = n = 1e103 the numerator's x^3 alone overflows a float; the
         # log ratio is -n + ln((2n^3+6n^2+7n+3)/3), which rounds to -n
         n = 10**exponent
-        assert log_tail_ratio_general(float(n), n) == pytest.approx(-float(n), rel=1e-12)
-        assert tail_ratio_general(np.array([float(n)]), n)[0] == 0.0
+        assert log_tail_ratio(FamilyClass.GENERAL, float(n), n) == pytest.approx(-float(n), rel=1e-12)
+        assert tail_ratio(FamilyClass.GENERAL, np.array([float(n)]), n)[0] == 0.0
 
     def test_log_form_consistent(self):
         for n, x in [(15, 3.0), (40, 20.0), (500, 499.0)]:
-            assert math.exp(log_tail_ratio_general(x, n)) == pytest.approx(
-                tail_ratio_general(x, n), rel=1e-12
+            assert math.exp(log_tail_ratio(FamilyClass.GENERAL, x, n)) == pytest.approx(
+                tail_ratio(FamilyClass.GENERAL, x, n), rel=1e-12
             )
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            tail_ratio_general(0.0, 10)
+            tail_ratio(FamilyClass.GENERAL, 0.0, 10)
         with pytest.raises(ValueError):
-            tail_ratio_general(11.0, 10)
+            tail_ratio(FamilyClass.GENERAL, 11.0, 10)
 
     @pytest.mark.parametrize("n", [15, 40, 90])
     @pytest.mark.parametrize("frac", [0.2, 0.5, 0.8, 0.98])
@@ -125,7 +124,7 @@ class TestGeneralRatio:
         # finite-difference oracle for d/dx ratio = prefactor * bracket
         x = frac * n
         h = 1e-6 * max(1.0, x)
-        numeric = fd_derivative(lambda u: tail_ratio_general(u, n), x, h)
+        numeric = fd_derivative(lambda u: tail_ratio(FamilyClass.GENERAL, u, n), x, h)
         analytic = slope_prefactor_general(x, n) * slope_bracket_general(x, n)
         assert numeric == pytest.approx(analytic, rel=5e-5, abs=1e-300)
 
@@ -133,7 +132,8 @@ class TestGeneralRatio:
     def test_slope_sign_matches_factors(self, n):
         xs = np.linspace(0.3, n - 0.01, 41)
         h = 1e-6 * np.maximum(1.0, xs)
-        numeric = (tail_ratio_general(xs + h, n) - tail_ratio_general(xs - h, n)) / (2 * h)
+        ratio = partial(tail_ratio, FamilyClass.GENERAL)
+        numeric = (ratio(xs + h, n) - ratio(xs - h, n)) / (2 * h)
         analytic = slope_prefactor_general(xs, n) * slope_bracket_general(xs, n)
         keep = np.abs(numeric) > 1e-200
         assert np.all(np.sign(numeric[keep]) == np.sign(analytic[keep]))
@@ -234,12 +234,12 @@ class TestConvexRatio:
         # actual value at the registered spot order; the analytic limit is
         # 1/2 but the approach is logarithmic (~0.135 away here)
         n = 10**6
-        value = tail_ratio_convex(log_offset(FamilyClass.CONVEX, n), n)
+        value = tail_ratio(FamilyClass.CONVEX, log_offset(FamilyClass.CONVEX, n), n)
         assert value == pytest.approx(0.6353795903, rel=1e-8)
 
     @pytest.mark.parametrize("n", [7, 12, 15, 100, 500])
     def test_below_one_at_offset(self, n):
-        value = tail_ratio_convex(log_offset(FamilyClass.CONVEX, n), n)
+        value = tail_ratio(FamilyClass.CONVEX, log_offset(FamilyClass.CONVEX, n), n)
         assert 0.0 < value < 1.0
 
     @pytest.mark.parametrize("n", [7, 40, 200])
@@ -247,7 +247,7 @@ class TestConvexRatio:
     def test_derivative_closed_form(self, n, frac):
         x = frac * n
         h = 1e-6 * max(1.0, x)
-        numeric = fd_derivative(lambda u: tail_ratio_convex(u, n), x, h)
+        numeric = fd_derivative(lambda u: tail_ratio(FamilyClass.CONVEX, u, n), x, h)
         analytic = (
             -((2.0 * n - x) ** 2) * convex_slope_bracket(x, n) / (math.exp(x) * x**5)
         )
@@ -255,34 +255,39 @@ class TestConvexRatio:
 
     def test_log_form_consistent(self):
         for n, x in [(7, 3.0), (100, 60.0)]:
-            assert math.exp(log_tail_ratio_convex(x, n)) == pytest.approx(
-                tail_ratio_convex(x, n), rel=1e-12
+            assert math.exp(log_tail_ratio(FamilyClass.CONVEX, x, n)) == pytest.approx(
+                tail_ratio(FamilyClass.CONVEX, x, n), rel=1e-12
             )
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            tail_ratio_convex(-1.0, 10)
+            tail_ratio(FamilyClass.CONVEX, -1.0, 10)
         with pytest.raises(ValueError):
-            tail_ratio_convex(10.5, 10)
+            tail_ratio(FamilyClass.CONVEX, 10.5, 10)
 
 
 class TestNanRejected:
-    # every domain check requires each value inside, so NaN cannot pass
+    # every domain check requires each value inside, so NaN cannot pass; the
+    # prefactor takes the ratio's x in (0, n], so n = 0 or NaN fails it too
     @pytest.mark.parametrize(
         "fn,args",
         [
-            (tail_ratio_general, (math.nan, 10)),
-            (log_tail_ratio_general, (np.array([1.0, math.nan]), 10)),
-            (log_tail_ratio_convex, (math.nan, 10)),
-            (tail_ratio_convex, (np.array([math.nan]), 10)),
+            (tail_ratio, (FamilyClass.GENERAL, math.nan, 10)),
+            (log_tail_ratio, (FamilyClass.GENERAL, np.array([1.0, math.nan]), 10)),
+            (log_tail_ratio, (FamilyClass.CONVEX, math.nan, 10)),
+            (tail_ratio, (FamilyClass.CONVEX, np.array([math.nan]), 10)),
             (slope_prefactor_general, (math.nan, 10)),
+            (slope_prefactor_general, (1.0, 0)),
+            (slope_prefactor_general, (1.0, math.nan)),
+            (slope_prefactor_general, (11.0, 10)),
             (slope_bracket_scaled, (math.nan, 20)),
             (slope_bracket_scaled, (np.array([2.0, math.nan]), 20)),
         ],
         ids=[
             "tail_ratio_general", "log_tail_ratio_general-array", "log_tail_ratio_convex",
-            "tail_ratio_convex-array", "slope_prefactor_general", "slope_bracket_scaled",
-            "slope_bracket_scaled-array",
+            "tail_ratio_convex-array", "slope_prefactor_general", "slope_prefactor_general-n-zero",
+            "slope_prefactor_general-n-nan", "slope_prefactor_general-x-above-n",
+            "slope_bracket_scaled", "slope_bracket_scaled-array",
         ],
     )
     def test_nan_rejected(self, fn, args):
@@ -299,7 +304,7 @@ class TestBoundParts:
     @pytest.mark.parametrize("n", [7, 16, 50, 500])
     def test_summands_reassemble_ratio(self, n):
         total = sum(claims._convex_ratio_parts(n))
-        direct = tail_ratio_convex(log_offset(FamilyClass.CONVEX, n), n)
+        direct = tail_ratio(FamilyClass.CONVEX, log_offset(FamilyClass.CONVEX, n), n)
         assert abs(total - direct) / direct < 1e-12
 
     @pytest.mark.parametrize("n", [16, 100, 500])
@@ -401,7 +406,7 @@ class TestBlocks:
 
     @pytest.mark.parametrize("family", list(claims.FamilyClass))
     def test_decrease_block(self, family):
-        log_ratio = log_tail_ratio_general if family is claims.FamilyClass.GENERAL else log_tail_ratio_convex
+        log_ratio = partial(log_tail_ratio, family)
         for ns in blocks(RATIO_ORDERS[family], 257):
             xs, checks = claims._decrease_block(family, ns)
             assert [label for label, _ in checks] == (
@@ -419,7 +424,7 @@ class TestBlocks:
 
     @pytest.mark.parametrize("family", list(claims.FamilyClass))
     def test_below_one_block(self, family):
-        ratio = tail_ratio_general if family is claims.FamilyClass.GENERAL else tail_ratio_convex
+        ratio = partial(tail_ratio, family)
         for ns in blocks(RATIO_ORDERS[family], 1):
             xs, checks = claims._below_one_block(family, ns)
             assert xs is None
@@ -432,7 +437,7 @@ class TestBlocks:
         ns = list(range(1, 501))
         (chunk,) = blocks(ns, 1)
         _, checks = claims._at_n_block(chunk)
-        value = np.array([one_point(tail_ratio_general, float(n), n) for n in ns])
+        value = np.array([one_point(partial(tail_ratio, FamilyClass.GENERAL), float(n), n) for n in ns])
         closed = np.array([math.exp(-n) * (2.0 * n**3 + 6.0 * n**2 + 7.0 * n + 3.0) / 3.0 for n in ns])
         assert np.array_equal(checks[0][1].ravel(), [min(v, c) for v, c in zip(value, closed)])
         assert np.array_equal(checks[1][1].ravel(), 1e-12 - np.abs(value - closed) / closed)
@@ -480,7 +485,8 @@ class TestBlocks:
         ns = list(range(7, 501))
         (chunk,) = blocks(ns, 1)
         _, [(_, margins)] = claims._decomposition_block(chunk)
-        direct = np.array([one_point(tail_ratio_convex, log_offset(FamilyClass.CONVEX, n), n) for n in ns])
+        ratio = partial(tail_ratio, FamilyClass.CONVEX)
+        direct = np.array([one_point(ratio, log_offset(FamilyClass.CONVEX, n), n) for n in ns])
         parts = np.array([sum(claims._convex_ratio_parts(n)) for n in ns])
         assert np.array_equal(margins.ravel(), 1e-12 - np.abs(parts - direct) / direct)
 

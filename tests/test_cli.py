@@ -407,6 +407,17 @@ class TestPlot:
         )
         assert code == 3
 
+    def test_failed_replace_leaves_no_temp_file(self, capsys, tmp_path):
+        # the temp file is written, then replacing the directory with it fails
+        target = tmp_path / "plot.svg"
+        target.mkdir()
+        code, out, err = run(capsys, "plot", "psi-curve", "--n", "3", "--out", str(target))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("i/o error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["plot.svg"]
+        assert target.is_dir()
+
     def test_order_above_the_section_bound_is_a_domain_error(self, capsys, tmp_path):
         # the boundary image never solves, so only the section bounds its order
         svg = tmp_path / "x.svg"

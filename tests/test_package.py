@@ -47,8 +47,7 @@ PUBLIC_NAMES = [
     "slope_bracket_scaled",
     "slope_prefactor_general",
     "solve_radius",
-    "tail_ratio_convex",
-    "tail_ratio_general",
+    "tail_ratio",
     "threshold_order",
     "verify_all",
     "verify_claim",
@@ -58,12 +57,22 @@ PUBLIC_NAMES = [
 class TestPublicSurface:
     def test_exported_names_are_pinned(self):
         # one name per quantity; the cross-check forms live in tests/oracles.py
-        assert len(PUBLIC_NAMES) == 34
+        assert len(PUBLIC_NAMES) == 33
         assert sorted(harmsect.__all__) == PUBLIC_NAMES
 
     def test_every_exported_name_resolves(self):
         for name in harmsect.__all__:
             assert getattr(harmsect, name) is not None, name
+
+    def test_no_general_convex_pairs(self):
+        # a quantity both families have takes the family as an argument; only
+        # a pair the benchmark traces by name keeps its two suffixed names
+        traced = {function for _, function in traced_bindings()}
+        names = set(harmsect.__all__)
+        pairs = {(name, name.removesuffix("_general") + "_convex")
+                 for name in names if name.endswith("_general")}
+        untraced = [pair for pair in pairs if pair[1] in names and not set(pair) <= traced]
+        assert untraced == []
 
 
 def traced_bindings():
