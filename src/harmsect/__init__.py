@@ -18,13 +18,13 @@ from .claims import (
 )
 from .harmonic import (
     EmpiricalScan,
-    ExtremalCoefficients,
     HarmonicPolynomial,
     KernelScan,
     ProbeGrid,
     divided_difference,
     empirical_scan,
     evaluate,
+    extremal_map,
     jacobian,
     kernel,
     kernel_min_modulus,
@@ -50,7 +50,6 @@ __all__ = [
     "CLAIMS",
     "ClaimReport",
     "EmpiricalScan",
-    "ExtremalCoefficients",
     "FamilyClass",
     "HarmonicPolynomial",
     "KernelScan",
@@ -63,6 +62,7 @@ __all__ = [
     "divided_difference",
     "empirical_scan",
     "evaluate",
+    "extremal_map",
     "isolate_real_roots",
     "jacobian",
     "kernel",

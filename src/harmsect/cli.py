@@ -26,11 +26,11 @@ import numpy as np
 
 from .claims import UnknownClaimError, verify_all, verify_claim
 from .harmonic import (
-    ExtremalCoefficients,
     HarmonicPolynomial,
     ProbeGrid,
     empirical_scan,
     evaluate,
+    extremal_map,
     section,
 )
 from .radius import (
@@ -170,8 +170,8 @@ def _grid_scale_from_env() -> int:
 
 def _model_section(args, family: FamilyClass):
     """The (n, m) section of the identity map (--identity) or of the family's extremal map."""
-    source = HarmonicPolynomial(a=[1.0], b=[0.0]) if args.identity else ExtremalCoefficients(family)
-    return section(source, args.n, args.m)
+    p = HarmonicPolynomial(a=[1.0], b=[0.0]) if args.identity else extremal_map(family)
+    return section(p, args.n, args.m)
 
 
 def cmd_scan(args) -> int:
@@ -211,11 +211,12 @@ def cmd_scan(args) -> int:
 def cmd_plot(args) -> int:
     if args.kind in ("psi-curve", "mu-curve"):
         family = FamilyClass.GENERAL if args.kind == "psi-curve" else FamilyClass.CONVEX
-        if args.target is not None and not math.isfinite(args.target):
-            raise ValueError(f"--target must be finite, got {args.target}")
+        if args.target is not None and not 0.0 < args.target < 1.0:
+            what = "lie in (0, 1)" if math.isfinite(args.target) else "be finite"
+            raise ValueError(f"--target must {what}, got {args.target}")
         n = args.n
         result = solve_radius(family, n, n)
-        lo, hi = curve_window(result.radius)
+        lo, hi = curve_window(result.radius, args.target)
         xs = np.linspace(lo, hi, 1000)
         ys = margin_fn(family)(n, n, xs)
         label = "general margin" if family is FamilyClass.GENERAL else "convex margin"

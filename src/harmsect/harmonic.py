@@ -113,11 +113,17 @@ class HarmonicPolynomial:
         return max(self.a.size, self.b.size)
 
 
-@dataclass(frozen=True)
-class ExtremalCoefficients:
-    """Coefficient source taking the family's coefficient bounds with equality.
+# the largest degree a kernel pass takes: at this degree a default-grid
+# pass builds a 16 MB table of e^(ik theta), and the table grows with the
+# degree.  The section orders and the extremal maps stop here too.
+_MAX_DEGREE = 1000
 
-    For the general families a_k = (k+1)(2k+1)/6 and b_k = (k-1)(2k-1)/6,
+
+def extremal_map(family: FamilyClass) -> HarmonicPolynomial:
+    """The family's extremal map, truncated at degree 1000, the section bound.
+
+    It takes the family's coefficient bounds with equality.  For the
+    general families a_k = (k+1)(2k+1)/6 and b_k = (k-1)(2k-1)/6,
     exactly the coefficients of the harmonic Koebe function h + conj(g) with
     h = (z - z^2/2 + z^3/6)/(1 - z)^3 and g = (z^2/2 + z^3/6)/(1 - z)^3.
     For the convex family a_k = (k+1)/2 and b_k = (k-1)/2: the half-plane
@@ -127,50 +133,31 @@ class ExtremalCoefficients:
     tail row at order k, so the scanned maps and the margins share one
     statement of the bounds.
     """
-
-    family: FamilyClass
-
-    def analytic(self, k: np.ndarray) -> np.ndarray:
-        return _FAMILIES[self.family].analytic(k)[-1] / k
-
-    def co_analytic(self, k: np.ndarray) -> np.ndarray:
-        return _FAMILIES[self.family].co_analytic(k)[-1] / k
+    fam = _FAMILIES[family]
+    ks = np.arange(1, _MAX_DEGREE + 1, dtype=float)
+    return HarmonicPolynomial(a=fam.analytic(ks)[-1] / ks, b=fam.co_analytic(ks)[-1] / ks)
 
 
-# the largest section order: a default-grid kernel pass at this degree
-# builds a 16 MB table of e^(ik theta), and the table grows with the degree
-_MAX_SECTION_ORDER = 1000
+def _fitted(part: np.ndarray, size: int) -> np.ndarray:
+    """A new array of the first `size` coefficients of part, zero-padded."""
+    out = np.zeros(size, dtype=complex)
+    out[: min(size, part.size)] = part[:size]
+    return out
 
 
-def section(source, n: int, m: int) -> HarmonicPolynomial:
-    """Truncate a coefficient source to analytic order n, co-analytic order m.
+def section(p: HarmonicPolynomial, n: int, m: int) -> HarmonicPolynomial:
+    """Truncate p to analytic order n and co-analytic order m, padding with zeros.
 
-    `source` is either another HarmonicPolynomial or an object with
-    analytic(k)/co_analytic(k) methods.  b_1 is forced to 0.  The orders
-    must be integers from 1 to 1000; others raise ValueError before any
-    array is made.
+    The orders must be integers from 1 to 1000; others raise ValueError
+    before any array is made.
     """
     try:
         n, m = operator.index(n), operator.index(m)
     except TypeError:
         raise ValueError(f"section orders must be integers, got ({n!r}, {m!r})") from None
-    if not (1 <= n <= _MAX_SECTION_ORDER and 1 <= m <= _MAX_SECTION_ORDER):
-        raise ValueError(
-            f"section orders must lie in 1..{_MAX_SECTION_ORDER}, got ({n}, {m})"
-        )
-    if isinstance(source, HarmonicPolynomial):
-        a = np.zeros(n, dtype=complex)
-        take = min(n, source.a.size)
-        a[:take] = source.a[:take]
-        a[0] = 1.0
-        b = np.zeros(m, dtype=complex)
-        take = min(m, source.b.size)
-        b[:take] = source.b[:take]
-    else:
-        a = np.asarray(source.analytic(np.arange(1, n + 1, dtype=float)), dtype=complex)
-        b = np.asarray(source.co_analytic(np.arange(1, m + 1, dtype=float)), dtype=complex)
-    b[0] = 0.0
-    return HarmonicPolynomial(a=a, b=b)
+    if not (1 <= n <= _MAX_DEGREE and 1 <= m <= _MAX_DEGREE):
+        raise ValueError(f"section orders must lie in 1..{_MAX_DEGREE}, got ({n}, {m})")
+    return HarmonicPolynomial(a=_fitted(p.a, n), b=_fitted(p.b, m))
 
 
 def _horner(coeffs, z) -> list:
@@ -374,15 +361,17 @@ def kernel_min_modulus(p: HarmonicPolynomial, grid: ProbeGrid) -> KernelScan:
     zero out only for b = 0 (see KernelScan).  The reduction is over fixed
     grids, so the result does not depend on evaluation order.
     """
+    if p.degree > _MAX_DEGREE:
+        raise ValueError(f"the kernel pass takes degrees up to {_MAX_DEGREE}, got {p.degree}")
     # unlike kernel, no Horner pass per t: on the circle the terms
     # a_k r^k e^(ik theta) are shared by every t, and one matrix product
     # with the ratio table weights them for a whole block of t values
-    padded = section(p, p.degree, p.degree)
     ks = np.arange(1, p.degree + 1, dtype=float)
     ts = grid.t_values()
     ratios = _ratio_table(ks, ts).T  # (T, K)
     rk = grid.radius**ks
-    a_r, b_r = (padded.a * rk)[:, None], (padded.b * rk)[:, None]
+    a_r = (_fitted(p.a, p.degree) * rk)[:, None]
+    b_r = (_fitted(p.b, p.degree) * rk)[:, None]
     windings = np.zeros(ts.size, dtype=int)
     rows = np.arange(ts.size)  # the t values still to count
     best, best_z, best_t = math.inf, 0j, 0.0

@@ -26,8 +26,8 @@ the distortion floor, the closed-form rows of the analytic and
 co-analytic tails, the constants (a, b) of the asymptotic bound
 1 - (a ln n - b ln ln n)/n and the first order at which that bound is
 positive.  Each row ends in the tail's weight w(k) = k |a_k| (or k |b_k|),
-so the family's coefficient bounds, which `harmonic.ExtremalCoefficients`
-takes with equality, are read off the same rows.  `distortion_floor`,
+so the family's coefficient bounds, which the maps of `harmonic.extremal_map`
+take with equality, are read off the same rows.  `distortion_floor`,
 `log_offset` and `lower_bound` take the family and read its record, and
 both margins are the one core `_margin`: the floor minus two tails of the
 one tail core.  The combined equal-order, polynomial and elementary-tail
@@ -95,7 +95,12 @@ class RadiusResult:
 
 
 def _check_r_open(r):
-    """r once every value lies in (0, 1); a list or other sequence comes back as an array."""
+    """r once every value lies in (0, 1).
+
+    A list or other sequence comes back as a float64 array, and any other
+    0-d r (a 0-d array, a float32 or float16 scalar) as a Python float, so
+    every r is evaluated in double precision.
+    """
     # NaN fails every comparison, so every value must be shown inside.  A
     # float is compared directly: the numpy form costs about 5 us, as much
     # as the rest of a scalar margin.
@@ -105,7 +110,7 @@ def _check_r_open(r):
     else:
         a = np.asarray(r, dtype=float)
         if ((a > 0) & (a < 1)).all():
-            return a if a.ndim else r
+            return a if a.ndim else float(a)
     raise ValueError(f"r must lie in (0, 1), got {r!r}")
 
 
@@ -129,8 +134,9 @@ def _check_orders(n: int, m: int) -> tuple[int, int]:
 
 
 def _floor_general(r):
-    u = (1.0 - r) / (1.0 + r)
-    return u**3 * (1.0 - u**6) / (12.0 * r)
+    # u^3 (1 - u^6)/(12 r) with u = (1-r)/(1+r), by (1+r)^6 - (1-r)^6 =
+    # 4r (3 + 10r^2 + 3r^4); the u form cancels as r -> 0 (0.0 from r = 1e-17)
+    return (1.0 - r) ** 3 * (3.0 + r * r * (10.0 + 3.0 * r * r)) / (3.0 * (1.0 + r) ** 9)
 
 
 def _floor_convex(r):
@@ -174,8 +180,9 @@ _FAMILIES = {
 def distortion_floor(family: FamilyClass, r):
     """Two-point distortion lower bound of `family` at radius r.
 
-    General: (1/(12r)) u^3 (1 - u^6) with u = (1-r)/(1+r); convex:
-    (1-r)/(1+r)^3.  Both tend to 1 as r -> 0+.
+    General: (1/(12r)) u^3 (1 - u^6) with u = (1-r)/(1+r), evaluated as
+    (1-r)^3 (3 + 10r^2 + 3r^4) / (3 (1+r)^9), which keeps full precision
+    as r -> 0+; convex: (1-r)/(1+r)^3.  Both tend to 1 as r -> 0+.
     """
     return _FAMILIES[family].floor(_check_r_open(r))
 

@@ -181,7 +181,20 @@ def write_boundary_plot(path: str, points, *, title: str, radius: float) -> Fram
     return _write(path, frame, title, desc, "Re", "Im", body)
 
 
-def curve_window(root: float) -> tuple[float, float]:
-    """Sampling window for a margin curve: past the root, clear of r = 1."""
-    hi = min(0.999, root + 0.35 * (1.0 - root))
-    return 1e-3, max(hi, min(0.999, root * 1.25))
+def _past(x: float) -> float:
+    # the margin diverges at r = 1: stop at 0.999, unless x lies beyond it
+    past = x + 0.35 * (1.0 - x)
+    return past if x >= 0.999 else min(0.999, max(past, x * 1.25))
+
+
+def curve_window(root: float, target: float | None = None) -> tuple[float, float]:
+    """Sampling window for a margin curve: past the root, clear of r = 1.
+
+    A target in (0, 1) outside the root's window widens it: down to half
+    the target, or past the target as past the root.
+    """
+    lo, hi = 1e-3, _past(root)
+    if target is not None:
+        lo = lo if target >= lo else 0.5 * target
+        hi = hi if target <= hi else _past(target)
+    return lo, hi

@@ -168,6 +168,11 @@ class TestThresholds:
         code, _, _ = run(capsys, "thresholds", "--class", "general", "--targets", "1.5")
         assert code == 2
 
+    def test_tiny_target(self, capsys):
+        # the general floor once cancelled to 0.0 at r = 1e-17, and this exited 2
+        code, out, err = run(capsys, "thresholds", "--class", "general", "--targets", "1e-17")
+        assert (code, out, err) == (0, "target=1e-17  smallest n=2\n", "")
+
     def test_unreached_target_at_the_real_cap(self, capsys):
         # one margin sign test per order, so all 9 999 orders take well under 1 s
         start = time.perf_counter()
@@ -428,6 +433,41 @@ class TestPlot:
         assert code == 2
         assert out == ""
         assert err == "error: section orders must lie in 1..1000, got (10000000000, 2)\n"
+
+    def test_root_beyond_the_default_window_is_framed(self, tmp_path, capsys):
+        # the window once ended at 0.999, left of the root 0.999321, so the
+        # root marker sat at cx = 666.20, past the frame's right edge at 666
+        out_path = tmp_path / "psi.svg"
+        code, _, _ = run(capsys, "plot", "psi-curve", "--n", "100000", "--out", str(out_path))
+        assert code == 0
+        desc = read_desc(str(out_path))
+        assert float(desc["x0"]) < float(desc["root"]) < float(desc["x1"]) < 1.0
+        ns = "{http://www.w3.org/2000/svg}"
+        cx = float(ET.parse(out_path).getroot().find(f"{ns}circle").get("cx"))
+        assert float(desc["pad"]) < cx < float(desc["width"]) - float(desc["pad"])
+
+    @pytest.mark.parametrize("target", ["0.5", "0.0001", "0.999999"])
+    def test_target_outside_the_root_window_is_framed(self, tmp_path, capsys, target):
+        # at n = 2 the root's window is [0.001, 0.4736], and --target 0.5 was
+        # drawn past its right edge
+        out_path = tmp_path / "mu.svg"
+        code, _, _ = run(capsys, "plot", "mu-curve", "--n", "2", "--target", target,
+                         "--out", str(out_path))
+        assert code == 0
+        desc = read_desc(str(out_path))
+        assert float(desc["x0"]) <= float(desc["vline"]) <= float(desc["x1"]) < 1.0
+        assert float(desc["x0"]) < float(desc["root"]) < float(desc["x1"])
+
+    @pytest.mark.parametrize("kind", ["psi-curve", "mu-curve"])
+    @pytest.mark.parametrize("target", ["5", "1", "0", "-1"])
+    def test_target_outside_the_unit_interval_is_a_usage_error(self, capsys, tmp_path, kind,
+                                                               target):
+        svg = tmp_path / "x.svg"
+        code, out, err = run(capsys, "plot", kind, "--n", "2", "--target", target,
+                             "--out", str(svg))
+        assert not svg.exists()
+        assert (code, out) == (2, "")
+        assert err == f"error: --target must lie in (0, 1), got {float(target)}\n"
 
     @pytest.mark.parametrize("kind", ["psi-curve", "mu-curve"])
     @pytest.mark.parametrize("target", ["nan", "inf", "-inf"])

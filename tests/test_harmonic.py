@@ -10,13 +10,13 @@ import pytest
 from harmsect import harmonic
 from harmsect.harmonic import (
     EmpiricalScan,
-    ExtremalCoefficients,
     HarmonicPolynomial,
     KernelScan,
     ProbeGrid,
     divided_difference,
     empirical_scan,
     evaluate,
+    extremal_map,
     jacobian,
     kernel,
     kernel_min_modulus,
@@ -29,8 +29,8 @@ from harmsect.radius import (
 )
 from oracles import disk_jacobian_min, disk_points, record_tail
 
-GENERAL = ExtremalCoefficients(FamilyClass.GENERAL)
-CONVEX = ExtremalCoefficients(FamilyClass.CONVEX)
+GENERAL = extremal_map(FamilyClass.GENERAL)
+CONVEX = extremal_map(FamilyClass.CONVEX)
 IDENTITY = HarmonicPolynomial(a=[1.0], b=[0.0])
 
 
@@ -205,7 +205,7 @@ class TestJacobian:
     )
     def test_positive_inside_certified_radius(self, family, n):
         certified = solve_radius(family, n, n).radius
-        p = section(ExtremalCoefficients(family), n, n)
+        p = section(extremal_map(family), n, n)
         grid = ProbeGrid(radius=0.95 * certified)
         assert disk_jacobian_min(p, grid) > 0
         assert harmonic._jacobian_min(p, grid) > 0
@@ -661,6 +661,32 @@ class TestKernelScan:
         )
         assert scan.min_modulus == pytest.approx(blocked.min_modulus, rel=1e-12, abs=1e-16)
 
+    @pytest.mark.parametrize("part", ["a", "b"])
+    def test_degree_above_the_bound_rejected(self, part):
+        # the pass once padded through section, whose error named orders the
+        # caller never passed: "section orders must lie in 1..1000, got (1001, 1001)"
+        coeffs = {"a": [1.0], "b": [0.0]}
+        coeffs[part] = coeffs[part] + [0.0] * 1000
+        p = HarmonicPolynomial(**coeffs)
+        match = r"^the kernel pass takes degrees up to 1000, got 1001$"
+        with pytest.raises(ValueError, match=match):
+            kernel_min_modulus(p, ProbeGrid())
+        with pytest.raises(ValueError, match=match):
+            empirical_scan(p, ProbeGrid())
+
+    def test_unequal_parts_are_padded_without_a_section(self, monkeypatch):
+        # a (order 3) is zero-padded to the degree 5 with no section built, and
+        # the scan equals the one of the equal-order section
+        p = section(GENERAL, 3, 5)
+        padded = section(p, 5, 5)
+
+        def refuse(*args):
+            raise AssertionError("kernel_min_modulus built a section")
+
+        monkeypatch.setattr(harmonic, "section", refuse)
+        grid = ProbeGrid(radius=0.3)
+        assert kernel_min_modulus(p, grid) == kernel_min_modulus(padded, grid)
+
     def test_ratio_table_matches_the_scalar_ratio(self):
         ks = np.arange(1, 31, dtype=float)
         ts = ProbeGrid().t_values()
@@ -691,7 +717,7 @@ class TestEmpiricalRadius:
     )
     def test_dominates_certified_radius(self, family, n):
         certified = solve_radius(family, n, n).radius
-        p = section(ExtremalCoefficients(family), n, n)
+        p = section(extremal_map(family), n, n)
         assert empirical_scan(p, ProbeGrid()).radius >= certified - 1e-3
 
     @pytest.mark.parametrize("lam", [4.0, 3.6])

@@ -21,7 +21,6 @@ PUBLIC_NAMES = [
     "CLAIMS",
     "ClaimReport",
     "EmpiricalScan",
-    "ExtremalCoefficients",
     "FamilyClass",
     "HarmonicPolynomial",
     "KernelScan",
@@ -34,6 +33,7 @@ PUBLIC_NAMES = [
     "divided_difference",
     "empirical_scan",
     "evaluate",
+    "extremal_map",
     "isolate_real_roots",
     "jacobian",
     "kernel",

@@ -141,6 +141,19 @@ class TestDistortionFloors:
         assert distortion_floor(FamilyClass.CONVEX, 0.5) == pytest.approx(0.5 / 3.375, rel=1e-14)
         assert distortion_floor(FamilyClass.CONVEX, 1 - 1e-9) == pytest.approx(0.0, abs=1e-6)
 
+    def test_general_floor_keeps_its_precision_near_zero(self):
+        # the form u^3 (1 - u^6)/(12 r) cancelled as r -> 0: it read
+        # 1.0000000821 at r = 1e-10, 1.0000334 at 1e-12 and 0.0 from 1e-17.
+        # Against the exact value at each double r, within a few ulps
+        rs = np.concatenate([np.logspace(-300, -1, 600), np.linspace(0.1, 1 - 1e-6, 400)])
+        floors = [distortion_floor(FamilyClass.GENERAL, float(r)) for r in rs]
+        assert all(0.0 < f <= 1.0 for f in floors)
+        assert all(later <= earlier for earlier, later in zip(floors, floors[1:]))
+        for r, f in zip(rs, floors):
+            q = Fraction(float(r))
+            exact = (1 - q) ** 3 * (3 + 10 * q**2 + 3 * q**4) / (3 * (1 + q) ** 9)
+            assert abs(Fraction(f) - exact) <= 4e-15 * exact, r
+
     @pytest.mark.parametrize("fn", per_family(distortion_floor))
     @pytest.mark.parametrize("r", [0.0, 1.0, -0.5, 1.5])
     def test_domain(self, fn, r):
@@ -263,6 +276,21 @@ class TestMargins:
         rs = np.array([1e-3, 0.25, 0.999])
         assert [fn(5, 8, float(r)) for r in rs] == pytest.approx(fn(5, 8, rs), rel=1e-14)
         assert fn(5, 8, np.float64(0.25)) == fn(5, 8, 0.25)
+
+    @pytest.mark.parametrize("fn", [margin_general, margin_convex])
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_zero_dimensional_r_is_evaluated_in_double(self, fn, dtype):
+        # a 0-d r was returned as given by the domain check, so a float32 r
+        # ran in single precision (0.0061643724 against 0.006164371962268623
+        # at (287, 287, 0.5)) and a float16 r gave nan with overflow warnings
+        for r in (dtype(0.5), np.array(0.5, dtype=dtype)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                value = fn(287, 287, r)
+            assert isinstance(value, float) and value == fn(287, 287, 0.5)
+        family = FamilyClass.GENERAL if fn is margin_general else FamilyClass.CONVEX
+        assert distortion_floor(family, dtype(0.5)) == distortion_floor(family, 0.5)
+        assert threshold_order(family, dtype(0.5)) == threshold_order(family, 0.5)
 
 
 @pytest.fixture
@@ -667,6 +695,11 @@ class TestThresholds:
         n = threshold_order(FamilyClass.GENERAL, 0.25)
         assert solve_radius(FamilyClass.GENERAL, n - 1, n - 1).radius < 0.25
         assert solve_radius(FamilyClass.GENERAL, n, n).radius >= 0.25
+
+    def test_tiny_target_is_reached_at_order_two(self):
+        # the cancelling general floor read 0.0 at r = 1e-17, so no order reached it
+        assert threshold_order(FamilyClass.GENERAL, 1e-17) == 2
+        assert threshold_order(FamilyClass.CONVEX, 1e-17) == 2
 
     @pytest.mark.parametrize("target", [0.0, 1.0, 1.5, -0.25])
     def test_target_guard(self, target):

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from harmsect.svg import Frame, write_boundary_plot, write_curve_plot
+from harmsect.svg import Frame, curve_window, write_boundary_plot, write_curve_plot
 
 CURVE = """\
 <?xml version="1.0" encoding="UTF-8"?>
@@ -77,3 +77,23 @@ def test_boundary_plot_bytes(tmp_path):
     assert path.read_bytes() == BOUNDARY.encode()
     assert frame == Frame(560.0, 560.0, -0.55, 0.55, -0.55, 0.55)
     assert [p.name for p in tmp_path.iterdir()] == ["image.svg"]
+
+
+def test_curve_window_holds_root_and_target():
+    # below 0.999, with no target or one inside it, the window is the
+    # earlier root-only one, so those plots keep their bytes
+    def root_window(root):
+        hi = min(0.999, root + 0.35 * (1.0 - root))
+        return 1e-3, max(hi, min(0.999, root * 1.25))
+
+    for root in np.linspace(0.1, 0.9989, 200):
+        lo, hi = root_window(root)
+        assert curve_window(root) == (lo, hi)
+        for target in np.linspace(lo, hi, 7):
+            assert curve_window(root, target) == (lo, hi)
+    for root in (0.999, 0.999321, 1.0 - 2.0**-52, 1.0 - 2.0**-53):
+        lo, hi = curve_window(root)
+        assert lo < root <= hi < 1.0
+    for target in (1e-300, 1e-4, 0.5, 0.9995, 1.0 - 2.0**-53):
+        lo, hi = curve_window(0.19, target)
+        assert lo <= target <= hi < 1.0 and lo < 0.19 < hi

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from harmsect.harmonic import ExtremalCoefficients
+from harmsect.harmonic import extremal_map, section
 from harmsect.radius import FamilyClass, margin_fn
 from oracles import (
     TAILS,
@@ -114,11 +114,16 @@ class TestWeights:
         # bounds that `scan` takes with equality, over the whole range of
         # section orders.  w(k) is an exact integer here, so w(k) / k and the
         # coefficient are both the correctly rounded value of one rational
-        # and must be equal bit for bit
+        # and must be equal bit for bit.  A section keeps exactly the leading
+        # coefficients of the extremal map
         ks = np.arange(1, 1001, dtype=float)
-        source = ExtremalCoefficients(family)
-        assert np.array_equal(weight(analytic, ks) / ks, source.analytic(ks))
-        assert np.array_equal(weight(co_analytic, ks) / ks, source.co_analytic(ks))
+        a, b = weight(analytic, ks) / ks, weight(co_analytic, ks) / ks
+        p = extremal_map(family)
+        assert p.a.size == p.b.size == 1000
+        assert np.array_equal(p.a, a) and np.array_equal(p.b, b)
+        for n, m in ((3, 7), (1000, 1000)):
+            q = section(p, n, m)
+            assert np.array_equal(q.a, a[:n]) and np.array_equal(q.b, b[:m])
 
 
 class TestWeightedTails:
