@@ -43,6 +43,7 @@ would keep.  The Q-roots claim's Sturm counts decide each sign in integers
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -74,7 +75,15 @@ class UnknownClaimError(KeyError):
 # (orders, 1) float columns.
 
 
+# the largest order the ratios take: numpy converts n to a double to
+# compare it with x, which raised OverflowError for larger ints
+_MAX_RATIO_ORDER = sys.float_info.max
+
+
 def _check_x_range(x, n: int) -> None:
+    if n > _MAX_RATIO_ORDER:  # inf too; NaN fails the range test below
+        got = f"an order of {n.bit_length()} bits" if isinstance(n, int) else repr(n)
+        raise ValueError(f"n must be at most {_MAX_RATIO_ORDER!r}, the largest double, got {got}")
     xs = np.asarray(x)
     if not ((xs > 0) & (xs <= n)).all():
         raise ValueError(f"x must lie in (0, n], got x={x!r} for n={n}")

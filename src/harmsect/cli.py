@@ -78,9 +78,16 @@ def _print_report(rows: list[dict], header: list[str], fmt: str, text_lines: lis
             print(line)
 
 
-def _parse_list(text: str, kind) -> list:
-    """Comma-separated values converted by `kind`; empty items are skipped."""
-    return [kind(part) for part in text.split(",") if part.strip()]
+def _parse_list(text: str, kind, option: str, what: str) -> list:
+    """Comma-separated values converted by `kind`; empty items are skipped.
+
+    A list with no value at all, such as "," or "", is a usage error that
+    names the option and what it needs.
+    """
+    values = [kind(part) for part in text.split(",") if part.strip()]
+    if not values:
+        raise ValueError(f"{option} needs at least one {what}")
+    return values
 
 
 def cmd_radius(args) -> int:
@@ -113,7 +120,9 @@ def cmd_table(args) -> int:
     family = FamilyClass(args.family)
     rows = []
     text = []
-    for n in _parse_list(args.n_list, int):
+    # no --n at all is the table of no orders: the header alone
+    orders = [] if args.n_list is None else _parse_list(args.n_list, int, "--n", "order")
+    for n in orders:
         result = solve_radius(family, n, n)
         rows.append({"n": n, "radius": result.radius, "lower_bound": result.lower_bound})
         text.append(
@@ -128,7 +137,7 @@ def cmd_thresholds(args) -> int:
     family = FamilyClass(args.family)
     rows = []
     text = []
-    for target in _parse_list(args.targets, float):
+    for target in _parse_list(args.targets, float, "--targets", "target"):
         n = threshold_order(family, target)
         rows.append({"target": target, "n": n})
         text.append(f"target={target:g}  smallest n={n}")
@@ -151,7 +160,9 @@ def cmd_verify(args) -> int:
 
 # both passes run on the circle, whose 4 x 256 angles grow with the scale:
 # at 8 the kernel's e^(ik theta) table at the largest section order holds
-# 1000 x 8192 complex values, 131 MB
+# 1000 x 8192 complex values, 131 MB, and it stays resident after the pass
+# (the passes of one scan share it) until a pass at another degree or grid
+# replaces it
 _MAX_GRID_SCALE = 8
 
 
@@ -274,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="equal-order radii for a list of n values")
     add_class(p, required=True)
-    p.add_argument("--n", dest="n_list", default="", help="comma-separated orders")
+    p.add_argument("--n", dest="n_list", help="comma-separated orders")
     add_format(p)
     p.set_defaults(func=cmd_table)
 

@@ -17,11 +17,15 @@ sense-preserving zero at z = 0, so by the argument principle for harmonic
 functions (Duren, Hengartner & Laugesen, Amer. Math. Monthly 103, 1996)
 the winding number of theta -> K(r e^(i theta), t) around 0 counts its
 zeros in |z| < r, sense-preserving ones +1 and sense-reversing ones -1.
-A winding number other than 1 at any t is a concrete violation witness,
-found without sampling the zero itself.  The evidence is one-sided: for
-b = 0 every zero counts +1 and winding 1 proves the disk free of further
-zeros at that t, but for b != 0 a sense-preserving and a sense-reversing
-zero can cancel, and a count of 1 proves nothing.
+It is counted from samples on the circle as negative-axis crossings under
+the pi/2 guard: where every step between consecutive samples turns by
+less than pi/2, the signed crossings of the negative real axis are the
+winding number, found by sign tests alone.  A winding number other than
+1 at any t is a concrete violation witness, found without sampling the
+zero itself.  The evidence is one-sided: for b = 0 every zero counts +1
+and winding 1 proves the disk free of further zeros at that t, but for
+b != 0 a sense-preserving and a sense-reversing zero can cancel, and a
+count of 1 proves nothing.
 
 The empirical radius conjoins the kernel's winding test with Jacobian
 positivity, both on the circle, and records which predicate failed first.
@@ -326,16 +330,29 @@ class KernelScan:
 def _windings(vals: np.ndarray) -> tuple:
     """Winding numbers around 0 of the closed curves in the rows of vals.
 
-    Each row samples a curve at equally spaced angles.  A row's count is
-    the sum of its wrapped arg steps, the args of vals[j+1] conj(vals[j])
-    (the last step wraps to the first sample), over 2 pi, and it is
-    guarded when every step stays below pi/2 in modulus.  Returns the
-    per-row guard flags and the rounded counts.
+    Each row samples a curve at equally spaced angles, the last sample
+    followed by the first; rows must be contiguous, as the circle passes
+    make them.  A row is guarded when every pair of consecutive samples
+    has Re(vals[j+1] conj(vals[j])) > 0, so each arg step stays below
+    pi/2 in modulus and the pair lies in the same or adjacent half-open
+    quadrants.  A guarded row's count is then its negative-axis crossings
+    under the pi/2 guard: +1 for each step from re < 0, im >= 0 to
+    im < 0, and -1 for each step from re < 0, im < 0 to im >= 0.  Only
+    sign tests are made, no arg.  Returns the per-row guard flags and the
+    counts; an unguarded row's count means nothing.
     """
-    steps = np.roll(vals, -1, axis=-1)
-    steps *= vals.conj()
-    guarded = (steps.real > 0.0).all(axis=-1)  # every |step| < pi/2
-    return guarded, np.rint(np.angle(steps).sum(axis=-1) / (2.0 * np.pi))
+    f = vals.view(float)  # re and im of each sample side by side
+    # re1 re + im1 im = Re(vals[j+1] conj(vals[j])) for each sample and the
+    # next, then for the last sample and the first
+    prod = f[..., 2:] * f[..., :-2]
+    wrap = f[..., -2] * f[..., 0] + f[..., -1] * f[..., 1]
+    guarded = (prod[..., 0::2] + prod[..., 1::2] > 0.0).all(axis=-1) & (wrap > 0.0)
+    neg = (f < 0.0).view(np.int8)
+    left, lower = neg[..., 0::2], neg[..., 1::2]
+    # +1 leaving the upper half im >= 0, -1 entering it, counted where re < 0
+    step = np.roll(lower, -1, axis=-1) - lower
+    step *= left
+    return guarded, step.sum(axis=-1, dtype=int)
 
 
 def _ratio_table(ks: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -347,28 +364,62 @@ def _ratio_table(ks: np.ndarray, ts: np.ndarray) -> np.ndarray:
     )
 
 
+def _angle_table(ks: np.ndarray, n_theta: int) -> tuple:
+    """n_theta equally spaced angles and e^(ik theta), k down the rows."""
+    thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    return thetas, np.exp(1j * np.outer(ks, thetas))
+
+
+# the radius-independent tables of the last kernel pass's first level,
+# keyed on (degree, t_points, angles): one entry, dropped before another
+# is built, so that the bisection steps of one scan share it
+_PASS_TABLES: dict = {}
+
+
+def _pass_tables(degree: int, grid: ProbeGrid) -> tuple:
+    """ks, the t values, the (T, K) ratio table, and the first angles and e^(ik theta).
+
+    They depend on the degree, grid.t_points and 4 * grid.angular_points
+    only, not on the radius, and are read-only.  Only the first level is
+    kept: refined angle counts are built by the pass and go with it, so
+    no table larger than one a pass builds outlives the call.
+    """
+    key = (degree, grid.t_points, 4 * grid.angular_points)
+    tables = _PASS_TABLES.get(key)
+    if tables is None:
+        _PASS_TABLES.clear()
+        ks = np.arange(1, degree + 1, dtype=float)
+        ts = grid.t_values()
+        tables = (ks, ts, _ratio_table(ks, ts).T, *_angle_table(ks, key[2]))
+        for table in tables:
+            table.flags.writeable = False
+        _PASS_TABLES[key] = tables
+    return tables
+
+
 def kernel_min_modulus(p: HarmonicPolynomial, grid: ProbeGrid) -> KernelScan:
     """Winding numbers and min |kernel| on the circle |z| = grid.radius.
 
     For every t in grid.t_values() the winding number of
-    theta -> K(r e^(i theta), t) around 0 is the sum of the wrapped arg
-    steps between 4 * grid.angular_points equally spaced angles.  A count
-    is trusted only when every step stays below pi/2 in modulus; the t
-    values where one does not are evaluated again at twice the angles, up
-    to 64 * grid.angular_points, and a t still unguarded there counts as
-    winding 0.  By the argument principle a winding other than 1 means a
-    zero of K(., t) in the open disk besides z = 0; winding 1 rules such a
-    zero out only for b = 0 (see KernelScan).  The reduction is over fixed
-    grids, so the result does not depend on evaluation order.
+    theta -> K(r e^(i theta), t) around 0 is counted at 4 *
+    grid.angular_points equally spaced angles, as negative-axis crossings
+    under the pi/2 guard (see _windings).  A count is trusted only when
+    every arg step stays below pi/2 in modulus; the t values where one
+    does not are evaluated again at twice the angles, up to 64 *
+    grid.angular_points, and a t still unguarded there counts as winding
+    0.  By the argument principle a winding other than 1 means a zero of
+    K(., t) in the open disk besides z = 0; winding 1 rules such a zero
+    out only for b = 0 (see KernelScan).  The reduction is over fixed
+    grids, so the result does not depend on evaluation order.  The tables
+    that do not depend on the radius come from _pass_tables, so the
+    passes of one scan build them once.
     """
     if p.degree > _MAX_DEGREE:
         raise ValueError(f"the kernel pass takes degrees up to {_MAX_DEGREE}, got {p.degree}")
     # unlike kernel, no Horner pass per t: on the circle the terms
     # a_k r^k e^(ik theta) are shared by every t, and one matrix product
     # with the ratio table weights them for a whole block of t values
-    ks = np.arange(1, p.degree + 1, dtype=float)
-    ts = grid.t_values()
-    ratios = _ratio_table(ks, ts).T  # (T, K)
+    ks, ts, ratios, thetas, e = _pass_tables(p.degree, grid)  # ratios: (T, K)
     rk = grid.radius**ks
     a_r = (_fitted(p.a, p.degree) * rk)[:, None]
     b_r = (_fitted(p.b, p.degree) * rk)[:, None]
@@ -377,8 +428,8 @@ def kernel_min_modulus(p: HarmonicPolynomial, grid: ProbeGrid) -> KernelScan:
     best, best_z, best_t = math.inf, 0j, 0.0
     n_theta = 4 * grid.angular_points
     while rows.size and n_theta <= 64 * grid.angular_points:
-        thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
-        e = np.exp(1j * np.outer(ks, thetas))  # (K, N_theta): e^(i k theta)
+        if n_theta > 4 * grid.angular_points:
+            thetas, e = _angle_table(ks, n_theta)  # (K, N_theta): e^(i k theta)
         # real view: the re and im parts of each term are adjacent columns,
         # so a real matmul gives the complex kernel values
         terms = (a_r * e - np.conj(b_r * e)).view(float)
@@ -407,13 +458,14 @@ def _jacobian_min(p: HarmonicPolynomial, grid: ProbeGrid) -> float:
 
     The minimum is taken at 4 * grid.angular_points equally spaced angles,
     where the winding number of h' around 0 is counted as in
-    kernel_min_modulus: a count whose arg steps are not all below pi/2 is
-    made again at twice the angles, up to 64 * grid.angular_points.  A
-    guarded count of 0 means h' has no zero in the disk, and the minimum
-    on the circle then decides the sign on the closed disk (maximum
-    principle, see the module docstring).  Any other count means h' has a
-    zero z0 inside, where J = -|g'(z0)|^2 <= 0, and a count still
-    unguarded fails alike: either way the result is min(minimum, 0.0).
+    kernel_min_modulus, by negative-axis crossings under the pi/2 guard: a
+    count whose arg steps are not all below pi/2 is made again at twice
+    the angles, up to 64 * grid.angular_points.  A guarded count of 0
+    means h' has no zero in the disk, and the minimum on the circle then
+    decides the sign on the closed disk (maximum principle, see the
+    module docstring).  Any other count means h' has a zero z0 inside,
+    where J = -|g'(z0)|^2 <= 0, and a count still unguarded fails alike:
+    either way the result is min(minimum, 0.0).
     """
     n_theta = 4 * grid.angular_points
     while True:

@@ -16,7 +16,9 @@ and tail of such a pair, for the tests that compare them with the forms
 here.
 
 `disk_jacobian_min` samples the Jacobian on a disk grid, the way the
-empirical scan once did, as the oracle for the scan's circle test.
+empirical scan once did, as the oracle for the scan's circle test, and
+`atan2_windings` counts winding numbers from the args of the steps, the
+way the circle passes once did, as the oracle for their sign-test count.
 """
 
 from __future__ import annotations
@@ -169,3 +171,17 @@ def disk_points(grid):
 def disk_jacobian_min(p, grid) -> float:
     """The smallest Jacobian |h'|^2 - |g'|^2 sampled at disk_points(grid)."""
     return float(np.min(jacobian(p, disk_points(grid))))
+
+
+def atan2_windings(vals):
+    """Guard flags and winding numbers of the closed curves in the rows of vals.
+
+    A row's count is the sum of its wrapped arg steps, the args of
+    vals[j+1] conj(vals[j]) (the last step wraps to the first sample), over
+    2 pi, rounded; it is guarded when every step stays below pi/2 in
+    modulus, Re(vals[j+1] conj(vals[j])) > 0.
+    """
+    steps = np.roll(vals, -1, axis=-1)
+    steps *= vals.conj()
+    guarded = (steps.real > 0.0).all(axis=-1)
+    return guarded, np.rint(np.angle(steps).sum(axis=-1) / (2.0 * np.pi))

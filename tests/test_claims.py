@@ -2,6 +2,7 @@
 
 import decimal
 import math
+import sys
 from functools import partial
 
 import numpy as np
@@ -293,6 +294,39 @@ class TestNanRejected:
     def test_nan_rejected(self, fn, args):
         with pytest.raises(ValueError):
             fn(*args)
+
+
+RATIO_FORMS = {
+    "tail_ratio-general": lambda x, n: tail_ratio(FamilyClass.GENERAL, x, n),
+    "tail_ratio-convex": lambda x, n: tail_ratio(FamilyClass.CONVEX, x, n),
+    "log_tail_ratio-general": lambda x, n: log_tail_ratio(FamilyClass.GENERAL, x, n),
+    "log_tail_ratio-convex": lambda x, n: log_tail_ratio(FamilyClass.CONVEX, x, n),
+    "slope_prefactor_general": slope_prefactor_general,
+}
+LARGEST_DOUBLE = int(sys.float_info.max)
+
+
+class TestRatioOrderBound:
+    # numpy converted n to a double to compare it with x, which raised
+    # OverflowError: int too large to convert to float from the check itself
+    @pytest.mark.parametrize("n", [2**1024, LARGEST_DOUBLE + 1, 10**400, math.inf],
+                             ids=["2**1024", "largest-double-plus-one", "1e400", "inf"])
+    @pytest.mark.parametrize("form", sorted(RATIO_FORMS))
+    def test_orders_past_the_largest_double_rejected(self, form, n):
+        with pytest.raises(ValueError, match=r"^n must be at most 1\.7976931348623157e\+308, "
+                                             r"the largest double, got "):
+            RATIO_FORMS[form](np.array([1.0, 2.0]), n)
+
+    def test_the_message_states_the_size_of_an_int_order(self):
+        with pytest.raises(ValueError, match=r"got an order of 1025 bits$"):
+            tail_ratio(FamilyClass.GENERAL, 1.0, 2**1024)
+
+    @pytest.mark.parametrize("n", [LARGEST_DOUBLE, sys.float_info.max], ids=["int", "float"])
+    def test_the_largest_double_is_taken(self, n):
+        # the general log ratio is finite there; at x = 1 the prefactor is
+        # -(2 - 1/n)^8 e^-1 / (16 - ...)^2, which rounds to -1/e
+        assert math.isfinite(log_tail_ratio(FamilyClass.GENERAL, 1.0, n))
+        assert slope_prefactor_general(1.0, n) == pytest.approx(-math.exp(-1.0), rel=1e-15)
 
 
 class TestBoundParts:

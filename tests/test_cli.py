@@ -154,8 +154,35 @@ class TestTable:
         code, _, _ = run(capsys, "table", "--class", "general", "--n", "2,1")
         assert code == 2
 
+    @pytest.mark.parametrize("orders", [",", "", " , ,"])
+    def test_a_list_with_no_order_is_a_usage_error(self, capsys, orders):
+        # it answered [] in JSON with exit 0, as if the list were valid
+        for fmt in ("text", "json"):
+            code, out, err = run(capsys, "table", "--class", "general", "--n", orders,
+                                 "--format", fmt)
+            assert (code, out, err) == (2, "", "error: --n needs at least one order\n")
+
+    def test_empty_items_between_orders_are_skipped(self, capsys):
+        code, out, _ = run(capsys, "table", "--class", "general", "--n", "2,,3,",
+                           "--format", "json")
+        assert code == 0
+        assert [row["n"] for row in json.loads(out)] == [2, 3]
+
 
 class TestThresholds:
+    @pytest.mark.parametrize("targets", [",", "", ",,"])
+    def test_a_list_with_no_target_is_a_usage_error(self, capsys, targets):
+        for fmt in ("text", "json"):
+            code, out, err = run(capsys, "thresholds", "--class", "general", "--targets", targets,
+                                 "--format", fmt)
+            assert (code, out, err) == (2, "", "error: --targets needs at least one target\n")
+
+    def test_empty_items_between_targets_are_skipped(self, capsys):
+        code, out, _ = run(capsys, "thresholds", "--class", "general", "--targets", ",0.25,,0.5",
+                           "--format", "json")
+        assert code == 0
+        assert json.loads(out) == [{"target": 0.25, "n": 7}, {"target": 0.5, "n": 22}]
+
     def test_general_pair(self, capsys):
         code, out, _ = run(
             capsys, "thresholds", "--class", "general", "--targets", "0.25,0.5",

@@ -27,7 +27,7 @@ from harmsect.radius import (
     distortion_floor,
     solve_radius,
 )
-from oracles import disk_jacobian_min, disk_points, record_tail
+from oracles import atan2_windings, disk_jacobian_min, disk_points, record_tail
 
 GENERAL = extremal_map(FamilyClass.GENERAL)
 CONVEX = extremal_map(FamilyClass.CONVEX)
@@ -938,3 +938,151 @@ class TestKernelBinding:
         assert scan.witness == kernel_min_modulus(p, at)
         assert scan.min_jacobian == harmonic._jacobian_min(p, at)
         assert scan == reference_scan(p, grid)
+
+
+def trig_curves(rng, n_theta, rows=16):
+    """Seeded closed curves e^(iw theta) (1 + c e^(i(k theta + phi))) + s at
+    n_theta angles, with w from -3 to 3 and |c| + |s| < 1, so each winds w
+    times around 0.  Samples near an axis are moved onto it, with a +0.0 or
+    -0.0 part at random, and some rows get an exact zero sample."""
+    thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    curves = []
+    for _ in range(rows):
+        w, k = int(rng.integers(-3, 4)), int(rng.integers(-4, 5))
+        c = float(rng.uniform(0.0, 0.5)) * cmath.exp(1j * float(rng.uniform(0.0, 2.0 * np.pi)))
+        s = float(rng.uniform(0.0, 0.3)) * cmath.exp(1j * float(rng.uniform(0.0, 2.0 * np.pi)))
+        v = np.exp(1j * w * thetas) * (1.0 + c * np.exp(1j * k * thetas)) + s
+        re, im = v.real.copy(), v.imag.copy()
+        zeros = np.where(rng.random(n_theta) < 0.5, 0.0, -0.0)
+        near_re, near_im = np.abs(re) < 0.05, np.abs(im) < 0.05
+        re[near_re], im[near_im] = zeros[near_re], zeros[near_im]
+        v = re + 1j * im
+        if rng.random() < 0.15:
+            v[int(rng.integers(n_theta))] = complex(*zeros[:2])
+        curves.append(v)
+    return np.array(curves)
+
+
+CRITERION_8 = {
+    f"{name}-{n}": (lambda p=p, n=n: section(p, n, n))
+    for name, p in (("general", GENERAL), ("convex", CONVEX))
+    for n in ((2, 5, 10) if p is GENERAL else (5, 10, 17))
+}
+RADII = [k / 10 for k in range(1, 10)]
+
+
+class TestWindings:
+    def test_sign_tests_match_the_arg_sum(self):
+        # the guard flags agree exactly, and so do the counts of guarded rows
+        rng = np.random.default_rng(22)
+        counts, unguarded, on_negative_axis = set(), 0, {0.0: 0, -0.0: 0}
+        for n_theta in (8, 16, 64, 256) * 6:
+            vals = trig_curves(rng, n_theta)
+            expected_guard, expected = atan2_windings(vals)
+            guarded, turns = harmonic._windings(vals)
+            assert np.array_equal(guarded, expected_guard)
+            assert np.array_equal(turns[guarded], expected[guarded])
+            # one row alone, as h' is counted
+            for row, flag, count in zip(vals, expected_guard, expected):
+                row_guarded, row_turns = harmonic._windings(row)
+                assert row_guarded == flag
+                assert not flag or row_turns == count
+            counts.update(int(c) for c in expected[expected_guard])
+            unguarded += int((~expected_guard).sum())
+            for row in vals[expected_guard]:
+                axis = row[(row.imag == 0.0) & (row.real < 0.0)].imag
+                on_negative_axis[0.0] += int(np.signbit(axis).sum() < axis.size)
+                on_negative_axis[-0.0] += int(np.signbit(axis).any())
+        assert counts == set(range(-3, 4))
+        assert unguarded >= 50
+        assert min(on_negative_axis.values()) >= 10, on_negative_axis
+
+    def test_exact_zero_sample_is_unguarded(self):
+        vals = np.exp(2j * np.pi * np.arange(64) / 64)
+        for zero in (0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)):
+            vals[5] = zero
+            assert not atan2_windings(vals)[0]
+            assert not harmonic._windings(vals)[0]
+
+    def test_crossings_in_both_directions(self):
+        # once round anticlockwise and once clockwise, starting on the negative axis
+        thetas = np.pi + 2.0 * np.pi * np.arange(32) / 32
+        for sign, winding in ((1, 1), (-1, -1)):
+            vals = np.exp(sign * 1j * thetas)
+            vals[0] = complex(-1.0, 0.0)
+            guarded, turns = harmonic._windings(np.stack([vals, vals**2, vals**3]))
+            assert guarded.all()
+            assert turns.tolist() == [winding, 2 * winding, 3 * winding]
+
+
+class TestWindingPasses:
+    """Both circle passes give bit for bit what they gave with the arg-sum count."""
+
+    CASES = {**EQUIVALENCE_CASES, **CRITERION_8, "refined-to-64x": zero_between_the_samples}
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_passes_match_the_arg_sum_count(self, name, monkeypatch):
+        p = self.CASES[name]()
+        grids = [ProbeGrid(radius=r) for r in RADII]
+        got = [(kernel_min_modulus(p, g), harmonic._jacobian_min(p, g)) for g in grids]
+        monkeypatch.setattr(harmonic, "_windings", atan2_windings)
+        expected = [(kernel_min_modulus(p, g), harmonic._jacobian_min(p, g)) for g in grids]
+        assert got == expected
+        if name == "refined-to-64x":
+            # the count at r = 0.5 stays unguarded up to 64 x the angles
+            assert got[RADII.index(0.5)][0].winding == 0
+
+
+class TestPassTables:
+    """The radius-independent tables of the kernel pass, built once per scan."""
+
+    KEY = (10, ProbeGrid().t_points, 4 * ProbeGrid().angular_points)
+
+    def test_cold_and_warm_passes_agree(self):
+        p = section(GENERAL, 10, 10)
+        grid = ProbeGrid(radius=0.4)
+        harmonic._PASS_TABLES.clear()
+        cold = kernel_min_modulus(p, grid)
+        assert list(harmonic._PASS_TABLES) == [self.KEY]
+        tables = harmonic._PASS_TABLES[self.KEY]
+        assert kernel_min_modulus(p, grid) == cold
+        # a pass at another radius reads the same tables
+        warm = kernel_min_modulus(p, dataclasses.replace(grid, radius=0.3))
+        assert harmonic._PASS_TABLES[self.KEY] is tables
+        harmonic._PASS_TABLES.clear()
+        assert kernel_min_modulus(p, dataclasses.replace(grid, radius=0.3)) == warm
+
+    def test_tables_are_read_only(self):
+        kernel_min_modulus(section(CONVEX, 5, 5), ProbeGrid(radius=0.3))
+        (tables,) = harmonic._PASS_TABLES.values()
+        assert len(tables) == 5
+        for table in tables:
+            assert not table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table[(0,) * table.ndim] = 1.0
+
+    def test_only_the_first_level_is_kept(self):
+        # the refined pass builds up to 64 x the angles, and keeps 4 x
+        grid = ProbeGrid(radius=0.5)
+        assert kernel_min_modulus(zero_between_the_samples(), grid).winding == 0
+        (tables,) = harmonic._PASS_TABLES.values()
+        thetas, e = tables[3:]
+        assert thetas.shape == (4 * grid.angular_points,)
+        assert e.shape == (2, 4 * grid.angular_points)
+
+    @pytest.mark.parametrize(
+        "p,grid",
+        [
+            (section(GENERAL, 5, 5), ProbeGrid(radius=0.3)),
+            (section(GENERAL, 10, 10), ProbeGrid(angular_points=128, radius=0.3)),
+            (section(GENERAL, 10, 10), ProbeGrid(t_points=64, radius=0.3)),
+            (section(GENERAL, 10, 10), ProbeGrid(radius=0.3).scaled(2)),
+        ],
+        ids=["degree", "angles", "t-points", "scale-2"],
+    )
+    def test_pass_after_a_scan_equals_a_fresh_one(self, p, grid):
+        empirical_scan(section(GENERAL, 10, 10), ProbeGrid())
+        after = kernel_min_modulus(p, grid)
+        assert len(harmonic._PASS_TABLES) == 1
+        harmonic._PASS_TABLES.clear()
+        assert kernel_min_modulus(p, grid) == after
