@@ -120,9 +120,7 @@ def cmd_table(args) -> int:
     family = FamilyClass(args.family)
     rows = []
     text = []
-    # no --n at all is the table of no orders: the header alone
-    orders = [] if args.n_list is None else _parse_list(args.n_list, int, "--n", "order")
-    for n in orders:
+    for n in _parse_list(args.n_list, int, "--n", "order"):
         result = solve_radius(family, n, n)
         rows.append({"n": n, "radius": result.radius, "lower_bound": result.lower_bound})
         text.append(
@@ -285,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="equal-order radii for a list of n values")
     add_class(p, required=True)
-    p.add_argument("--n", dest="n_list", help="comma-separated orders")
+    p.add_argument("--n", dest="n_list", required=True, help="comma-separated orders")
     add_format(p)
     p.set_defaults(func=cmd_table)
 

@@ -5,6 +5,14 @@ attribute, so the files stand alone.  Writes are atomic (temp file plus
 os.replace; the temp file is removed if either fails).  Machine-readable
 plot metadata (root location, radius, ...) goes into the <desc> element as
 semicolon-separated key=value pairs.
+
+A polyline's pixels are formed as two arrays by the same `Frame.px` and
+`Frame.py` expressions a single point goes through, and all its points
+are formatted by one `%` call.  The bytes are those of a per-point loop:
+numpy's elementwise +, -, * and / round like Python's float operations,
+so each array pixel has the bits of the scalar one, and `%.2f` is the
+same correctly rounded conversion as `f"{v:.2f}"`, nan, inf and -0.00
+included.
 """
 
 from __future__ import annotations
@@ -30,10 +38,11 @@ class Frame:
     y0: float
     y1: float
 
-    def px(self, x: float) -> float:
+    # x and y may be floats or arrays: one expression for both
+    def px(self, x: float | np.ndarray) -> float | np.ndarray:
         return _PAD + (x - self.x0) / (self.x1 - self.x0) * (self.width - 2 * _PAD)
 
-    def py(self, y: float) -> float:
+    def py(self, y: float | np.ndarray) -> float | np.ndarray:
         return self.height - _PAD - (y - self.y0) / (self.y1 - self.y0) * (self.height - 2 * _PAD)
 
     def desc_items(self) -> dict:
@@ -79,7 +88,13 @@ def _axis_box(frame: Frame, x_label: str, y_label: str) -> list[str]:
 
 
 def _polyline(frame: Frame, xs, ys, color: str) -> str:
-    pts = " ".join(f"{frame.px(float(x)):.2f},{frame.py(float(y)):.2f}" for x, y in zip(xs, ys))
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    coords = np.empty(2 * xs.size)
+    # Python floats overflow to inf and form nan without a word: so do these
+    with np.errstate(over="ignore", invalid="ignore"):
+        coords[0::2] = frame.px(xs)
+        coords[1::2] = frame.py(ys)
+    pts = " ".join(["%.2f,%.2f"] * xs.size) % tuple(coords.tolist())
     return f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.6"/>'
 
 

@@ -19,6 +19,8 @@ here.
 empirical scan once did, as the oracle for the scan's circle test, and
 `atan2_windings` counts winding numbers from the args of the steps, the
 way the circle passes once did, as the oracle for their sign-test count.
+`polyline` forms an SVG polyline one point at a time, the way
+`svg._polyline` once did, as the oracle for its array form.
 """
 
 from __future__ import annotations
@@ -185,3 +187,10 @@ def atan2_windings(vals):
     steps *= vals.conj()
     guarded = (steps.real > 0.0).all(axis=-1)
     return guarded, np.rint(np.angle(steps).sum(axis=-1) / (2.0 * np.pi))
+
+
+def polyline(frame, xs, ys, color: str) -> str:
+    """The <polyline> of the points (xs, ys) in frame: each point through the
+    scalar Frame.px and Frame.py and formatted by its own f-string."""
+    pts = " ".join(f"{frame.px(float(x)):.2f},{frame.py(float(y)):.2f}" for x, y in zip(xs, ys))
+    return f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.6"/>'

@@ -145,10 +145,12 @@ class TestTable:
         # at least 9 significant digits survive the round trip
         assert abs(float(rows[0]["radius"]) - solve_radius(FamilyClass.GENERAL, 2, 2).radius) < 1e-9
 
-    def test_empty_list_header_only(self, capsys):
-        code, out, _ = run(capsys, "table", "--class", "general", "--format", "csv")
-        assert code == 0
-        assert out == "n,radius,lower_bound\n"
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_no_order_list_is_a_usage_error(self, capsys, fmt):
+        # it printed the header alone with exit 0, while --n , exits 2
+        code, out, err = outcome(capsys, ["table", "--class", "general", "--format", fmt])
+        assert (code, out) == (2, "")
+        assert "the following arguments are required: --n" in err
 
     def test_invalid_order(self, capsys):
         code, _, _ = run(capsys, "table", "--class", "general", "--n", "2,1")

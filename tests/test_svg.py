@@ -1,7 +1,12 @@
-"""The bytes the two SVG writers emit, pinned on inputs whose pixels need no libm call."""
+"""The bytes the two SVG writers emit, pinned on inputs whose pixels need no libm call,
+and the array polyline against the per-point form it replaced, on random frames and on
+the real plots."""
 
 import numpy as np
+import pytest
 
+import oracles
+from harmsect import cli, svg
 from harmsect.svg import Frame, curve_window, write_boundary_plot, write_curve_plot
 
 CURVE = """\
@@ -97,3 +102,93 @@ def test_curve_window_holds_root_and_target():
     for target in (1e-300, 1e-4, 0.5, 0.9995, 1.0 - 2.0**-53):
         lo, hi = curve_window(0.19, target)
         assert lo <= target <= hi < 1.0 and lo < 0.19 < hi
+
+
+# pixel = 54 + 512 x and 566 - 512 y: the 1/4096 steps put pixels on exact
+# .125/.375/.625/.875 ties of the second decimal
+DYADIC = Frame(620.0, 620.0, 0.0, 1.0, 0.0, 1.0)
+SPECIAL = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e308, -1e308, 5e-324,
+                    (-54.0 - 1e-3) / 512.0, 2.675, 1.005, 0.125, -0.125])
+
+
+def random_frame(rng) -> Frame:
+    # the two canvases, with bounds that are not dyadic
+    width, height = (720.0, 480.0) if rng.random() < 0.5 else (560.0, 560.0)
+    x0, y0, xw, yw = (float(v) for v in rng.uniform([-3.0, -3.0, 1e-3, 1e-3], [3.0, 3.0, 5.0, 5.0]))
+    return Frame(width, height, x0, x0 + xw, y0, y0 + yw)
+
+
+def near_ties(rng, lo: float, hi: float, size: int) -> np.ndarray:
+    """Samples from lo (pixel 0) to hi (pixel 1000) whose pixels lie a few ulps
+    from a tie of the second decimal, where a pixel one bit off prints another
+    figure."""
+    ties = (8 * rng.integers(0, 1000, size) + rng.choice([1, 3, 5, 7], size)) / 8000.0
+    xs = lo + ties * (hi - lo)
+    return (xs.view(np.int64) + rng.integers(-3, 4, size)).view(np.float64)
+
+
+def random_samples(rng, frame: Frame, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n points: a tenth outside the frame, a fifth near a tie of the printed
+    pixel, and SPECIAL's values in both coordinates."""
+    xw, yw = frame.x1 - frame.x0, frame.y1 - frame.y0
+    xs = rng.uniform(frame.x0 - 0.1 * xw, frame.x1 + 0.1 * xw, n)
+    ys = rng.uniform(frame.y0 - 0.1 * yw, frame.y1 + 0.1 * yw, n)
+    # the samples at pixels 0 and 1000 of each axis
+    xpx, ypx = xw / (frame.width - 108.0), yw / (frame.height - 108.0)
+    x_lo, y_lo = frame.x0 - 54.0 * xpx, frame.y0 + (frame.height - 54.0) * ypx
+    tied = rng.choice(n, size=n // 5, replace=False)
+    xs[tied] = near_ties(rng, x_lo, x_lo + 1000.0 * xpx, tied.size)
+    ys[tied] = near_ties(rng, y_lo, y_lo - 1000.0 * ypx, tied.size)
+    at = rng.choice(n, size=2 * SPECIAL.size, replace=False)
+    xs[at[:SPECIAL.size]] = SPECIAL
+    ys[at[SPECIAL.size:]] = SPECIAL
+    return xs, ys
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_polyline_is_the_per_point_form(seed):
+    rng = np.random.default_rng(seed)
+    frame = random_frame(rng)
+    xs, ys = random_samples(rng, frame, 1000 + 37 * seed)
+    assert svg._polyline(frame, xs, ys, "#123456") == oracles.polyline(frame, xs, ys, "#123456")
+
+
+def test_polyline_ties_and_signed_zeros():
+    k = np.arange(-600, 4700)
+    xs = np.concatenate([k / 4096.0, SPECIAL])
+    ys = np.concatenate([k[::-1] / 4096.0, SPECIAL])
+    line = svg._polyline(DYADIC, xs, ys, "#000")
+    assert line == oracles.polyline(DYADIC, xs, ys, "#000")
+    # the cases are really there: ties both ways, -0.00 and the non-finite
+    for text in (" 54.12,", " 54.38,", " 54.62,", " 54.88,", " -0.00,", "nan,", "inf,", "-inf"):
+        assert text in line
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_frame_transform_on_an_array_has_the_scalar_bits(seed):
+    rng = np.random.default_rng(100 + seed)
+    frame = random_frame(rng)
+    xs, ys = random_samples(rng, frame, 1000)
+    with np.errstate(over="ignore"):
+        px, py = frame.px(xs), frame.py(ys)
+    assert px.shape == py.shape == xs.shape
+    assert px.tobytes() == np.array([frame.px(float(x)) for x in xs]).tobytes()
+    assert py.tobytes() == np.array([frame.py(float(y)) for y in ys]).tobytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["psi-curve"],
+    ["mu-curve", "--target", "0.5"],
+    ["boundary-image", "--class", "convex"],
+], ids=["psi-curve", "mu-curve-target", "boundary-image-convex"])
+def test_real_plots_match_the_per_point_form(argv, tmp_path, monkeypatch):
+    # libm margin or map samples in a frame with non-dyadic bounds: the 1000
+    # of the map, closed, and the 418 and 447 of the 1000 margin samples above -1
+    array_path, oracle_path = tmp_path / "array.svg", tmp_path / "oracle.svg"
+    assert cli.main(["plot", *argv, "--out", str(array_path)]) == 0
+    monkeypatch.setattr(svg, "_polyline", oracles.polyline)
+    assert cli.main(["plot", *argv, "--out", str(oracle_path)]) == 0
+    written = array_path.read_bytes()
+    assert written == oracle_path.read_bytes()
+    points = written.split(b'<polyline points="')[1].split(b'"')[0].split()
+    assert len(points) > 400

@@ -70,6 +70,7 @@ def commands() -> list[tuple[str, list[str], dict]]:
         ]
     out += [
         ("table-no-order", ["table", "--class", "general", "--n", ","], {}),
+        ("table-no-n", ["table", "--class", "general"], {}),
         ("thresholds-no-target", ["thresholds", "--class", "general", "--targets", ","], {}),
         ("radius-general-100000", ["radius", "--class", "general", "--n", "100000", "--m", "2"],
          {}),
