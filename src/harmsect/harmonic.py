@@ -46,7 +46,10 @@ kernel, a float for jacobian, and a numpy.complex128 (a subclass of
 complex) for evaluate, whose last step is numpy's conj, and so for
 divided_difference.  An array runs on numpy arrays and returns an array.
 The scalar form makes no numpy array: a handful of coefficients costs
-more to put into arrays than to evaluate.  The two forms make the same
+more to put into arrays than to evaluate.  It reads each polynomial's
+coefficients as Python lists, formed once per polynomial on its first
+scalar call rather than converted from the arrays on every call, so the
+array-only passes never form them.  The two forms make the same
 operations in the same order, but numpy's vectorized complex product and
 modulus can round differently from Python's complex arithmetic (about
 half of all calls differ in the last bit with numpy 2.4 on AVX-512
@@ -58,6 +61,7 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -78,7 +82,9 @@ class HarmonicPolynomial:
 
     Normalized so that a_1 = 1 and b_1 = 0; evaluation is
     f(z) = sum a_k z^k + conj(sum b_k z^k).  The coefficients k a_k and
-    k b_k of h' and g', in powers z^(k-1), are formed once, here.
+    k b_k of h' and g', in powers z^(k-1), are formed once, here.  The
+    polynomial owns its coefficient arrays, copies of what it was given,
+    and they are read-only, so that nothing formed from them goes stale.
     """
 
     a: np.ndarray
@@ -87,8 +93,8 @@ class HarmonicPolynomial:
     _db: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        a = np.atleast_1d(np.asarray(self.a, dtype=complex))
-        b = np.atleast_1d(np.asarray(self.b, dtype=complex))
+        a = np.array(self.a, dtype=complex, ndmin=1)
+        b = np.array(self.b, dtype=complex, ndmin=1)
         for name, part in (("a", a), ("b", b)):
             if part.ndim != 1:
                 raise ValueError(
@@ -107,14 +113,24 @@ class HarmonicPolynomial:
             raise ValueError(f"normalization requires a_1 = 1, got {a[0]}")
         if b[0] != 0:
             raise ValueError(f"normalization requires b_1 = 0, got {b[0]}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "_da", np.arange(1, a.size + 1) * a)
-        object.__setattr__(self, "_db", np.arange(1, b.size + 1) * b)
+        for name, part in (("a", a), ("b", b),
+                           ("_da", np.arange(1, a.size + 1) * a),
+                           ("_db", np.arange(1, b.size + 1) * b)):
+            part.flags.writeable = False
+            object.__setattr__(self, name, part)
 
     @property
     def degree(self) -> int:
         return max(self.a.size, self.b.size)
+
+    @functools.cached_property
+    def _lists(self) -> tuple:
+        """a, b, _da and _db as Python lists, which the scalar path reads.
+
+        Formed on the first scalar call, so that the array-only passes
+        never build them.
+        """
+        return tuple(part.tolist() for part in (self.a, self.b, self._da, self._db))
 
 
 # the largest degree a kernel pass takes: at this degree a default-grid
@@ -167,16 +183,16 @@ def section(p: HarmonicPolynomial, n: int, m: int) -> HarmonicPolynomial:
 def _horner(coeffs, z) -> list:
     """[sum_k c_k z^(k-1) for c in coeffs] by Horner's rule, one value per part.
 
-    Each part is an array or a list of coefficients.  A Python complex z
-    runs on Python complex numbers, an array part first turned into a
-    list, which is several times faster than numpy scalars; an array z
-    runs elementwise on arrays (see the module docstring for the split).
+    A Python complex z takes parts that are lists of Python numbers, the
+    polynomial's lists formed once (HarmonicPolynomial._lists), and runs
+    on Python complex numbers, several times faster than numpy scalars;
+    an array z takes the coefficient arrays and runs elementwise on arrays
+    (see the module docstring for the split).  Nothing is converted here.
     """
-    scalar = isinstance(z, complex)
     values = []
     for part in coeffs:
         acc = 0.0
-        for c in (part.tolist() if scalar and isinstance(part, np.ndarray) else part)[::-1]:
+        for c in part[::-1]:
             acc = acc * z + c
         values.append(acc)
     return values
@@ -199,13 +215,14 @@ def _all(mask) -> bool:
 def evaluate(p: HarmonicPolynomial, z):
     """f(z) = h(z) + conj(g(z)) by Horner evaluation of both parts."""
     z = _as_points(z)
-    h, g = _horner((p.a, p.b), z)
+    h, g = _horner(p._lists[:2] if isinstance(z, complex) else (p.a, p.b), z)
     return z * h + np.conj(z * g)
 
 
 def jacobian(p: HarmonicPolynomial, z):
     """|h'(z)|^2 - |g'(z)|^2; positive where f is sense-preserving."""
-    hp, gp = _horner((p._da, p._db), _as_points(z))
+    z = _as_points(z)
+    hp, gp = _horner(p._lists[2:] if isinstance(z, complex) else (p._da, p._db), z)
     return abs(hp) ** 2 - abs(gp) ** 2
 
 
@@ -219,6 +236,8 @@ def kernel(p: HarmonicPolynomial, z, t: float):
     divided_difference), so for z != 0 its nonvanishing is the univalence
     criterion.
     """
+    if not (isinstance(t, _SCALARS) or np.ndim(t) == 0):
+        raise ValueError(f"t must be one number in [0, pi/2], got shape {np.shape(t)}")
     if not 0.0 <= t <= math.pi / 2.0:
         raise ValueError(f"t must lie in [0, pi/2], got {t}")
     z = _as_points(z)
@@ -229,9 +248,11 @@ def kernel(p: HarmonicPolynomial, z, t: float):
     sin_t = math.sin(t)
     ks = range(1, p.degree + 1)
     ratio = [math.sin(k * t) / sin_t for k in ks] if sin_t != 0.0 else [float(k) for k in ks]
-    a = [c * q for c, q in zip(p.a.tolist(), ratio)]
-    b = [-c * q for c, q in zip(p.b.tolist(), ratio)]
-    h, g = _horner((a, b), z)
+    # the co-analytic weights are (-b_k) * ratio, negated before the
+    # product: -(b_k * ratio) can differ in the sign of a zero part
+    a, b = p._lists[:2]
+    h, g = _horner((list(map(operator.mul, a, ratio)),
+                    list(map(operator.mul, map(operator.neg, b), ratio))), z)
     return z * h + (z * g).conjugate()
 
 

@@ -21,10 +21,16 @@ empirical scan once did, as the oracle for the scan's circle test, and
 way the circle passes once did, as the oracle for their sign-test count.
 `polyline` forms an SVG polyline one point at a time, the way
 `svg._polyline` once did, as the oracle for its array form.
+
+`tolist_evaluate`, `tolist_jacobian` and `tolist_kernel` evaluate one
+point on Python numbers, turning the coefficient arrays into lists on
+every call through `tolist_horner`, the way the scalar path once did, as
+the oracle for the lists each polynomial now forms once.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -194,3 +200,48 @@ def polyline(frame, xs, ys, color: str) -> str:
     scalar Frame.px and Frame.py and formatted by its own f-string."""
     pts = " ".join(f"{frame.px(float(x)):.2f},{frame.py(float(y)):.2f}" for x, y in zip(xs, ys))
     return f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.6"/>'
+
+
+def tolist_horner(coeffs, z: complex) -> list:
+    """Horner's rule on Python complex numbers, one value per part; an array
+    part is turned into a list first, on every call."""
+    values = []
+    for part in coeffs:
+        acc = 0.0
+        for c in (part.tolist() if isinstance(part, np.ndarray) else part)[::-1]:
+            acc = acc * z + c
+        values.append(acc)
+    return values
+
+
+def tolist_evaluate(p, z):
+    """f(z) = h(z) + conj(g(z)) at one point."""
+    z = complex(z)
+    h, g = tolist_horner((p.a, p.b), z)
+    return z * h + np.conj(z * g)
+
+
+def tolist_jacobian(p, z) -> float:
+    """|h'(z)|^2 - |g'(z)|^2 at one point, h' and g' formed here."""
+    derivatives = (np.arange(1, p.a.size + 1) * p.a, np.arange(1, p.b.size + 1) * p.b)
+    hp, gp = tolist_horner(derivatives, complex(z))
+    return abs(hp) ** 2 - abs(gp) ** 2
+
+
+def tolist_kernel(p, z, t) -> complex:
+    """sum_k (a_k z^k - conj(b_k z^k)) sin(kt)/sin(t) at one point, the
+    ratios by math.sin and k exactly where sin t = 0."""
+    z = complex(z)
+    sin_t = math.sin(t)
+    ks = range(1, p.degree + 1)
+    ratio = [math.sin(k * t) / sin_t for k in ks] if sin_t != 0.0 else [float(k) for k in ks]
+    a = [c * q for c, q in zip(p.a.tolist(), ratio)]
+    b = [-c * q for c, q in zip(p.b.tolist(), ratio)]
+    h, g = tolist_horner((a, b), z)
+    return z * h + (z * g).conjugate()
+
+
+def tolist_divided_difference(p, r: float, eta: float, psi: float):
+    """(f(z1) - f(z2))/(z1 - z2) at z1 = r e^(i eta), z2 = r e^(i psi) by cmath."""
+    z1, z2 = float(r) * cmath.exp(1j * eta), float(r) * cmath.exp(1j * psi)
+    return (tolist_evaluate(p, z1) - tolist_evaluate(p, z2)) / (z1 - z2)

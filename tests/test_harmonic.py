@@ -27,7 +27,16 @@ from harmsect.radius import (
     distortion_floor,
     solve_radius,
 )
-from oracles import atan2_windings, disk_jacobian_min, disk_points, record_tail
+from oracles import (
+    atan2_windings,
+    disk_jacobian_min,
+    disk_points,
+    record_tail,
+    tolist_divided_difference,
+    tolist_evaluate,
+    tolist_jacobian,
+    tolist_kernel,
+)
 
 GENERAL = extremal_map(FamilyClass.GENERAL)
 CONVEX = extremal_map(FamilyClass.CONVEX)
@@ -247,6 +256,19 @@ class TestKernel:
                 value = kernel(p, complex(z), t)
                 assert isinstance(value, complex)
                 assert value == pytest.approx(w, rel=1e-12)
+
+    @pytest.mark.parametrize("t", [np.array([0.1, 0.2]), [0.3], np.full((1, 1), 0.3)],
+                             ids=["array", "list", "two-d"])
+    def test_non_scalar_t_rejected(self, t):
+        with pytest.raises(ValueError, match=r"t must be one number in \[0, pi/2\], got shape"):
+            kernel(section(GENERAL, 3, 3), 0.3, t)
+
+    @pytest.mark.parametrize("t", [np.array(0.5), np.float64(0.5)], ids=["zero-d", "float64"])
+    def test_one_numpy_t_accepted(self, t):
+        p = section(GENERAL, 3, 3)
+        value = kernel(p, 0.3 + 0.1j, t)
+        assert type(value) is complex
+        assert hexes(value) == hexes(kernel(p, 0.3 + 0.1j, 0.5))
 
     def test_domain_guards(self):
         p = section(IDENTITY, 1, 1)
@@ -527,6 +549,119 @@ class TestModuleGlobals:
         monkeypatch.setattr(harmonic, "evaluate", spy)
         divided_difference(section(GENERAL, 3, 3), 0.5, eta, 2.0)
         assert len(calls) == 2
+
+
+def oracle_cases():
+    """Seeded polynomials of degree 1 to 40 and the degree-1000 extremal
+    sections, each with the points 0, real and numpy scalars and three
+    seeded points in the disk, and the t values 0, pi/2, a numpy scalar and
+    one seeded in between."""
+    rng = np.random.default_rng(20261021)
+    polys = []
+    for degree in range(1, 41):
+        other = int(rng.integers(1, degree + 1))
+        n, m = (degree, other) if rng.integers(2) else (other, degree)
+        polys.append(random_polynomial(rng, n, m))
+    polys += [section(GENERAL, 1000, 1000), section(CONVEX, 1000, 1000)]
+    fixed = [0, 0.0, 0j, -0.0, 0.5, -0.25, np.float64(0.3), np.float32(0.25), np.int64(0),
+             np.complex128(0.3 - 0.4j)]
+    for p in polys:
+        zs = rng.uniform(0.0, 0.95, 3) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 3))
+        ts = (0, 0.0, math.pi / 2, np.float64(0.7), float(rng.uniform(0.0, math.pi / 2)))
+        yield p, fixed + [complex(z) for z in zs], ts
+
+
+class TestScalarOracle:
+    """The scalar calls give the bits of the forms that turned the coefficient
+    arrays into lists on every call (tests/oracles.py)."""
+
+    def test_evaluate_jacobian_and_kernel(self):
+        for p, zs, ts in oracle_cases():
+            for z in zs:
+                value, want = evaluate(p, z), tolist_evaluate(p, z)
+                assert type(value) is type(want) and hexes(value) == hexes(want), (p.degree, z)
+                value, want = jacobian(p, z), tolist_jacobian(p, z)
+                assert type(value) is type(want) and value.hex() == want.hex(), (p.degree, z)
+                for t in ts:
+                    value, want = kernel(p, z, t), tolist_kernel(p, z, t)
+                    assert type(value) is complex and hexes(value) == hexes(want), (p.degree, z, t)
+
+    def test_divided_difference(self):
+        rng = np.random.default_rng(20261022)
+        for p, _, _ in oracle_cases():
+            r = float(rng.uniform(0.05, 0.95))
+            eta, psi = (float(x) for x in rng.uniform(0.0, 2.0 * math.pi, 2))
+            for args in ((r, eta, psi), (np.float64(r), np.float64(eta), psi), (r, 0, math.pi)):
+                value, want = divided_difference(p, *args), tolist_divided_difference(p, *args)
+                assert type(value) is type(want) and hexes(value) == hexes(want), (p.degree, args)
+
+
+class TestScalarLists:
+    """Each polynomial forms its coefficient lists once, on its first scalar call."""
+
+    def test_formed_once_and_equal_to_the_arrays(self):
+        p = random_polynomial(np.random.default_rng(7), 7, 5)
+        assert "_lists" not in vars(p)
+        evaluate(p, 0.3 + 0.1j)
+        lists = vars(p)["_lists"]
+        assert lists == (p.a.tolist(), p.b.tolist(), p._da.tolist(), p._db.tolist())
+        assert all(type(part) is list for part in lists)
+        parts = list(lists)
+        jacobian(p, 0.2)
+        kernel(p, 0.1j, 0.4)
+        divided_difference(p, 0.5, 1.0, 2.0)
+        evaluate(p, np.float64(0.5))
+        assert p._lists is lists
+        assert all(new is old for new, old in zip(p._lists, parts))
+
+    @pytest.mark.parametrize("call", ["jacobian", "kernel"])
+    def test_any_scalar_call_forms_them(self, call):
+        p = section(GENERAL, 4, 3)
+        getattr(harmonic, call)(p, 0.25, *([0.3] if call == "kernel" else []))
+        assert "_lists" in vars(p)
+
+    def test_array_only_users_never_form_them(self):
+        p = section(GENERAL, 10, 10)
+        grid = ProbeGrid(radius=0.4)
+        kernel_min_modulus(p, grid)
+        harmonic._jacobian_min(p, grid)
+        evaluate(p, np.array([0.1, 0.2j]))
+        jacobian(p, np.array(0.3))
+        divided_difference(p, 0.5, np.array([1.0]), np.array([2.0]))
+        for q in [p, section(p, 5, 5), *(extremal_map(family) for family in FamilyClass)]:
+            assert "_lists" not in vars(q)
+
+
+class TestOwnedCoefficients:
+    """A polynomial copies its coefficients and keeps them read-only."""
+
+    @pytest.mark.parametrize("formed", [False, True], ids=["lists-unformed", "lists-formed"])
+    def test_caller_mutation_does_not_reach_the_polynomial(self, formed):
+        a, b = np.array([1, 0.5], dtype=complex), np.array([0, 0.1], dtype=complex)
+        p = HarmonicPolynomial(a=a, b=b)
+        z = 0.3 + 0.1j
+        if formed:
+            evaluate(p, z)
+        a[1] = 0.0
+        b[1] = 0.0
+        assert p.a is not a and p.b is not b
+        assert a.flags.writeable and b.flags.writeable
+        fresh = HarmonicPolynomial(a=[1, 0.5], b=[0, 0.1])
+        # |1 + z|^2 - |0.2 z|^2, the b_2 and a_2 the polynomial was given
+        assert jacobian(p, z) == pytest.approx(1.696, rel=1e-14)
+        assert jacobian(p, z).hex() == jacobian(fresh, z).hex()
+        assert hexes(evaluate(p, z)) == hexes(evaluate(fresh, z))
+        assert hexes(kernel(p, z, 0.7)) == hexes(kernel(fresh, z, 0.7))
+        assert np.array_equal(evaluate(p, np.array([z])), evaluate(fresh, np.array([z])))
+
+    @pytest.mark.parametrize("name", ["a", "b", "_da", "_db"])
+    def test_coefficients_are_read_only(self, name):
+        p = HarmonicPolynomial(a=[1, 0.5], b=[0, 0.1])
+        z = 0.3 + 0.1j
+        before = (evaluate(p, z), jacobian(p, z))
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(p, name)[1] = 0.0
+        assert (evaluate(p, z), jacobian(p, z)) == before
 
 
 class TestProbeGrid:

@@ -16,16 +16,22 @@ shows every output that differs:
 The list covers the scan JSON of the six criterion-8 sections and a few
 more (one at HS_GRID_SCALE=2), `radius`, `table`, `thresholds` (7/22/78
 general, 12/43 convex) and `verify all` in all three formats, the curve
-and boundary plots, and a few error paths.
+and boundary plots, and a few error paths.  No command calls the
+pointwise functions on one point, so one more entry, OUT_DIR/scalar-calls/
+`values`, holds the float.hex bits of `evaluate`, `jacobian`, `kernel` and
+`divided_difference` on seeded polynomials and points.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import math
 import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -90,6 +96,48 @@ def commands() -> list[tuple[str, list[str], dict]]:
     return out
 
 
+def scalar_values() -> str:
+    """One line per scalar call of the pointwise functions, its value as float.hex.
+
+    harmsect is imported from wherever main put it on the path.  The
+    polynomials are seeded ones of degree 2 to 11 and the general
+    extremal map's degree-(10, 8) section; the points are seeded ones in
+    the disk, 0, a real number and a numpy scalar, and t runs over 0,
+    pi/2 and seeded values in between.
+    """
+    from harmsect import harmonic
+    from harmsect.radius import FamilyClass
+
+    rng = np.random.default_rng(2026)
+    polys = {"extremal-10-8": harmonic.section(harmonic.extremal_map(FamilyClass.GENERAL), 10, 8)}
+    for i in range(4):
+        n, m = (int(k) for k in rng.integers(2, 12, 2))
+        a = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / 2.0
+        b = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / 2.0
+        a[0], b[0] = 1.0, 0.0
+        polys[f"random-{i}-{n}-{m}"] = harmonic.HarmonicPolynomial(a=a, b=b)
+    zs = [0, 0.5, np.float64(-0.25)] + [
+        complex(z) for z in rng.uniform(0.0, 0.95, 5) * np.exp(1j * rng.uniform(0.0, 6.28, 5))
+    ]
+    ts = [0.0, math.pi / 2] + [float(t) for t in rng.uniform(0.0, math.pi / 2, 3)]
+    chords = [tuple(float(x) for x in (rng.uniform(0.05, 0.95), *rng.uniform(0.0, 6.28, 2)))
+              for _ in range(3)]
+
+    def bits(value) -> str:
+        value = complex(value)
+        return f"{value.real.hex()} {value.imag.hex()}"
+
+    lines = []
+    for name, p in polys.items():
+        for z in zs:
+            lines.append(f"evaluate {name} {z!r}: {bits(harmonic.evaluate(p, z))}")
+            lines.append(f"jacobian {name} {z!r}: {harmonic.jacobian(p, z).hex()}")
+            lines += [f"kernel {name} {z!r} {t!r}: {bits(harmonic.kernel(p, z, t))}" for t in ts]
+        lines += [f"divided_difference {name} {chord!r}: "
+                  f"{bits(harmonic.divided_difference(p, *chord))}" for chord in chords]
+    return "\n".join(lines) + "\n"
+
+
 @contextlib.contextmanager
 def _environment(env: dict):
     saved = {key: os.environ.get(key) for key in env}
@@ -135,7 +183,10 @@ def main(argv: list[str]) -> int:
         (target / "stdout").write_text(stdout, encoding="utf-8")
         (target / "stderr").write_text(stderr, encoding="utf-8")
         (target / "exit").write_text(f"{code}\n", encoding="utf-8")
-    print(f"wrote {len(listed)} command outputs under {out_dir}")
+    target = out_dir / "scalar-calls"
+    target.mkdir(parents=True, exist_ok=True)
+    (target / "values").write_text(scalar_values(), encoding="utf-8")
+    print(f"wrote {len(listed)} command outputs and the scalar calls under {out_dir}")
     return 0
 
 
