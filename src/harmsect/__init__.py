@@ -30,7 +30,7 @@ from .harmonic import (
     kernel_min_modulus,
     section,
 )
-from .polyroots import RealPolynomial, isolate_real_roots
+from .polyroots import isolate_real_roots
 from .radius import (
     FamilyClass,
     RadiusResult,
@@ -55,7 +55,6 @@ __all__ = [
     "KernelScan",
     "ProbeGrid",
     "RadiusResult",
-    "RealPolynomial",
     "UnknownClaimError",
     "close_to_convex_radius",
     "distortion_floor",

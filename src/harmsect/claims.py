@@ -44,14 +44,14 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .polyroots import RealPolynomial, isolate_real_roots
+from .polyroots import _horner, isolate_real_roots
 from .radius import _FAMILIES, FamilyClass, distortion_floor, log_offset
 
 SPOT_ORDERS = (1_000, 10_000, 1_000_000)
@@ -203,32 +203,34 @@ def slope_bracket_general(x, n: int):
     return _slope_bracket(x, _powers(n, 8))
 
 
-# Catalogued parts of the scaled bracket under x = n/k.  The Q-roots claim proves
-# their real roots on [-10, 10] exactly and, from them, that each is positive on [1, 3].
-SCALED_BRACKET_PARTS: tuple[RealPolynomial, ...] = (
-    RealPolynomial((27, -92, 204, -224, 112)).scaled(6.0),
-    RealPolynomial((-3, 57, -390, 1424, -3096, 4384, -3552, 1344)).scaled(2.0),
-    RealPolynomial((-3, 36, -196, 868, -2048, 3344, -3072, 1344)),
-    RealPolynomial((3, 39, -120, 236, -240, 112)).scaled(4.0),
-    RealPolynomial((-3, 18, -52, 88, -80, 32)).scaled(2.0),
+# Catalogued parts of the scaled bracket under x = n/k, coefficients ascending
+# in k.  The Q-roots claim proves their real roots on [-10, 10] exactly and,
+# from them, that each is positive on [1, 3].
+SCALED_BRACKET_PARTS: tuple[tuple[float, ...], ...] = (
+    tuple(6.0 * c for c in (27, -92, 204, -224, 112)),
+    tuple(2.0 * c for c in (-3, 57, -390, 1424, -3096, 4384, -3552, 1344)),
+    (-3.0, 36.0, -196.0, 868.0, -2048.0, 3344.0, -3072.0, 1344.0),
+    tuple(4.0 * c for c in (3, 39, -120, 236, -240, 112)),
+    tuple(2.0 * c for c in (-3, 18, -52, 88, -80, 32)),
 )
 
 # The quartic-in-k part is catalogued with trailing constant +3 (that
 # variant's single real root sits near -0.0631), but reconstructing the
 # slope bracket exactly requires -3 here: with +3 the assembly overshoots
 # slope_bracket_general(n/k, n) by 24 n^10 / k^8.
-_ASSEMBLY_PART_4 = RealPolynomial((-3, 39, -120, 236, -240, 112)).scaled(4.0)
+_ASSEMBLY_PART_4 = tuple(4.0 * c for c in (-3, 39, -120, 236, -240, 112))
 
 
 def _slope_bracket_scaled(k, p):
     # p[j] is n**j
     p1, p2, p3, _, p5 = SCALED_BRACKET_PARTS
+    v1, v2, v3, v4, v5 = _horner((p1, p2, p3, _ASSEMBLY_PART_4, p5), k)
     return (
-        p[7] * (1.0 - 2.0 * k) ** 2 / k**6 * p1(k)
-        + p[8] / k**8 * p2(k)
-        + p[9] / k**9 * p3(k)
-        + p[10] / k**8 * _ASSEMBLY_PART_4(k)
-        + p[11] / k**9 * p5(k)
+        p[7] * (1.0 - 2.0 * k) ** 2 / k**6 * v1
+        + p[8] / k**8 * v2
+        + p[9] / k**9 * v3
+        + p[10] / k**8 * v4
+        + p[11] / k**9 * v5
     )
 
 
@@ -369,13 +371,7 @@ class ClaimReport:
         return self.verdict == "Pass"
 
     def as_dict(self) -> dict:
-        return {
-            "claim_id": self.claim_id,
-            "parameter_range": self.parameter_range,
-            "verdict": self.verdict,
-            "worst_margin": self.worst_margin,
-            "witness": self.witness,
-        }
+        return asdict(self)
 
 
 class _Margins:
@@ -537,8 +533,9 @@ def _part_roots(m: _Margins) -> None:
         for root, target in zip(roots, expected):
             m.add(1e-5 - abs(root - target), part=idx, root=root, check="root location, tol 1e-5")
         if idx == 5 and roots:
-            m.add(1e-12 - abs(part(roots[0])), part=idx, residual=abs(part(roots[0])), check="residual, tol 1e-12")
-        m.add(part(1.0), part=idx, check="value at 1 > 0")
+            residual = abs(_horner((part,), roots[0])[0])
+            m.add(1e-12 - residual, part=idx, residual=residual, check="residual, tol 1e-12")
+        m.add(_horner((part,), 1.0)[0], part=idx, check="value at 1 > 0")
         m.add(min((max(1.0 - r, r - 3.0) for r in roots), default=math.inf), part=idx, check="no root in [1, 3]")
 
 

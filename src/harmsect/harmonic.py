@@ -68,6 +68,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .polyroots import _horner
 from .radius import _FAMILIES, FamilyClass
 
 # t values per kernel block on the circle: small enough that the
@@ -76,7 +77,7 @@ from .radius import _FAMILIES, FamilyClass
 _T_BLOCK = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HarmonicPolynomial:
     """Coefficients a_1..a_n of the analytic part and b_1..b_m of the co-analytic.
 
@@ -85,12 +86,13 @@ class HarmonicPolynomial:
     k b_k of h' and g', in powers z^(k-1), are formed once, here.  The
     polynomial owns its coefficient arrays, copies of what it was given,
     and they are read-only, so that nothing formed from them goes stale.
+    A map equals and hashes as itself only, so it can key a cache.
     """
 
     a: np.ndarray
     b: np.ndarray
-    _da: np.ndarray = field(init=False, repr=False, compare=False)
-    _db: np.ndarray = field(init=False, repr=False, compare=False)
+    _da: np.ndarray = field(init=False, repr=False)
+    _db: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         a = np.array(self.a, dtype=complex, ndmin=1)
@@ -178,24 +180,6 @@ def section(p: HarmonicPolynomial, n: int, m: int) -> HarmonicPolynomial:
     if not (1 <= n <= _MAX_DEGREE and 1 <= m <= _MAX_DEGREE):
         raise ValueError(f"section orders must lie in 1..{_MAX_DEGREE}, got ({n}, {m})")
     return HarmonicPolynomial(a=_fitted(p.a, n), b=_fitted(p.b, m))
-
-
-def _horner(coeffs, z) -> list:
-    """[sum_k c_k z^(k-1) for c in coeffs] by Horner's rule, one value per part.
-
-    A Python complex z takes parts that are lists of Python numbers, the
-    polynomial's lists formed once (HarmonicPolynomial._lists), and runs
-    on Python complex numbers, several times faster than numpy scalars;
-    an array z takes the coefficient arrays and runs elementwise on arrays
-    (see the module docstring for the split).  Nothing is converted here.
-    """
-    values = []
-    for part in coeffs:
-        acc = 0.0
-        for c in part[::-1]:
-            acc = acc * z + c
-        values.append(acc)
-    return values
 
 
 # the scalar types taken as one point; numpy's float64 and complex128

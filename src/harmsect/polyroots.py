@@ -1,4 +1,11 @@
-"""Exact real-root isolation for polynomials with double coefficients.
+"""Exact real-root isolation for polynomials with double coefficients, and
+the package's one float Horner core.
+
+A polynomial is a sequence of its coefficients in ascending degree order,
+finite floats or ints; a tuple of floats, such as each part of
+claims.SCALED_BRACKET_PARTS, is the usual form.  _horner evaluates several
+such sequences at one point, or at an array of points, and serves both the
+harmonic maps of `harmonic` and the bracket parts of `claims`.
 
 Every double is a rational number, so the roots can be counted exactly: the
 Sturm sequence of the square-free part of p, built in fractions.Fraction,
@@ -18,44 +25,26 @@ ints instead of Fraction arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
 
+def _horner(coeffs, z) -> list:
+    """[sum_k c_k z^k for c in coeffs] by Horner's rule, one value per part.
 
-@dataclass(frozen=True)
-class RealPolynomial:
-    """Dense real polynomial, coefficients in ascending degree order.
-
-    Evaluation is plain Horner in the given coefficient order; the
-    coefficients are never re-expanded or reordered, so a transcription
-    error in them shows up as a failed identity check rather than drifting
-    silently.
+    Each part holds its coefficients in ascending order.  A Python number z
+    takes parts that are sequences of Python numbers (harmonic's lists,
+    formed once per polynomial by HarmonicPolynomial._lists, or a bracket
+    part's tuple of floats) and runs on Python numbers, several times
+    faster than numpy scalars; an array z takes numpy arrays or tuples and
+    runs elementwise on arrays.  Nothing is converted here.
     """
-
-    coefficients: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.coefficients) == 0:
-            raise ValueError("polynomial needs at least one coefficient")
-        object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
-
-    @property
-    def degree(self) -> int:
-        for i in range(len(self.coefficients) - 1, -1, -1):
-            if self.coefficients[i] != 0.0:
-                return i
-        return 0
-
-    def __call__(self, x):
-        acc = np.zeros_like(np.asarray(x, dtype=float)) if not np.isscalar(x) else 0.0
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
-
-    def scaled(self, factor: float) -> "RealPolynomial":
-        return RealPolynomial(tuple(factor * c for c in self.coefficients))
+    values = []
+    for part in coeffs:
+        acc = 0.0
+        for c in part[::-1]:
+            acc = acc * z + c
+        values.append(acc)
+    return values
 
 
 def _divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
@@ -117,17 +106,26 @@ def _narrow(chain: list[list[int]], a: Fraction, b: Fraction) -> float:
     return x
 
 
-def isolate_real_roots(p: RealPolynomial, lo: float, hi: float) -> list[float]:
-    """The distinct real roots of p in [lo, hi], ascending, each rounded to the nearest double.
+def isolate_real_roots(coefficients, lo: float, hi: float) -> list[float]:
+    """The distinct real roots in [lo, hi] of the polynomial with these coefficients.
 
-    The count is exact: a multiple root comes back once, and a root at lo
-    or hi is included.  Raises ValueError for the zero polynomial, for a
-    non-finite bound or coefficient, and unless lo < hi.
+    coefficients is a sequence of finite floats or ints in ascending degree
+    order; trailing zeros are dropped.  A Python int is taken exactly, and
+    any other number, a numpy integer too, as its float.  The roots come
+    back ascending, each rounded to the nearest double.  The count is
+    exact: a multiple root comes back once, and a root at lo or hi is
+    included.  Raises ValueError for the zero polynomial (an empty or
+    all-zero sequence), for a non-finite bound or coefficient, and unless
+    lo < hi.
     """
-    if not (all(map(math.isfinite, (lo, hi, *p.coefficients))) and lo < hi):
-        raise ValueError(f"need finite lo < hi and finite coefficients, got [{lo}, {hi}] for {p.coefficients}")
-    f = [Fraction(c) for c in p.coefficients[: p.degree + 1]]
-    if f == [0]:
+    # an int is finite however large; math.isfinite would convert it to a float
+    if not (all(isinstance(c, int) or math.isfinite(c) for c in (lo, hi, *coefficients)) and lo < hi):
+        raise ValueError(f"need finite lo < hi and finite coefficients, got [{lo}, {hi}] for {coefficients}")
+    # Fraction of a numpy integer would keep its fixed-width arithmetic
+    f = [Fraction(c if isinstance(c, int) else float(c)) for c in coefficients]
+    while f and f[-1] == 0:
+        f.pop()
+    if not f:
         raise ValueError("the zero polynomial has no isolated roots")
     if len(f) == 1:
         return []

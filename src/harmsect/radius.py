@@ -48,6 +48,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -264,6 +265,15 @@ def log_offset(family: FamilyClass, n: int) -> float:
     return fam.log_a * math.log(n) - fam.log_b * math.log(math.log(n))
 
 
+def _one_minus_over(offset: float, n: int) -> float:
+    """1 - offset/n for an offset below n.
+
+    Past the largest double, n has no float to divide by, and 1 - offset/n
+    lies within 2**-1000 of 1, so 1.0 is its correct rounding.
+    """
+    return 1.0 if n > sys.float_info.max else 1.0 - offset / n
+
+
 def lower_bound(family: FamilyClass, n: int) -> float:
     """Asymptotic lower bound 1 - log_offset(family, n)/n for the family's root.
 
@@ -271,13 +281,13 @@ def lower_bound(family: FamilyClass, n: int) -> float:
     domain restriction.
     """
     n = _order_from(n, _FAMILIES[family].first_bound_order, "{0.value} lower bound", family)
-    return 1.0 - log_offset(family, n) / n
+    return _one_minus_over(log_offset(family, n), n)
 
 
 def close_to_convex_radius(n: int) -> float:
     """Close-to-convexity radius 1 - 3 ln(n)/n of equal-order convex sections, n >= 5."""
     n = _order_from(n, 5, "close-to-convexity radius")
-    return 1.0 - 3.0 * math.log(n) / n
+    return _one_minus_over(3.0 * math.log(n), n)
 
 
 def solve_radius(family: FamilyClass, n: int, m: int) -> RadiusResult:

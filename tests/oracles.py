@@ -26,6 +26,11 @@ way the circle passes once did, as the oracle for their sign-test count.
 point on Python numbers, turning the coefficient arrays into lists on
 every call through `tolist_horner`, the way the scalar path once did, as
 the oracle for the lists each polynomial now forms once.
+
+`real_horner` evaluates a real polynomial the way the float polynomial
+class of `polyroots` once did, with its own zero start for an array, as
+the oracle for the shared Horner core `polyroots._horner` on the bracket
+parts.
 """
 
 from __future__ import annotations
@@ -245,3 +250,12 @@ def tolist_divided_difference(p, r: float, eta: float, psi: float):
     """(f(z1) - f(z2))/(z1 - z2) at z1 = r e^(i eta), z2 = r e^(i psi) by cmath."""
     z1, z2 = float(r) * cmath.exp(1j * eta), float(r) * cmath.exp(1j * psi)
     return (tolist_evaluate(p, z1) - tolist_evaluate(p, z2)) / (z1 - z2)
+
+
+def real_horner(coefficients, x):
+    """The real polynomial with these ascending coefficients at x, by Horner's
+    rule on the coefficients as floats, from a zero array for an array x."""
+    acc = np.zeros_like(np.asarray(x, dtype=float)) if not np.isscalar(x) else 0.0
+    for c in reversed(tuple(map(float, coefficients))):
+        acc = acc * x + c
+    return acc

@@ -7,6 +7,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from oracles import real_horner
 
 from harmsect import claims
 from harmsect.claims import (
@@ -22,7 +23,7 @@ from harmsect.claims import (
     verify_all,
     verify_claim,
 )
-from harmsect.polyroots import isolate_real_roots
+from harmsect.polyroots import _horner, isolate_real_roots
 from harmsect.radius import FamilyClass, log_offset
 
 # the two limit claims are registered as single spot checks at n = 1e6, where
@@ -187,7 +188,7 @@ class TestScaledBracket:
 
     def test_part_roots_against_numpy(self):
         for part in SCALED_BRACKET_PARTS:
-            coeffs = list(reversed(part.coefficients))
+            coeffs = list(reversed(part))
             numpy_roots = sorted(
                 r.real
                 for r in np.roots(coeffs)
@@ -207,21 +208,37 @@ class TestScaledBracket:
                 assert a == pytest.approx(b, abs=1e-5)
 
     def test_exact_half_root_residual(self):
-        part = SCALED_BRACKET_PARTS[4]
-        assert part(0.5) == 0.0
+        assert _horner((SCALED_BRACKET_PARTS[4],), 0.5) == [0.0]
 
     def test_parts_positive_on_unit_interval_of_k(self):
         ks = np.linspace(1.0, 3.0, 201)
-        for part in SCALED_BRACKET_PARTS:
-            assert part(1.0) > 0
-            assert np.all(part(ks) > 0)
+        for part, values in zip(SCALED_BRACKET_PARTS, _horner(SCALED_BRACKET_PARTS, ks)):
+            assert _horner((part,), 1.0)[0] > 0
+            assert np.all(values > 0)
 
     def test_parts_positive_on_k_interval_from_roots(self):
         # the Q-roots proof: the root list on [-10, 10] is exact and complete,
         # so a part with no root in [1, 3] that is positive at 1 is positive there
         for part in SCALED_BRACKET_PARTS:
             assert not [r for r in isolate_real_roots(part, -10.0, 10.0) if 1.0 <= r <= 3.0]
-            assert part(1.0) > 0
+            assert _horner((part,), 1.0)[0] > 0
+
+    @staticmethod
+    def _oracle_assembly(k, n):
+        # the parts evaluated one by one by the float polynomial oracle
+        parts = (*SCALED_BRACKET_PARTS[:3], claims._ASSEMBLY_PART_4, SCALED_BRACKET_PARTS[4])
+        v1, v2, v3, v4, v5 = (real_horner(part, k) for part in parts)
+        p = [n**j for j in range(12)]
+        return (p[7] * (1.0 - 2.0 * k) ** 2 / k**6 * v1 + p[8] / k**8 * v2 + p[9] / k**9 * v3
+                + p[10] / k**8 * v4 + p[11] / k**9 * v5)
+
+    @pytest.mark.parametrize("n", [15, 60, 10**6, 2**80])
+    def test_assembly_bits_match_the_oracle(self, n):
+        # one shared Horner pass over the parts gives the oracle's bits
+        ks = np.linspace(1.0, 3.0, 201)
+        assert slope_bracket_scaled(ks, n).tobytes() == self._oracle_assembly(ks, n).tobytes()
+        for k in (1.0, 1.5, 2.0, 3.0):
+            assert slope_bracket_scaled(k, n).hex() == float(self._oracle_assembly(k, n)).hex()
 
     def test_k_domain(self):
         with pytest.raises(ValueError):
@@ -371,6 +388,12 @@ class TestRegistry:
     def test_unknown_claim(self):
         with pytest.raises(UnknownClaimError):
             verify_claim("unknown")
+
+    def test_as_dict_keys_in_field_order(self):
+        rep = verify_claim("Q-roots")
+        d = rep.as_dict()
+        assert list(d) == ["claim_id", "parameter_range", "verdict", "worst_margin", "witness"]
+        assert d == {key: getattr(rep, key) for key in d}
 
     def test_verdicts(self):
         reports = verify_all()

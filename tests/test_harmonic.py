@@ -2,6 +2,7 @@
 
 import cmath
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -662,6 +663,35 @@ class TestOwnedCoefficients:
         with pytest.raises(ValueError, match="read-only"):
             getattr(p, name)[1] = 0.0
         assert (evaluate(p, z), jacobian(p, z)) == before
+
+
+class TestIdentity:
+    """A map equals and hashes as itself only, whatever its coefficients."""
+
+    def test_equality_is_identity(self):
+        p = HarmonicPolynomial(a=[1, 0.5], b=[0, 0.1])
+        q = HarmonicPolynomial(a=[1, 0.5], b=[0, 0.1])
+        assert p == p and not p != p
+        assert p != q and not p == q
+        assert (p == q) is False
+
+    def test_hash_is_identity(self):
+        p = HarmonicPolynomial(a=[1, 0.5], b=[0, 0.1])
+        q = HarmonicPolynomial(a=[1, 0.5], b=[0, 0.1])
+        assert hash(p) == hash(p) == object.__hash__(p)
+        assert len({p, q, p}) == 2
+
+    def test_a_map_keys_a_cache(self):
+        calls = []
+
+        @functools.cache
+        def degree_of(p):
+            calls.append(p)
+            return p.degree
+
+        p = section(extremal_map(FamilyClass.GENERAL), 5, 3)
+        assert degree_of(p) == degree_of(p) == 5
+        assert calls == [p]
 
 
 class TestProbeGrid:

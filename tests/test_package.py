@@ -4,7 +4,9 @@ names the benchmark traces and reads."""
 import ast
 import contextlib
 import importlib
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -26,7 +28,6 @@ PUBLIC_NAMES = [
     "KernelScan",
     "ProbeGrid",
     "RadiusResult",
-    "RealPolynomial",
     "UnknownClaimError",
     "close_to_convex_radius",
     "distortion_floor",
@@ -57,7 +58,7 @@ PUBLIC_NAMES = [
 class TestPublicSurface:
     def test_exported_names_are_pinned(self):
         # one name per quantity; the cross-check forms live in tests/oracles.py
-        assert len(PUBLIC_NAMES) == 33
+        assert len(PUBLIC_NAMES) == 32
         assert sorted(harmsect.__all__) == PUBLIC_NAMES
 
     def test_every_exported_name_resolves(self):
@@ -175,3 +176,12 @@ class TestImports:
         for path in sources:
             for package in imported_packages(path):
                 assert package in allowed, (path.name, package)
+
+    def test_import_does_not_load_numpy_polynomial(self):
+        # the float polynomials are coefficient tuples under one Horner core;
+        # numpy.polynomial, which `import numpy` skips, would add to every cold start
+        code = "import sys, harmsect; print('numpy.polynomial' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                             check=True)
+        assert out.stdout == "False\n"

@@ -9,46 +9,71 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import real_horner
 
 from harmsect import polyroots
 from harmsect.claims import SCALED_BRACKET_PARTS
-from harmsect.polyroots import RealPolynomial, isolate_real_roots
+from harmsect.polyroots import isolate_real_roots
 
 
-class TestRealPolynomial:
-    def test_eval_horner(self):
-        p = RealPolynomial((1.0, -2.0, 3.0))  # 1 - 2x + 3x^2
-        assert p(0.0) == 1.0
-        assert p(2.0) == 1.0 - 4.0 + 12.0
-        xs = np.array([0.0, 1.0, -1.0])
-        assert np.allclose(p(xs), [1.0, 2.0, 6.0])
+def bits(values) -> list[str]:
+    """float.hex of a float or of each entry of a float array."""
+    return [float(v).hex() for v in np.ravel(values)]
 
-    def test_degree_ignores_trailing_zeros(self):
-        assert RealPolynomial((1.0, 2.0, 0.0)).degree == 1
-        assert RealPolynomial((0.0,)).degree == 0
 
-    def test_scaled(self):
-        assert RealPolynomial((1.0, 2.0)).scaled(3.0).coefficients == (3.0, 6.0)
+class TestHorner:
+    """The shared Horner core against the float polynomial oracle, bit for bit."""
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            RealPolynomial(())
+    POINTS = (0.0, 1.0, -1.0, 0.5, 2.0, np.float64(-0.3), 1.0 / 3.0, 2.7182818284590451)
+
+    def test_values(self):
+        part = (1.0, -2.0, 3.0)  # 1 - 2x + 3x^2
+        assert polyroots._horner((part,), 0.0) == [1.0]
+        assert polyroots._horner((part,), 2.0) == [1.0 - 4.0 + 12.0]
+        (values,) = polyroots._horner((part,), np.array([0.0, 1.0, -1.0]))
+        assert values.tolist() == [1.0, 2.0, 6.0]
+
+    def test_one_value_per_part(self):
+        assert polyroots._horner(((1.0,), (0.0, 1.0)), 3.0) == [1.0, 3.0]
+
+    @pytest.mark.parametrize("index", range(len(SCALED_BRACKET_PARTS)))
+    def test_bracket_parts_match_the_oracle(self, index):
+        part = SCALED_BRACKET_PARTS[index]
+        for x in self.POINTS:
+            assert bits(polyroots._horner((part,), x)[0]) == bits(real_horner(part, x)), x
+        ks = np.linspace(-10.0, 10.0, 2001)
+        (values,) = polyroots._horner((part,), ks)
+        assert bits(values) == bits(real_horner(part, ks))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_polynomials_match_the_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        parts = [tuple(rng.standard_normal(size).tolist()) for size in rng.integers(1, 12, 4)]
+        xs = rng.uniform(-3.0, 3.0, 257)
+        for part, values in zip(parts, polyroots._horner(parts, xs)):
+            assert bits(values) == bits(real_horner(part, xs))
+            for x in xs[:16].tolist():
+                assert bits(polyroots._horner((part,), x)[0]) == bits(real_horner(part, x))
+
+    def test_parts_are_tuples_of_floats(self):
+        for part in SCALED_BRACKET_PARTS:
+            assert type(part) is tuple and all(type(c) is float for c in part)
 
 
 class TestIsolation:
     def test_quadratic(self):
-        roots = isolate_real_roots(RealPolynomial((-1.0, 0.0, 1.0)), -2.0, 2.0)
+        roots = isolate_real_roots((-1.0, 0.0, 1.0), -2.0, 2.0)
         assert len(roots) == 2
         assert roots[0] == pytest.approx(-1.0, abs=1e-10)
         assert roots[1] == pytest.approx(1.0, abs=1e-10)
 
     def test_no_roots(self):
-        assert isolate_real_roots(RealPolynomial((1.0, 0.0, 1.0)), -5.0, 5.0) == []
+        assert isolate_real_roots((1.0, 0.0, 1.0), -5.0, 5.0) == []
 
     def test_cubic_against_numpy(self):
         # x^3 - 2.7 x^2 - 1.3 x + 0.4
         coeffs = (0.4, -1.3, -2.7, 1.0)
-        p = RealPolynomial(coeffs)
+        p = coeffs
         expected = sorted(
             r.real for r in np.roots(list(reversed(coeffs))) if abs(r.imag) < 1e-12
         )
@@ -59,15 +84,15 @@ class TestIsolation:
 
     def test_newton_polish_residual(self):
         # simple root at an awkward irrational location: the nearest double
-        p = RealPolynomial((-2.0, 0.0, 1.0))  # x^2 - 2
+        p = (-2.0, 0.0, 1.0)  # x^2 - 2
         roots = isolate_real_roots(p, 0.0, 3.0)
         assert roots == [math.sqrt(2.0)]
-        assert abs(p(roots[0])) < 1e-12
+        assert abs(polyroots._horner((p,), roots[0])[0]) < 1e-12
 
     def test_double_root_on_grid_point(self):
         # (x - 1/2)^2: the scan grid hits 1/2 exactly, so the value is 0.0
         # there and the root is reported without a warning
-        p = RealPolynomial((0.25, -1.0, 1.0))
+        p = (0.25, -1.0, 1.0)
         roots = isolate_real_roots(p, 0.0, 1.0)
         assert roots == [0.5]
 
@@ -75,7 +100,7 @@ class TestIsolation:
         # a = 0.375 + 2^-20 makes a*a, -2a and 1 exact doubles, so p = (x - a)^2
         # exactly and its one root comes back as a itself
         a = 0.375 + 2.0**-20
-        p = RealPolynomial((a * a, -2.0 * a, 1.0))
+        p = (a * a, -2.0 * a, 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert isolate_real_roots(p, 0.0, 1.0) == [a]
@@ -84,7 +109,7 @@ class TestIsolation:
         # roots 0.3 and 0.3000001, 1e-7 apart; rounding the coefficients moves
         # each by about 2e-10
         r, s = 0.3, 0.3000001
-        roots = isolate_real_roots(RealPolynomial((r * s, -(r + s), 1.0)), 0.0, 1.0)
+        roots = isolate_real_roots((r * s, -(r + s), 1.0), 0.0, 1.0)
         assert roots == pytest.approx([r, s], abs=1e-9)
 
     def test_near_double_root_count_follows_discriminant(self):
@@ -96,27 +121,27 @@ class TestIsolation:
         disc = c1 * c1 - 4 * c2 * c0
         expected = 2 if disc > 0 else 1 if disc == 0 else 0
         assert expected == 2
-        roots = isolate_real_roots(RealPolynomial(coeffs), 0.0, 1.0)
+        roots = isolate_real_roots(coeffs, 0.0, 1.0)
         assert len(roots) == expected
         assert roots == pytest.approx([c, c], abs=1e-7)
 
     def test_roots_at_both_ends_reported_once(self):
         # (x + 1)(x - 2)(x - 1/2) on [-1, 2]
-        p = RealPolynomial((1.0, -1.5, -1.5, 1.0))
+        p = (1.0, -1.5, -1.5, 1.0)
         assert isolate_real_roots(p, -1.0, 2.0) == [-1.0, 0.5, 2.0]
         assert isolate_real_roots(p, -1.0, 0.0) == [-1.0]
         assert isolate_real_roots(p, 1.0, 2.0) == [2.0]
 
     def test_root_at_lo_with_positive_right_side(self):
         # x - x^2 is 0 at lo and positive just right of it
-        assert isolate_real_roots(RealPolynomial((0.0, 1.0, -1.0)), 0.0, 3.0) == [0.0, 1.0]
-        assert isolate_real_roots(RealPolynomial((0.0, -1.0, 1.0)), 0.0, 3.0) == [0.0, 1.0]
+        assert isolate_real_roots((0.0, 1.0, -1.0), 0.0, 3.0) == [0.0, 1.0]
+        assert isolate_real_roots((0.0, -1.0, 1.0), 0.0, 3.0) == [0.0, 1.0]
 
     def test_root_at_a_split_point(self):
         # +-(x^3 - x) on [-3, 3]: the first split lands on the root 0, which
         # then becomes the left end of the interval holding 1
         for sign in (1.0, -1.0):
-            p = RealPolynomial((0.0, -sign, 0.0, sign))
+            p = (0.0, -sign, 0.0, sign)
             assert isolate_real_roots(p, -3.0, 3.0) == [-1.0, 0.0, 1.0]
 
     @staticmethod
@@ -131,7 +156,7 @@ class TestIsolation:
             for _ in range(rng.randint(1, 3)):
                 coeffs = [a - root * b for a, b in zip([0] + coeffs, coeffs + [0])]
         assert all(Fraction(float(c)) == c for c in coeffs)
-        return RealPolynomial(tuple(float(c) for c in coeffs)), distinct
+        return tuple(float(c) for c in coeffs), distinct
 
     @pytest.mark.parametrize("seed", range(8))
     def test_dyadic_products_give_their_distinct_roots(self, seed):
@@ -152,32 +177,51 @@ class TestIsolation:
     def test_root_on_a_rounding_tie(self):
         # 8x - 3 * 2^-1072 has its root at 1.5 * 2^-1074, halfway between two
         # subnormals: it rounds to the even one, 2^-1073
-        p = RealPolynomial((-3.0 * 2.0**-1072, 8.0))
+        p = (-3.0 * 2.0**-1072, 8.0)
         assert isolate_real_roots(p, -1.0, 2.0) == [2.0**-1073]
 
-    def test_zero_polynomial_rejected(self):
+    @pytest.mark.parametrize("coefficients", [(), [], (0.0,), (0, 0.0, 0), [0.0, -0.0]])
+    def test_zero_polynomial_rejected(self, coefficients):
         with pytest.raises(ValueError, match="zero polynomial"):
-            isolate_real_roots(RealPolynomial((0.0,)), -1.0, 1.0)
+            isolate_real_roots(coefficients, -1.0, 1.0)
+
+    @pytest.mark.parametrize("coefficients", [
+        (-1.0, 0.0, 1.0), [-1.0, 0.0, 1.0], (-1, 0, 1), [-1, 0.0, 1], (-1.0, 0, 1.0, 0.0, 0),
+        (np.float64(-1.0), np.int64(0), 1.0),
+    ])
+    def test_sequences_of_ints_and_floats(self, coefficients):
+        # x^2 - 1 in every form, trailing zeros trimmed
+        assert isolate_real_roots(coefficients, -2.0, 2.0) == [-1.0, 1.0]
+
+    def test_trailing_zeros_trimmed(self):
+        # zero x^2 and x^3 terms: 1 + 2x is linear, and 3 a nonzero constant
+        assert isolate_real_roots((1.0, 2.0, 0.0, 0), -1.0, 1.0) == [-0.5]
+        assert isolate_real_roots((3.0, 0.0, 0.0), -1.0, 1.0) == []
+
+    def test_ints_past_the_double_range(self):
+        # exact coefficients need no float: 10**400 x - 10**400 has its root at 1
+        assert isolate_real_roots((-(10**400), 10**400), 0.0, 2.0) == [1.0]
 
     @pytest.mark.parametrize("lo, hi", [(-np.inf, 2.0), (-2.0, np.inf), (np.nan, 2.0)])
     def test_non_finite_bounds_rejected(self, lo, hi):
         with pytest.raises(ValueError, match="finite"):
-            isolate_real_roots(RealPolynomial((-1.0, 0.0, 1.0)), lo, hi)
+            isolate_real_roots((-1.0, 0.0, 1.0), lo, hi)
 
-    def test_non_finite_coefficient_rejected(self):
+    @pytest.mark.parametrize("coefficients", [(np.inf, 1.0), [1.0, -np.inf], (1.0, np.nan), [np.float64(np.nan)]])
+    def test_non_finite_coefficient_rejected(self, coefficients):
         with pytest.raises(ValueError, match="finite"):
-            isolate_real_roots(RealPolynomial((np.inf, 1.0)), -1.0, 1.0)
+            isolate_real_roots(coefficients, -1.0, 1.0)
 
     def test_nonzero_constant_has_no_roots(self):
-        assert isolate_real_roots(RealPolynomial((3.0, 0.0)), -1.0, 1.0) == []
+        assert isolate_real_roots((3.0, 0.0), -1.0, 1.0) == []
 
     def test_bad_interval(self):
         with pytest.raises(ValueError):
-            isolate_real_roots(RealPolynomial((1.0, 1.0)), 2.0, -2.0)
+            isolate_real_roots((1.0, 1.0), 2.0, -2.0)
 
     def test_root_at_grid_point(self):
         # linear root exactly at the interval midpoint, hit by the scan grid
-        p = RealPolynomial((0.0, 1.0))
+        p = (0.0, 1.0)
         roots = isolate_real_roots(p, -1.0, 1.0)
         assert len(roots) == 1
         assert roots[0] == pytest.approx(0.0, abs=1e-12)
@@ -211,14 +255,14 @@ class TestIntegerSigns:
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from(range(len(SCALED_BRACKET_PARTS))), dyadic)
     def test_scaled_bracket_parts(self, index, x):
-        f = [Fraction(c) for c in SCALED_BRACKET_PARTS[index].coefficients]
+        f = [Fraction(c) for c in SCALED_BRACKET_PARTS[index]]
         assert polyroots._sign(polyroots._integer(f), x) == sign(fraction_value(f, x))
 
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from(range(len(SCALED_BRACKET_PARTS))), dyadic)
     def test_sturm_chain_members(self, index, x):
         # the members the counts evaluate have non-dyadic coefficients
-        f = [Fraction(c) for c in SCALED_BRACKET_PARTS[index].coefficients]
+        f = [Fraction(c) for c in SCALED_BRACKET_PARTS[index]]
         for g in polyroots._sturm(f):
             assert polyroots._sign(polyroots._integer(g), x) == sign(fraction_value(g, x))
 

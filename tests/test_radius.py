@@ -1,6 +1,7 @@
 """Margin functions, the certified root solver, and the asymptotic bounds."""
 
 import math
+import sys
 import warnings
 from fractions import Fraction
 from functools import partial
@@ -672,6 +673,31 @@ class TestBounds:
             with pytest.raises(ValueError, match="requires an integer n"):
                 fn(n)
         assert fn(np.int64(16)) == fn(16)
+
+    # orders up to the largest double: the largest, the largest int below
+    # 2**1000 and a power of ten; each keeps the bits of 1 - offset/n
+    IN_RANGE = pytest.mark.parametrize(
+        "n", [int(sys.float_info.max), 2**1000 - 1, 10**300], ids=["max", "2**1000-1", "10**300"]
+    )
+
+    @IN_RANGE
+    @pytest.mark.parametrize("family", list(FamilyClass))
+    def test_lower_bound_bits_up_to_the_largest_double(self, family, n):
+        assert lower_bound(family, n).hex() == (1.0 - log_offset(family, n) / n).hex()
+
+    @IN_RANGE
+    def test_close_to_convex_bits_up_to_the_largest_double(self, n):
+        assert close_to_convex_radius(n).hex() == (1.0 - 3.0 * math.log(n) / n).hex()
+
+    @pytest.mark.parametrize("n", [int(sys.float_info.max) + 1, 2**1024, 10**400, 2**20000],
+                             ids=["max+1", "2**1024", "10**400", "2**20000"])
+    def test_past_the_double_range_the_bounds_round_to_one(self, n):
+        # 1 - offset/n is within 2**-1000 of 1; n / float once raised
+        # OverflowError("int too large to convert to float")
+        for family in FamilyClass:
+            assert lower_bound(family, n) == 1.0
+            assert 0.0 < log_offset(family, n) < n
+        assert close_to_convex_radius(n) == 1.0
 
     def test_close_to_convex(self):
         assert close_to_convex_radius(5) == pytest.approx(1 - 3 * math.log(5) / 5, rel=1e-15)

@@ -19,7 +19,9 @@ general, 12/43 convex) and `verify all` in all three formats, the curve
 and boundary plots, and a few error paths.  No command calls the
 pointwise functions on one point, so one more entry, OUT_DIR/scalar-calls/
 `values`, holds the float.hex bits of `evaluate`, `jacobian`, `kernel` and
-`divided_difference` on seeded polynomials and points.
+`divided_difference` on seeded polynomials and points, and another,
+OUT_DIR/polynomials/`values`, the bits of the slope bracket's parts, of
+their assembly and of their roots.
 """
 
 from __future__ import annotations
@@ -138,6 +140,31 @@ def scalar_values() -> str:
     return "\n".join(lines) + "\n"
 
 
+def polynomial_values() -> str:
+    """The float.hex bits of the six slope bracket parts and what is formed from them.
+
+    Each part's coefficients (a part is read as its `coefficients` if it
+    has them, so older checkouts write the same lines),
+    `slope_bracket_scaled` on the Q-identity claim's k grid at four
+    orders, and each part's real roots on [-10, 10].
+    """
+    from harmsect import claims
+    from harmsect.polyroots import isolate_real_roots
+
+    def bits(values) -> str:
+        return " ".join(float(v).hex() for v in values)
+
+    parts = [*claims.SCALED_BRACKET_PARTS, claims._ASSEMBLY_PART_4]
+    lines = [f"part {i} coefficients: {bits(getattr(part, 'coefficients', part))}"
+             for i, part in enumerate(parts, start=1)]
+    ks = np.linspace(1.0, 3.0, 201)
+    lines += [f"slope_bracket_scaled n={n}: {bits(claims.slope_bracket_scaled(ks, n).tolist())}"
+              for n in (15, 60, 10**6, 2**80)]
+    lines += [f"part {i} roots: {bits(isolate_real_roots(part, -10.0, 10.0))}"
+              for i, part in enumerate(parts, start=1)]
+    return "\n".join(lines) + "\n"
+
+
 @contextlib.contextmanager
 def _environment(env: dict):
     saved = {key: os.environ.get(key) for key in env}
@@ -183,10 +210,11 @@ def main(argv: list[str]) -> int:
         (target / "stdout").write_text(stdout, encoding="utf-8")
         (target / "stderr").write_text(stderr, encoding="utf-8")
         (target / "exit").write_text(f"{code}\n", encoding="utf-8")
-    target = out_dir / "scalar-calls"
-    target.mkdir(parents=True, exist_ok=True)
-    (target / "values").write_text(scalar_values(), encoding="utf-8")
-    print(f"wrote {len(listed)} command outputs and the scalar calls under {out_dir}")
+    for name, values in (("scalar-calls", scalar_values), ("polynomials", polynomial_values)):
+        target = out_dir / name
+        target.mkdir(parents=True, exist_ok=True)
+        (target / "values").write_text(values(), encoding="utf-8")
+    print(f"wrote {len(listed)} command outputs, the scalar calls and the polynomials under {out_dir}")
     return 0
 
 
