@@ -38,6 +38,17 @@ A block's row is then the public function's array evaluation at that order,
 bit for bit, and _Margins.add_rows keeps the witness a loop over the orders
 would keep.  The Q-roots claim's Sturm counts decide each sign in integers
 (see polyroots).
+
+The q2-positive step, the slowest claim, writes into one workspace per
+call: _on_blocks allocates one float array of (arrays, orders per block,
+width) once, on a 64-byte boundary, and each block writes its grid, the bracket's terms and its
+margins into views of it, through ufunc out= arguments.  When each block
+allocated and freed its seven 64 KB arrays instead, glibc's free trimmed
+the heap top after every block wherever no live chunk sat above them, and
+the next block faulted the same pages back in (about 4600 minor faults per
+call), so the step's time depended on the process's heap layout.  The
+t-decreasing, T-decreasing and q1-negative steps still allocate their
+arrays per block.
 """
 
 from __future__ import annotations
@@ -80,10 +91,14 @@ class UnknownClaimError(KeyError):
 _MAX_RATIO_ORDER = sys.float_info.max
 
 
+def _order_text(n) -> str:
+    """n as an error message states it: an int by its size, anything else by its repr."""
+    return f"an order of {n.bit_length()} bits" if isinstance(n, int) else repr(n)
+
+
 def _check_x_range(x, n: int) -> None:
     if n > _MAX_RATIO_ORDER:  # inf too; NaN fails the range test below
-        got = f"an order of {n.bit_length()} bits" if isinstance(n, int) else repr(n)
-        raise ValueError(f"n must be at most {_MAX_RATIO_ORDER!r}, the largest double, got {got}")
+        raise ValueError(f"n must be at most {_MAX_RATIO_ORDER!r}, the largest double, got {_order_text(n)}")
     xs = np.asarray(x)
     if not ((xs > 0) & (xs <= n)).all():
         raise ValueError(f"x must lie in (0, n], got x={x!r} for n={n}")
@@ -151,32 +166,56 @@ def slope_prefactor_general(x, n: int):
     return _slope_prefactor(x, n, *_num_den_factors(n))
 
 
-def _slope_bracket(x, p):
-    # p[k] is n**k; x^3, x^5 and x^7 each appear in two term groups and are
-    # formed once
+# the arrays of x's shape that _slope_bracket writes into
+_BRACKET_BUFFERS = 6
+
+
+def _slope_bracket(x, p, work):
+    # p[k] is n**k.  Each term is the derived expression's term: the same
+    # operations on the same operands in the same order, each array result
+    # written into work (x^3, x^5 and x^7, which two term groups each use,
+    # the running sum and two scratch arrays), so only the factors formed
+    # from n are new objects.  x^2 is np.power(x, 2): on float arrays that
+    # is np.square's value, as x**2 is, and on the object arrays of a scalar
+    # x it is the scalar's own x**2.  Returns the sum, an array of work.
     n = p[1]
-    x3, x5, x7 = x**3, x**5, x**7
-    return (
-        2688.0 * p[7]
-        + 2688.0 * (n - 3) * p[6] * x
-        + 3.0 * (448.0 * p[7] - 2368.0 * p[6] + 3648.0 * p[5] - x7) * x**2
-        + 64.0 * p[4] * (7.0 * p[3] - 48.0 * p[2] + 137.0 * n - 132.0) * x3
-        + 16.0 * p[2] * (59.0 * p[3] - 128.0 * p[2] + 178.0 * n - 75.0) * x5
-        + 2.0
-        * p[2]
-        * (
-            32.0 * p[5]
-            - 80.0 * p[4] * (6.0 + x)
-            + 1672.0 * p[3]
-            - 4.0 * p[2] * (774.0 + 13.0 * x3)
-            + 2040.0 * n
-            - 3.0 * x5
-        )
-        * x**4
-        + 2.0 * n * (88.0 * p[4] - 240.0 * p[3] + 434.0 * p[2] - 390.0 * n + 81.0) * x**6
-        + 2.0 * n * (78.0 * p[2] - 98.0 * n + 57.0) * x7
-        + 6.0 * (6.0 * p[3] - 2.0 * p[2] + 6.0 * n - 1.0) * x**8
-    )
+    x3, x5, x7, total, t, u = work
+    np.power(x, 3, out=x3)
+    np.power(x, 5, out=x5)
+    np.power(x, 7, out=x7)
+    # 2688 n^7 + 2688 (n - 3) n^6 x
+    np.multiply(2688.0 * (n - 3) * p[6], x, out=total)
+    np.add(2688.0 * p[7], total, out=total)
+    # + 3 (448 n^7 - 2368 n^6 + 3648 n^5 - x^7) x^2
+    np.subtract(448.0 * p[7] - 2368.0 * p[6] + 3648.0 * p[5], x7, out=t)
+    np.multiply(3.0, t, out=t)
+    np.multiply(t, np.power(x, 2, out=u), out=t)
+    np.add(total, t, out=total)
+    # + 64 n^4 (7 n^3 - 48 n^2 + 137 n - 132) x^3 + 16 n^2 (59 n^3 - 128 n^2 + 178 n - 75) x^5
+    np.multiply(64.0 * p[4] * (7.0 * p[3] - 48.0 * p[2] + 137.0 * n - 132.0), x3, out=t)
+    np.add(total, t, out=total)
+    np.multiply(16.0 * p[2] * (59.0 * p[3] - 128.0 * p[2] + 178.0 * n - 75.0), x5, out=t)
+    np.add(total, t, out=total)
+    # + 2 n^2 (32 n^5 - 80 n^4 (6 + x) + 1672 n^3 - 4 n^2 (774 + 13 x^3) + 2040 n - 3 x^5) x^4
+    np.multiply(80.0 * p[4], np.add(6.0, x, out=t), out=t)
+    np.subtract(32.0 * p[5], t, out=t)
+    np.add(t, 1672.0 * p[3], out=t)
+    np.multiply(4.0 * p[2], np.add(774.0, np.multiply(13.0, x3, out=u), out=u), out=u)
+    np.subtract(t, u, out=t)
+    np.add(t, 2040.0 * n, out=t)
+    np.subtract(t, np.multiply(3.0, x5, out=u), out=t)
+    np.multiply(2.0 * p[2], t, out=t)
+    np.multiply(t, np.power(x, 4, out=u), out=t)
+    np.add(total, t, out=total)
+    # + 2 n (88 n^4 - 240 n^3 + 434 n^2 - 390 n + 81) x^6 + 2 n (78 n^2 - 98 n + 57) x^7
+    np.multiply(2.0 * n * (88.0 * p[4] - 240.0 * p[3] + 434.0 * p[2] - 390.0 * n + 81.0),
+                np.power(x, 6, out=t), out=t)
+    np.add(total, t, out=total)
+    np.multiply(2.0 * n * (78.0 * p[2] - 98.0 * n + 57.0), x7, out=t)
+    np.add(total, t, out=total)
+    # + 6 (6 n^3 - 2 n^2 + 6 n - 1) x^8
+    np.multiply(6.0 * (6.0 * p[3] - 2.0 * p[2] + 6.0 * n - 1.0), np.power(x, 8, out=t), out=t)
+    return np.add(total, t, out=total)
 
 
 # At x near n the bracket's terms reach n^11, and (2**93)**11 = 2**1023 is
@@ -197,10 +236,18 @@ def slope_bracket_general(x, n: int):
     n must be below 2**93.
 
     Entered term group by term group exactly as derived, with n**k written
-    p[k]; no re-expansion.
+    p[k]; no re-expansion.  A scalar x gives a scalar, an array x a float
+    array of its shape.
     """
     _check_slope_order(n)
-    return _slope_bracket(x, _powers(n, 8))
+    # A scalar x runs the core on object arrays, whose loops call the
+    # scalar's own operators: numpy's vector power differs from the scalar
+    # power in the last bit at some points, and a scalar keeps the scalar bits.
+    scalar = np.isscalar(x)
+    xs = np.array(x, dtype=object if scalar else None, ndmin=1)
+    work = np.empty((_BRACKET_BUFFERS, *xs.shape), dtype=object if scalar else float)
+    value = _slope_bracket(xs, _powers(n, 8), work)
+    return value if np.ndim(x) else value[0]
 
 
 # Catalogued parts of the scaled bracket under x = n/k, coefficients ascending
@@ -304,12 +351,22 @@ def _convex_bracket(x, n, n2):
     )
 
 
+# The bracket forms n**2, which for a larger order leaves the double range:
+# an int square raised OverflowError on its way to a float, and so did a
+# float's n**2.  Every double up to the bound has a finite square.
+_MAX_CONVEX_ORDER = math.isqrt(int(sys.float_info.max))
+
+
 def convex_slope_bracket(x, n: int):
     """Positive bracket in -d/dx of the convex tail_ratio.
 
     The derivative equals -(2n - x)^2 * this / (e^x x^5), so positivity of
-    the bracket certifies that the convex ratio decreases.
+    the bracket certifies that the convex ratio decreases.  n must be at
+    most the square root of the largest double, about 1.34e154.
     """
+    if not n <= _MAX_CONVEX_ORDER:  # NaN fails too
+        raise ValueError(f"n must be at most {math.sqrt(sys.float_info.max)!r}, where n**2 leaves "
+                         f"the double range, got {_order_text(n)}")
     return _convex_bracket(x, n, n**2)
 
 
@@ -418,21 +475,39 @@ class _Margins:
 _BLOCK_POINTS = 8192
 
 
-def _on_blocks(orders: list, width: int, block: Callable, m: _Margins) -> None:
+def _aligned_empty(shape: tuple) -> np.ndarray:
+    """np.empty(shape) whose data starts on a 64-byte boundary.
+
+    With AVX-512, each 64-byte vector load from an array that malloc
+    placed off that boundary spans two cache lines: on a 2-core AVX-512
+    x86_64 machine, q2-positive ran 4-8% slower with its workspace off the
+    boundary, so its time depended on where malloc put the workspace.
+    """
+    count = math.prod(shape)
+    raw = np.empty(count + 7)
+    skip = -raw.ctypes.data % 64 // 8
+    return raw[skip : skip + count].reshape(shape)
+
+
+def _on_blocks(orders: list, width: int, block: Callable, m: _Margins, buffers: int = 0) -> None:
     """Add block(ns) for consecutive blocks ns of the orders, at most _BLOCK_POINTS points each.
 
     block(ns) returns the grid (None for one point per order) and the
-    (label, margins) checks, as _Margins.add_rows takes them.
+    (label, margins) checks, as _Margins.add_rows takes them.  A step with
+    buffers allocates one 64-byte aligned workspace of that many (orders
+    per block, width) float arrays and calls block(ns, work) with each
+    array's first len(ns) rows, so its blocks write into the same memory.
     """
     size = max(1, _BLOCK_POINTS // width)
+    work = _aligned_empty((buffers, min(size, len(orders)), width)) if buffers else None
     for i in range(0, len(orders), size):
         ns = orders[i : i + size]
-        xs, checks = block(ns)
+        xs, checks = block(ns) if work is None else block(ns, work[:, : len(ns)])
         m.add_rows(ns, checks, xs)
 
 
-def _blocked(orders, width: int, block: Callable) -> Callable[[_Margins], None]:
-    return partial(_on_blocks, list(orders), width, block)
+def _blocked(orders, width: int, block: Callable, buffers: int = 0) -> Callable[[_Margins], None]:
+    return partial(_on_blocks, list(orders), width, block, buffers=buffers)
 
 
 def _columns(factors: Callable, orders: list) -> np.ndarray:
@@ -440,9 +515,22 @@ def _columns(factors: Callable, orders: list) -> np.ndarray:
     return np.ascontiguousarray(np.array([factors(n) for n in orders], dtype=float).T)[:, :, None]
 
 
-def _grid_rows(starts: list, stops: list, num: int) -> np.ndarray:
-    """np.linspace(start, stop, num) for each (start, stop), one row each."""
-    return np.ascontiguousarray(np.linspace(starts, stops, num, axis=1))
+def _grid_rows(starts: list, stops: list, num: int, out=None) -> np.ndarray:
+    """np.linspace(start, stop, num) for each (start, stop), one row each, in out (or a new array).
+
+    The steps are np.linspace's: column j is j times the row's step
+    (stop - start) / (num - 1), plus the start, and the last column is the
+    stop.  Each row has start < stop, far enough apart that the step is
+    not 0 (np.linspace divides first for a step that underflows), and
+    num is at least 2.
+    """
+    start, stop = (np.array(ends, dtype=float)[:, None] for ends in (starts, stops))
+    if out is None:
+        out = np.empty((len(starts), num))
+    np.multiply(np.arange(num, dtype=float), (stop - start) / (num - 1), out=out)
+    out += start
+    out[:, -1:] = stop
+    return out
 
 
 def _dense(family: FamilyClass, stop: int = 501) -> range:
@@ -502,10 +590,18 @@ def _at_n_block(ns: list):
     return None, [("positivity", positivity), ("closed form, tol 1e-12", 1e-12 - rel)]
 
 
-def _q2_block(ns: list):
-    xs = _grid_rows([n / 1000.0 for n in ns], ns, 1000)
+# q2-positive's workspace: the grid, then the bracket's arrays
+_Q2_BUFFERS = 1 + _BRACKET_BUFFERS
+
+
+def _q2_block(ns: list, work=None):
+    """The grid and the normalized bracket, both written into work (a fresh one if None)."""
+    if work is None:
+        work = _aligned_empty((_Q2_BUFFERS, len(ns), 1000))
+    xs = _grid_rows([n / 1000.0 for n in ns], ns, 1000, work[0])
     *p, scale = _columns(lambda n: (*_powers(n, 8), 2688.0 * float(n) ** 7), ns)
-    return xs, [("bracket / 2688 n^7 > 0", _slope_bracket(xs, p) / scale)]
+    margins = _slope_bracket(xs, p, work[1:])
+    return xs, [("bracket / 2688 n^7 > 0", np.divide(margins, scale, out=margins))]
 
 
 def _q1_block(ns: list):
@@ -563,7 +659,8 @@ _K_GRID = np.linspace(1.0, 3.0, 201)
 
 def _identity_block(ns: list):
     p = _columns(partial(_powers, count=12), ns)
-    direct = _slope_bracket(p[1] / _K_GRID, p)
+    x = p[1] / _K_GRID
+    direct = _slope_bracket(x, p, np.empty((_BRACKET_BUFFERS, *x.shape)))
     gap = 1e-10 - np.abs(_slope_bracket_scaled(_K_GRID, p) - direct) / np.abs(direct)
     return _K_GRID, [("assembled vs direct, tol 1e-10", gap)]
 
@@ -592,7 +689,7 @@ _TABLE: tuple[tuple, ...] = (
      _blocked(_GENERAL_ORDERS, 1, partial(_below_one_block, FamilyClass.GENERAL))),
     ("q2-positive", "n in {15..500} u {1e3,1e4,1e6}; 1000-point x grid on (0, n]; "
      "bracket normalized by its constant term",
-     _blocked(_GENERAL_ORDERS, 1000, _q2_block)),
+     _blocked(_GENERAL_ORDERS, 1000, _q2_block, _Q2_BUFFERS)),
     ("q1-negative", "n in {15..100}; 512-point x grid on (0, n]",
      _blocked(_dense(FamilyClass.GENERAL, 101), 512, _q1_block)),
     ("Q-roots", "each scaled-bracket part: real roots on [-10, 10] vs catalogued "

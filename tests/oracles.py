@@ -31,6 +31,11 @@ the oracle for the lists each polynomial now forms once.
 class of `polyroots` once did, with its own zero start for an array, as
 the oracle for the shared Horner core `polyroots._horner` on the bracket
 parts.
+
+`slope_bracket_expression` evaluates the general ratio's slope bracket as
+one Python expression, the way `claims._slope_bracket` once did, with
+numpy allocating every intermediate, as the oracle for the core that
+writes its terms into a workspace.
 """
 
 from __future__ import annotations
@@ -259,3 +264,31 @@ def real_horner(coefficients, x):
     for c in reversed(tuple(map(float, coefficients))):
         acc = acc * x + c
     return acc
+
+
+def slope_bracket_expression(x, p):
+    """The slope bracket at x with p[k] = n**k, term group by term group as
+    derived; x^3, x^5 and x^7 are formed once, as two groups use each."""
+    n = p[1]
+    x3, x5, x7 = x**3, x**5, x**7
+    return (
+        2688.0 * p[7]
+        + 2688.0 * (n - 3) * p[6] * x
+        + 3.0 * (448.0 * p[7] - 2368.0 * p[6] + 3648.0 * p[5] - x7) * x**2
+        + 64.0 * p[4] * (7.0 * p[3] - 48.0 * p[2] + 137.0 * n - 132.0) * x3
+        + 16.0 * p[2] * (59.0 * p[3] - 128.0 * p[2] + 178.0 * n - 75.0) * x5
+        + 2.0
+        * p[2]
+        * (
+            32.0 * p[5]
+            - 80.0 * p[4] * (6.0 + x)
+            + 1672.0 * p[3]
+            - 4.0 * p[2] * (774.0 + 13.0 * x3)
+            + 2040.0 * n
+            - 3.0 * x5
+        )
+        * x**4
+        + 2.0 * n * (88.0 * p[4] - 240.0 * p[3] + 434.0 * p[2] - 390.0 * n + 81.0) * x**6
+        + 2.0 * n * (78.0 * p[2] - 98.0 * n + 57.0) * x7
+        + 6.0 * (6.0 * p[3] - 2.0 * p[2] + 6.0 * n - 1.0) * x**8
+    )

@@ -7,7 +7,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from oracles import real_horner
+from oracles import real_horner, slope_bracket_expression
 
 from harmsect import claims
 from harmsect.claims import (
@@ -346,6 +346,41 @@ class TestRatioOrderBound:
         assert slope_prefactor_general(1.0, n) == pytest.approx(-math.exp(-1.0), rel=1e-15)
 
 
+class TestConvexOrderBound:
+    # convex_slope_bracket forms n**2: at 10**200 the int square raised
+    # OverflowError on its way to a float, for any x
+    BOUND = math.isqrt(LARGEST_DOUBLE)
+    FLOAT_BOUND = math.sqrt(sys.float_info.max)
+
+    @pytest.mark.parametrize("x", [1.0, np.array([1.0, 2.0])], ids=["scalar", "array"])
+    @pytest.mark.parametrize("n", [BOUND + 1, 10**200, math.nextafter(FLOAT_BOUND, math.inf), math.inf, math.nan],
+                             ids=["bound-plus-one", "1e200", "next-double", "inf", "nan"])
+    def test_orders_whose_square_leaves_the_double_range_rejected(self, x, n):
+        with pytest.raises(ValueError, match=r"^n must be at most 1\.3407807929942596e\+154, where n\*\*2 "
+                                             r"leaves the double range, got "):
+            convex_slope_bracket(x, n)
+
+    def test_the_message_states_the_size_of_an_int_order(self):
+        with pytest.raises(ValueError, match=r"got an order of 665 bits$"):
+            convex_slope_bracket(1.0, 10**200)
+
+    @pytest.mark.parametrize("x", [1.0, np.array([1.0, 2.0])], ids=["scalar", "array"])
+    @pytest.mark.parametrize("n", [BOUND, FLOAT_BOUND], ids=["int", "float"])
+    def test_the_bound_is_taken(self, x, n):
+        # the square is a finite double there; 2 n^2 (8 + 8x + 4x^2 + x^3) is not
+        assert math.isfinite(float(n**2))
+        assert np.array_equal(convex_slope_bracket(x, n), claims._convex_bracket(x, n, n**2))
+        assert np.all(convex_slope_bracket(x, n) == math.inf)
+
+    def test_the_decrease_block_skips_the_check(self, monkeypatch):
+        def checked(x, n):
+            raise AssertionError("the T-decreasing block called the checked bracket")
+
+        monkeypatch.setattr(claims, "convex_slope_bracket", checked)
+        _, checks = claims._decrease_block(FamilyClass.CONVEX, [7, 8, 1_000_000])
+        assert checks[1][0] == "derivative bracket > 0 (normalized)"
+
+
 class TestBoundParts:
     def test_helper_values(self):
         assert claims._aux_a(9) > math.sqrt(2.0)
@@ -558,6 +593,171 @@ class TestBlocks:
         claims._on_blocks(orders, 1000, block, claims._Margins())
         assert sum(seen, []) == orders
         assert max(len(ns) for ns in seen) * 1000 <= claims._BLOCK_POINTS
+
+
+# the orders, starts and stops of each blocked step that samples a grid per
+# order, and the grid's width
+GENERAL_ORDERS, CONVEX_ORDERS = RATIO_ORDERS[FamilyClass.GENERAL], RATIO_ORDERS[FamilyClass.CONVEX]
+Q1_ORDERS = list(range(15, 101))
+STEP_GRIDS = {
+    "t-decreasing": (GENERAL_ORDERS, lambda n: log_offset(FamilyClass.GENERAL, n), 257),
+    "T-decreasing": (CONVEX_ORDERS, lambda n: log_offset(FamilyClass.CONVEX, n), 257),
+    "q2-positive": (GENERAL_ORDERS, lambda n: n / 1000.0, 1000),
+    "q1-negative": (Q1_ORDERS, lambda n: n / 512.0, 512),
+}
+
+
+def workspace_bracket(x, p):
+    """The bracket core on a fresh workspace of x's shape."""
+    return claims._slope_bracket(x, p, np.empty((claims._BRACKET_BUFFERS, *np.shape(x))))
+
+
+class TestBracketBits:
+    """The workspace core gives the expression form's bits, array and scalar."""
+
+    def test_every_q2_grid(self):
+        for chunk in blocks(GENERAL_ORDERS, 1000):
+            xs = np.array([np.linspace(n / 1000.0, n, 1000) for n in chunk])
+            p = claims._columns(partial(claims._powers, count=8), chunk)
+            assert workspace_bracket(xs, p).tobytes() == slope_bracket_expression(xs, p).tobytes()
+
+    def test_every_identity_grid(self):
+        for chunk in blocks(range(15, 61), 201):
+            p = claims._columns(partial(claims._powers, count=12), chunk)
+            x = p[1] / claims._K_GRID
+            assert workspace_bracket(x, p).tobytes() == slope_bracket_expression(x, p).tobytes()
+
+    @pytest.mark.parametrize("n", [191, 195, 199])
+    def test_orders_where_float_powers_differ(self, n):
+        grid = np.linspace(n / 1000.0, n, 1000)
+        expected = slope_bracket_expression(grid, claims._powers(n, 8))
+        assert slope_bracket_general(grid, n).tobytes() == expected.tobytes()
+        p = claims._columns(partial(claims._powers, count=8), [n])
+        assert workspace_bracket(grid[None, :], p)[0].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [15, 191, 195, 199, 500, 10**6, 2**80])
+    def test_scalar_x_keeps_its_type_and_bits(self, n):
+        xs = np.random.default_rng(n % 1000).uniform(0.0, float(n), 40).tolist() + [1.0, float(n)]
+        p = claims._powers(n, 8)
+        for x in xs:
+            for scalar in (x, np.float64(x), np.array(x)):
+                value, expected = slope_bracket_general(scalar, n), slope_bracket_expression(scalar, p)
+                assert type(value) is type(expected)
+                assert value.hex() == expected.hex()
+
+    @pytest.mark.parametrize("n", [15, 199, 500])
+    def test_scalar_square_is_the_scalar_power(self, n):
+        # a Python float's x**2 is the C library's pow, which differs from
+        # x * x at about one point in a thousand; these are such points
+        candidates = np.random.default_rng(n).uniform(0.0, float(n), 20_000).tolist()
+        xs = [x for x in candidates if x**2 != x * x][:10]
+        assert len(xs) == 10
+        for x in xs:
+            assert slope_bracket_general(x, n).hex() == slope_bracket_expression(x, claims._powers(n, 8)).hex()
+
+    def test_scalar_bits_are_not_the_array_bits(self):
+        # numpy's vector power differs from the scalar power at some of these
+        # points, so a scalar path through float arrays would change the bits
+        n = 199
+        xs = np.random.default_rng(n).uniform(0.0, float(n), 40)
+        scalar = np.array([slope_bracket_general(x, n) for x in xs.tolist()])
+        assert not np.array_equal(scalar, slope_bracket_general(xs, n))
+
+
+class TestGridRows:
+    """_grid_rows, fresh or written into a buffer, is np.linspace row by row."""
+
+    @staticmethod
+    def assert_linspace(starts, stops, num):
+        expected = np.linspace(starts, stops, num, axis=1)
+        assert claims._grid_rows(starts, stops, num).tobytes() == np.ascontiguousarray(expected).tobytes()
+        buffer = np.full((2, len(starts), num), np.nan)
+        rows = claims._grid_rows(starts, stops, num, buffer[1])
+        assert np.shares_memory(rows, buffer[1])
+        assert rows.tobytes() == np.ascontiguousarray(expected).tobytes()
+        for row, start, stop in zip(rows, starts, stops):
+            assert np.array_equal(row, np.linspace(start, stop, num))
+
+    @pytest.mark.parametrize("step", list(STEP_GRIDS))
+    def test_every_blocked_step(self, step):
+        orders, start, num = STEP_GRIDS[step]
+        for chunk in blocks(orders, num):
+            self.assert_linspace([start(n) for n in chunk], chunk, num)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_seeded_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        rows, num = int(rng.integers(1, 9)), int(rng.integers(2, 2000))
+        starts = rng.uniform(-1e3, 1e3, rows) * 10.0 ** rng.integers(-5, 6, rows)
+        stops = starts + rng.exponential(1.0, rows) * 10.0 ** rng.integers(-5, 6, rows)
+        self.assert_linspace(starts.tolist(), stops.tolist(), num)
+
+    def test_two_points(self):
+        self.assert_linspace([0.015, 1.0, -3.5], [15, 1.0 + 2**-52, 7.25], 2)
+
+
+class CountingNumpy:
+    """numpy as claims sees it, keeping every array np.empty makes."""
+
+    def __init__(self):
+        self.made = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def empty(self, *args, **kwargs):
+        self.made.append(np.empty(*args, **kwargs))
+        return self.made[-1]
+
+
+class TestWorkspace:
+    """A blocked step with buffers writes every block into one workspace per call."""
+
+    def test_q2_block_writes_into_its_workspace(self):
+        for chunk in (GENERAL_ORDERS[:8], GENERAL_ORDERS[-1:]):
+            work = np.empty((claims._Q2_BUFFERS, len(chunk), 1000))
+            xs, [(_, margins)] = claims._q2_block(chunk, work)
+            assert np.shares_memory(xs, work[0])
+            assert np.shares_memory(margins, work[1:])
+            fresh_xs, [(_, fresh)] = claims._q2_block(chunk)
+            assert xs.tobytes() == fresh_xs.tobytes()
+            assert margins.tobytes() == fresh.tobytes()
+
+    def test_blocks_get_views_of_one_workspace(self):
+        seen = []
+
+        def block(ns, work):
+            seen.append((list(ns), work))
+            return None, [("check", np.zeros((len(ns), 1000)))]
+
+        orders = list(range(15, 60))
+        claims._on_blocks(orders, 1000, block, claims._Margins(), buffers=3)
+        assert sum((ns for ns, _ in seen), []) == orders
+        start = seen[0][1].ctypes.data
+        assert start % 64 == 0
+        for ns, work in seen:
+            assert work.base is seen[0][1].base
+            assert work.ctypes.data == start
+            assert work.shape == (3, len(ns), 1000)
+            assert work.strides == (claims._BLOCK_POINTS // 1000 * 8000, 8000, 8)
+            assert all(buffer.flags.c_contiguous for buffer in work)
+
+    @pytest.mark.parametrize("shape", [(1,), (7, 8, 1000), (3, 31, 257), (2, 5)])
+    def test_aligned_workspace(self, shape):
+        for _ in range(20):
+            work = claims._aligned_empty(shape)
+            assert work.shape == shape and work.dtype == np.float64
+            assert work.ctypes.data % 64 == 0
+            assert work.flags.c_contiguous and work.flags.writeable
+
+    def test_q2_positive_allocates_its_workspace_once(self, monkeypatch):
+        expected = verify_claim("q2-positive")
+        counting = CountingNumpy()
+        monkeypatch.setattr(claims, "np", counting)
+        assert verify_claim("q2-positive") == expected
+        # the workspace's floats and up to 7 more to start it on a 64-byte boundary
+        rows = claims._BLOCK_POINTS // 1000
+        assert [a.shape for a in counting.made] == [(claims._Q2_BUFFERS * rows * 1000 + 7,)]
 
 
 def margins_by_loop(orders, checks, xs):

@@ -19,9 +19,11 @@ general, 12/43 convex) and `verify all` in all three formats, the curve
 and boundary plots, and a few error paths.  No command calls the
 pointwise functions on one point, so one more entry, OUT_DIR/scalar-calls/
 `values`, holds the float.hex bits of `evaluate`, `jacobian`, `kernel` and
-`divided_difference` on seeded polynomials and points, and another,
+`divided_difference` on seeded polynomials and points, another,
 OUT_DIR/polynomials/`values`, the bits of the slope bracket's parts, of
-their assembly and of their roots.
+their assembly and of their roots, and a third, OUT_DIR/claim-blocks/
+`values`, the bits of the arrays of a few claim blocks, which `verify`
+reduces to their worst margins.
 """
 
 from __future__ import annotations
@@ -165,6 +167,39 @@ def polynomial_values() -> str:
     return "\n".join(lines) + "\n"
 
 
+def claim_block_values() -> str:
+    """The float.hex bits of q2-positive's and Q-identity's block arrays.
+
+    The q2-positive grid and margin rows of n = 15, 191, 500 and 10**6,
+    each from the block the claim evaluates it in, every gap row of the
+    first Q-identity block, and `slope_bracket_general` at seeded Python
+    floats.
+    """
+    from harmsect import claims
+
+    def bits(values) -> str:
+        return " ".join(float(v).hex() for v in values)
+
+    lines = []
+    size = claims._BLOCK_POINTS // 1000
+    for n in (15, 191, 500, 10**6):
+        i = claims._GENERAL_ORDERS.index(n)
+        chunk = claims._GENERAL_ORDERS[i - i % size : i - i % size + size]
+        xs, [(label, margins)] = claims._q2_block(chunk)
+        row = chunk.index(n)
+        lines += [f"q2-positive n={n} x: {bits(xs[row].tolist())}",
+                  f"q2-positive n={n} {label}: {bits(margins[row].tolist())}"]
+    orders = list(range(15, 61))
+    chunk = orders[: claims._BLOCK_POINTS // len(claims._K_GRID)]
+    _, [(label, gaps)] = claims._identity_block(chunk)
+    lines += [f"Q-identity n={n} {label}: {bits(row.tolist())}" for n, row in zip(chunk, gaps)]
+    rng = np.random.default_rng(2026)
+    for n in (15, 191, 195, 199, 10**6):
+        lines += [f"slope_bracket_general n={n} x={x!r}: {claims.slope_bracket_general(x, n).hex()}"
+                  for x in rng.uniform(0.0, float(n), 5).tolist()]
+    return "\n".join(lines) + "\n"
+
+
 @contextlib.contextmanager
 def _environment(env: dict):
     saved = {key: os.environ.get(key) for key in env}
@@ -210,11 +245,13 @@ def main(argv: list[str]) -> int:
         (target / "stdout").write_text(stdout, encoding="utf-8")
         (target / "stderr").write_text(stderr, encoding="utf-8")
         (target / "exit").write_text(f"{code}\n", encoding="utf-8")
-    for name, values in (("scalar-calls", scalar_values), ("polynomials", polynomial_values)):
+    for name, values in (("scalar-calls", scalar_values), ("polynomials", polynomial_values),
+                         ("claim-blocks", claim_block_values)):
         target = out_dir / name
         target.mkdir(parents=True, exist_ok=True)
         (target / "values").write_text(values(), encoding="utf-8")
-    print(f"wrote {len(listed)} command outputs, the scalar calls and the polynomials under {out_dir}")
+    print(f"wrote {len(listed)} command outputs, the scalar calls, the polynomials and the claim "
+          f"blocks under {out_dir}")
     return 0
 
 
