@@ -78,13 +78,20 @@ def _print_report(rows: list[dict], header: list[str], fmt: str, text_lines: lis
             print(line)
 
 
-def _parse_list(text: str, kind, option: str, what: str) -> list:
+def _parse_list(text: str, kind, option: str, what: str, kinds: str) -> list:
     """Comma-separated values converted by `kind`; empty items are skipped.
 
-    A list with no value at all, such as "," or "", is a usage error that
-    names the option and what it needs.
+    An item `kind` cannot convert, or a list with no value at all, such as
+    "," or "", is a usage error that names the option and what it needs:
+    one `what`, and items that are `kinds`.
     """
-    values = [kind(part) for part in text.split(",") if part.strip()]
+    values = []
+    for part in text.split(","):
+        if part.strip():
+            try:
+                values.append(kind(part))
+            except ValueError:
+                raise ValueError(f"{option} needs {kinds}, got {part.strip()!r}") from None
     if not values:
         raise ValueError(f"{option} needs at least one {what}")
     return values
@@ -120,7 +127,7 @@ def cmd_table(args) -> int:
     family = FamilyClass(args.family)
     rows = []
     text = []
-    for n in _parse_list(args.n_list, int, "--n", "order"):
+    for n in _parse_list(args.n_list, int, "--n", "order", "integer orders"):
         result = solve_radius(family, n, n)
         rows.append({"n": n, "radius": result.radius, "lower_bound": result.lower_bound})
         text.append(
@@ -135,7 +142,7 @@ def cmd_thresholds(args) -> int:
     family = FamilyClass(args.family)
     rows = []
     text = []
-    for target in _parse_list(args.targets, float, "--targets", "target"):
+    for target in _parse_list(args.targets, float, "--targets", "target", "numbers"):
         n = threshold_order(family, target)
         rows.append({"target": target, "n": n})
         text.append(f"target={target:g}  smallest n={n}")

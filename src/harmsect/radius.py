@@ -38,9 +38,10 @@ each margin check their orders and r, then evaluate the unchecked cores
 (the record's floor, `tails.tail_weighted` on the record's integer
 rows).  So one margin evaluation makes one r check and builds nothing it
 does not use.  `_margin_at` is the solver's setup, done once per solve: it
-checks the orders and forms both tail rows as floats, and returns the
-unchecked margin in r.  `solve_radius` bisects it with no r check at all:
-every r it evaluates lies in the fixed bracket.
+checks the orders, forms both tail rows as floats, and binds them to the
+record's `evaluate`, the same margin written out for that family's row
+length, so each bisection step is one call.  `solve_radius` bisects it
+with no r check at all: every r it evaluates lies in the fixed bracket.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ import operator
 import sys
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -144,6 +146,28 @@ def _floor_convex(r):
     return (1.0 - r) / (1.0 + r) ** 3
 
 
+# The margin at one r on the float rows a and c, written out per family: the
+# floor core, then tail_weighted on each row with its Horner loop unrolled.
+# The loop's first step, 0.0 * s + e, is e exactly (s > 0, every e a finite
+# double >= 0), so the chain starts at the last entry; every other operation
+# is the loop's, in its order (s**d is formed once, as the same pow), so the
+# bits are the same.
+
+
+def _margin_general_at(n, m, a, c, r):
+    s = 1.0 - r
+    d = s**4
+    return (_floor_general(r) - r**n * (((a[3] * s + a[2]) * s + a[1]) * s + a[0]) / d
+            - r**m * (((c[3] * s + c[2]) * s + c[1]) * s + c[0]) / d)
+
+
+def _margin_convex_at(n, m, a, c, r):
+    s = 1.0 - r
+    d = s**3
+    return (_floor_convex(r) - r**n * ((a[2] * s + a[1]) * s + a[0]) / d
+            - r**m * ((c[2] * s + c[1]) * s + c[0]) / d)
+
+
 @dataclass(frozen=True)
 class _Family:
     """What the margin and the asymptotic bound take from one family."""
@@ -155,6 +179,9 @@ class _Family:
     # entry is the weight w(n) = n |a_n| (or n |b_n|)
     analytic: Callable
     co_analytic: Callable
+    # (n, m, a, c, r) -> the unchecked margin at r on the float rows a and
+    # c, the two rows above written out (see _margin_at)
+    evaluate: Callable
     log_a: float  # the bound is 1 - (log_a ln n - log_b ln ln n)/n
     log_b: float
     first_bound_order: int  # the first n at which that bound is positive
@@ -166,6 +193,7 @@ _FAMILIES = {
         _floor_general,
         lambda n: (2, 2 * n - 1, n**2, n * (n + 1) * (2 * n + 1) // 6),
         lambda n: (2, 2 * n - 3, (n - 1) ** 2, n * (n - 1) * (2 * n - 1) // 6),
+        _margin_general_at,
         7.0, 4.0, 15,
     ),
     # |a_k| <= (k+1)/2, |b_k| <= (k-1)/2
@@ -173,6 +201,7 @@ _FAMILIES = {
         _floor_convex,
         lambda n: (1, n, n * (n + 1) // 2),
         lambda n: (1, n - 1, n * (n - 1) // 2),
+        _margin_convex_at,
         4.0, 2.0, 7,
     ),
 }
@@ -191,31 +220,34 @@ def distortion_floor(family: FamilyClass, r):
 def _margin_at(family: FamilyClass, n: int, m: int) -> Callable:
     """The unchecked margin r -> margin(n, m, r) of `family`, set up once.
 
-    The orders are checked and both tail rows formed here, as floats, so a
-    call evaluates the floor and two tails and nothing else; r must already
-    lie in (0, 1).  float(e) is the double nearest e, which is also what
-    float and numpy arithmetic make of the int e, so the float rows give
-    the same bits as the int rows.  The rows are floats because the solver
-    makes about 40 calls per solve, each of which would otherwise convert
-    every int entry again: with int rows here, `certify`'s wall_s rose
-    3.4% and req_p50_ms 3.9% (medians of ten alternating perfbench pairs,
-    worse in 9 and 10 of 10; 2-core x86_64, Python 3.11, numpy 2.4;
-    BENCH_pointwise_scalar.json).
+    The orders are checked and both tail rows formed here, as floats, and
+    bound to the record's `evaluate`, so a call is one Python call that
+    evaluates the floor and two tails and nothing else; r must already lie
+    in (0, 1).  float(e) is the double nearest e, which is also what float
+    and numpy arithmetic make of the int e, so the float rows give the same
+    bits as the int rows.  The rows are floats because the solver makes
+    about 40 calls per solve, each of which would otherwise convert every
+    int entry again: with int rows here, `certify`'s wall_s rose 3.4% and
+    req_p50_ms 3.9% (medians of ten alternating perfbench pairs, worse in 9
+    and 10 of 10; 2-core x86_64, Python 3.11, numpy 2.4;
+    BENCH_pointwise_scalar.json).  Written out per family instead of the
+    floor core plus two calls of `tails.tail_weighted`, a solve at n = m =
+    2, 287 and 1e4 takes 31.8-34.6 us in place of 45.7-48.7 us (general)
+    and 23.2-26.1 us in place of 38.5-41.1 us (convex), and an in-process
+    `radius --format json` request at n = m = 287 108-110 us in place of
+    117-127 us (best of 7, three alternating rounds, same machine);
+    `certify`'s req_p50_ms fell 14.4% (BENCH_solver_evaluator.json).
     """
     n, m = _check_orders(n, m)
     fam = _FAMILIES[family]
-    floor = fam.floor
-    a = tuple(map(float, fam.analytic(n)))
-    c = tuple(map(float, fam.co_analytic(m)))
-    # tail_weighted is read as a module global at each call, so a function
-    # bound in its place sees every tail evaluation
-    return lambda r: floor(r) - tail_weighted(a, n, r) - tail_weighted(c, m, r)
+    return partial(fam.evaluate, n, m, tuple(map(float, fam.analytic(n))),
+                   tuple(map(float, fam.co_analytic(m))))
 
 
 def _margin(family: FamilyClass, n: int, m: int, r):
     # one evaluation: the record's int rows go straight to the tail core,
     # which gives the bits of the float rows (see _margin_at) without a
-    # closure and two float tuples built for a single use
+    # bound evaluator and two float tuples built for a single use
     n, m = _check_orders(n, m)
     r = _check_r_open(r)
     fam = _FAMILIES[family]

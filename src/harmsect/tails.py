@@ -1,4 +1,4 @@
-"""Closed-form tail sums of the weighted power series used by the radius solver.
+"""Closed-form tail sums of the weighted power series used by the radius margins.
 
 Every radius computation in this package subtracts tails of the form
 
@@ -13,7 +13,11 @@ tail has one closed form
 whose d integer coefficients e_j(n) form the tail's row; the last entry
 e_{d-1}(n) is the weight w(n) itself.  The rows are written once, in the
 family record of `radius`, and are nonnegative for n >= 2.  One core,
-`tail_weighted`, evaluates every row, once it is formed at one order.
+`tail_weighted`, evaluates a row once it is formed at one order: it is the
+tail of every one-shot margin, at one r or on an array of r.  The solver's
+evaluator (`radius._margin_at`) makes the same operations on the same rows
+as floats, with this loop written out for each family's row length, so
+that a bisection step is one call.
 
 `tail_weighted` checks no argument: its callers, the margins in `radius`,
 have already checked r and formed each row from the orders as Python

@@ -106,6 +106,51 @@ class TestRadius:
         assert out == ""
         assert err == "error: orders must be below 2**341, where n**3 leaves the double range\n"
 
+    @pytest.mark.parametrize("family,n,m,frozen", [
+        pytest.param(
+            "general", 2, 2,
+            '"radius": 0.10819284383042538, "bracket_lo": 0.10819284382997107, '
+            '"bracket_hi": 0.10819284383087968, "residual": -2.9373448118263923e-12, '
+            '"iterations": 40, "lower_bound": null', id="general-2-2"),
+        pytest.param(
+            "general", 287, 287,
+            '"radius": 0.9001217720655661, "bracket_lo": 0.9001217720651118, '
+            '"bracket_hi": 0.9001217720660204, "residual": 5.1078966631454975e-16, '
+            '"iterations": 40, "lower_bound": 0.8861217913468507', id="general-287-287"),
+        pytest.param(
+            "general", 7, 9,
+            '"radius": 0.28094863002396364, "bracket_lo": 0.28094863002350934, '
+            '"bracket_hi": 0.28094863002441794, "residual": 6.616903205913793e-13, '
+            '"iterations": 40, "lower_bound": null', id="general-7-9"),
+        pytest.param(
+            "general", 100000, 100000,
+            '"radius": 0.9993210287220857, "bracket_lo": 0.9993210287216314, '
+            '"bracket_hi": 0.99932102872254, "residual": 1.3399733810674477e-20, '
+            '"iterations": 40, "lower_bound": 0.9992918340317594', id="general-100000-100000"),
+        pytest.param(
+            "convex", 2, 2,
+            '"radius": 0.190184338498796, "bracket_lo": 0.1901843384983417, '
+            '"bracket_hi": 0.19018433849925032, "residual": -3.1737390493447037e-12, '
+            '"iterations": 40, "lower_bound": null', id="convex-2-2"),
+        pytest.param(
+            "convex", 287, 287,
+            '"radius": 0.9362199293723248, "bracket_lo": 0.9362199293718705, '
+            '"bracket_hi": 0.9362199293727791, "residual": 1.3245880087220385e-12, '
+            '"iterations": 40, "lower_bound": 0.9332011705588615', id="convex-287-287"),
+        pytest.param(
+            "convex", 7, 9,
+            '"radius": 0.41887129953427804, "bracket_lo": 0.41887129953382374, '
+            '"bracket_hi": 0.41887129953473234, "residual": 8.670217321871121e-13, '
+            '"iterations": 40, "lower_bound": 0.07825986070504276', id="convex-7-9"),
+    ])
+    def test_json_is_frozen(self, capsys, family, n, m, frozen):
+        # the full record, bit for bit, as the solver on the floor and two
+        # calls of the tail core printed it
+        code, out, err = run(capsys, "radius", "--class", family, "--n", str(n), "--m", str(m),
+                             "--format", "json")
+        assert (code, err) == (0, "")
+        assert out == f'{{"family": "{family}", "n": {n}, "m": {m}, {frozen}}}\n'
+
     def test_json_round_trip(self, capsys):
         code, out, _ = run(
             capsys, "radius", "--class", "convex", "--n", "7", "--m", "9", "--format", "json"
@@ -164,6 +209,29 @@ class TestTable:
                                  "--format", fmt)
             assert (code, out, err) == (2, "", "error: --n needs at least one order\n")
 
+    @pytest.mark.parametrize("orders,item", [("2.5", "2.5"), ("2,x,3", "x"), ("3, 1e5", "1e5")])
+    def test_an_order_that_is_not_an_integer_is_a_usage_error(self, capsys, orders, item):
+        # it printed Python's own text, "invalid literal for int() with base
+        # 10", which does not say which option was wrong
+        for family in ("general", "convex"):
+            code, out, err = run(capsys, "table", "--class", family, "--n", orders)
+            assert (code, out, err) == (2, "", f"error: --n needs integer orders, got {item!r}\n")
+
+    def test_general_json_is_frozen(self, capsys):
+        code, out, err = run(capsys, "table", "--class", "general",
+                             "--n", "2,3,4,5,10,50,100,287", "--format", "json")
+        assert (code, err) == (0, "")
+        assert out == (
+            '[{"n": 2, "radius": 0.10819284383042538, "lower_bound": null}, '
+            '{"n": 3, "radius": 0.14719687312888263, "lower_bound": null}, '
+            '{"n": 4, "radius": 0.1822631139498605, "lower_bound": null}, '
+            '{"n": 5, "radius": 0.2140250644138484, "lower_bound": null}, '
+            '{"n": 10, "radius": 0.33708813081105804, "lower_bound": null}, '
+            '{"n": 50, "radius": 0.6750012551198172, "lower_bound": 0.5614411498711352}, '
+            '{"n": 100, "radius": 0.7885209223883831, "lower_bound": 0.7387252720131496}, '
+            '{"n": 287, "radius": 0.9001217720655661, "lower_bound": 0.8861217913468507}]\n'
+        )
+
     def test_empty_items_between_orders_are_skipped(self, capsys):
         code, out, _ = run(capsys, "table", "--class", "general", "--n", "2,,3,",
                            "--format", "json")
@@ -178,6 +246,20 @@ class TestThresholds:
             code, out, err = run(capsys, "thresholds", "--class", "general", "--targets", targets,
                                  "--format", fmt)
             assert (code, out, err) == (2, "", "error: --targets needs at least one target\n")
+
+    @pytest.mark.parametrize("targets,item", [("abc", "abc"), ("0.5,,half", "half")])
+    def test_a_target_that_is_not_a_number_is_a_usage_error(self, capsys, targets, item):
+        # it printed Python's own text, "could not convert string to float"
+        for fmt in ("text", "json"):
+            code, out, err = run(capsys, "thresholds", "--class", "general", "--targets", targets,
+                                 "--format", fmt)
+            assert (code, out, err) == (2, "", f"error: --targets needs numbers, got {item!r}\n")
+
+    def test_general_json_is_frozen(self, capsys):
+        code, out, err = run(capsys, "thresholds", "--class", "general",
+                             "--targets", "0.25,0.5,0.75", "--format", "json")
+        assert (code, err) == (0, "")
+        assert out == '[{"target": 0.25, "n": 7}, {"target": 0.5, "n": 22}, {"target": 0.75, "n": 78}]\n'
 
     def test_empty_items_between_targets_are_skipped(self, capsys):
         code, out, _ = run(capsys, "thresholds", "--class", "general", "--targets", ",0.25,,0.5",

@@ -474,6 +474,25 @@ class TestBitIdentity:
         for n, m in pairs:
             self.assert_same_solve(family, n, m)
 
+    @pytest.mark.parametrize("family", list(FamilyClass))
+    def test_solver_does_not_read_the_tail_core(self, monkeypatch, family):
+        # the solver's evaluator writes each row's tail out; only one-shot
+        # margins go through the module-global tail core
+        sections = [(2, 2), (40, 60), (10**12, 3)]
+        expected = [solve_radius(family, n, m) for n, m in sections]
+
+        def refuse(*args):
+            raise AssertionError("the solver called the tail core")
+
+        monkeypatch.setattr(radius, "tail_weighted", refuse)
+        for (n, m), ref in zip(sections, expected):
+            res = solve_radius(family, n, m)
+            got = (res.radius, res.bracket_lo, res.bracket_hi, res.residual)
+            assert [x.hex() for x in got] == [
+                x.hex() for x in (ref.radius, ref.bracket_lo, ref.bracket_hi, ref.residual)
+            ], (n, m)
+            assert (res.iterations, res.lower_bound) == (ref.iterations, ref.lower_bound)
+
     @pytest.mark.parametrize("tail", TAILS, ids=tail_id)
     def test_float_row_equals_int_row(self, tail):
         row = record_row(tail)

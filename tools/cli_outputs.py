@@ -23,7 +23,8 @@ pointwise functions on one point, so one more entry, OUT_DIR/scalar-calls/
 OUT_DIR/polynomials/`values`, the bits of the slope bracket's parts, of
 their assembly and of their roots, and a third, OUT_DIR/claim-blocks/
 `values`, the bits of the arrays of a few claim blocks, which `verify`
-reduces to their worst margins.
+reduces to their worst margins.  A fourth, OUT_DIR/solver/`values`, holds
+the bits of every field of about 1000 solves.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import io
 import math
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +84,9 @@ def commands() -> list[tuple[str, list[str], dict]]:
         ("table-no-order", ["table", "--class", "general", "--n", ","], {}),
         ("table-no-n", ["table", "--class", "general"], {}),
         ("thresholds-no-target", ["thresholds", "--class", "general", "--targets", ","], {}),
+        ("table-order-not-integer", ["table", "--class", "convex", "--n", "2.5"], {}),
+        ("thresholds-target-not-number",
+         ["thresholds", "--class", "general", "--targets", "abc"], {}),
         ("radius-general-100000", ["radius", "--class", "general", "--n", "100000", "--m", "2"],
          {}),
     ]
@@ -200,6 +205,40 @@ def claim_block_values() -> str:
     return "\n".join(lines) + "\n"
 
 
+def solver_values() -> str:
+    """One line per solve: the float.hex bits of `solve_radius`'s result.
+
+    Both families at equal orders 2..300, 1e3, 1e4, 1e5 and 1e12, at 200
+    seeded off-diagonal pairs from 2..300, and at (3e18, 2) and (2, 1e9).
+    `radius` prints only the radius table's orders and a few pairs, and a
+    table only 12 significant digits, so these lines pin every solve bit
+    for bit.
+    """
+    from harmsect.radius import FamilyClass, solve_radius
+
+    rng = np.random.default_rng(2027)
+    off_diagonal = []
+    while len(off_diagonal) < 200:
+        n, m = (int(k) for k in rng.integers(2, 301, 2))
+        if n != m:
+            off_diagonal.append((n, m))
+    pairs = [(n, n) for n in [*range(2, 301), 10**3, 10**4, 10**5, 10**12]]
+    pairs += off_diagonal + [(3 * 10**18, 2), (2, 10**9)]
+    lines = []
+    for family in FamilyClass:
+        for n, m in pairs:
+            with warnings.catch_warnings():
+                # the lower-bound warning, which radius prints on stderr
+                warnings.simplefilter("ignore", UserWarning)
+                res = solve_radius(family, n, m)
+            bound = "none" if res.lower_bound is None else res.lower_bound.hex()
+            lines.append(f"{family.value} n={n} m={m}: radius {res.radius.hex()} "
+                         f"bracket_lo {res.bracket_lo.hex()} bracket_hi {res.bracket_hi.hex()} "
+                         f"residual {res.residual.hex()} iterations {res.iterations} "
+                         f"lower_bound {bound}")
+    return "\n".join(lines) + "\n"
+
+
 @contextlib.contextmanager
 def _environment(env: dict):
     saved = {key: os.environ.get(key) for key in env}
@@ -246,12 +285,12 @@ def main(argv: list[str]) -> int:
         (target / "stderr").write_text(stderr, encoding="utf-8")
         (target / "exit").write_text(f"{code}\n", encoding="utf-8")
     for name, values in (("scalar-calls", scalar_values), ("polynomials", polynomial_values),
-                         ("claim-blocks", claim_block_values)):
+                         ("claim-blocks", claim_block_values), ("solver", solver_values)):
         target = out_dir / name
         target.mkdir(parents=True, exist_ok=True)
         (target / "values").write_text(values(), encoding="utf-8")
-    print(f"wrote {len(listed)} command outputs, the scalar calls, the polynomials and the claim "
-          f"blocks under {out_dir}")
+    print(f"wrote {len(listed)} command outputs, the scalar calls, the polynomials, the claim "
+          f"blocks and the solves under {out_dir}")
     return 0
 
 
