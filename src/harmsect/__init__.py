@@ -9,9 +9,6 @@ from .claims import (
     CLAIMS,
     ClaimReport,
     UnknownClaimError,
-    slope_bracket_general,
-    slope_bracket_scaled,
-    slope_prefactor_general,
     tail_ratio,
     verify_all,
     verify_claim,
@@ -71,9 +68,6 @@ __all__ = [
     "margin_convex",
     "margin_general",
     "section",
-    "slope_bracket_general",
-    "slope_bracket_scaled",
-    "slope_prefactor_general",
     "solve_radius",
     "tail_ratio",
     "threshold_order",

@@ -39,16 +39,17 @@ bit for bit, and _Margins.add_rows keeps the witness a loop over the orders
 would keep.  The Q-roots claim's Sturm counts decide each sign in integers
 (see polyroots).
 
-The q2-positive step, the slowest claim, writes into one workspace per
-call: _on_blocks allocates one float array of (arrays, orders per block,
-width) once, on a 64-byte boundary, and each block writes its grid, the bracket's terms and its
-margins into views of it, through ufunc out= arguments.  When each block
-allocated and freed its seven 64 KB arrays instead, glibc's free trimmed
-the heap top after every block wherever no live chunk sat above them, and
-the next block faulted the same pages back in (about 4600 minor faults per
-call), so the step's time depended on the process's heap layout.  The
-t-decreasing, T-decreasing and q1-negative steps still allocate their
-arrays per block.
+The q2-positive and Q-identity steps, which evaluate the slope bracket,
+write into one workspace per call: _on_blocks allocates one float array
+of (arrays, orders per block, width) once, on a 64-byte boundary, and
+each block writes the bracket's terms (and q2-positive's grid and
+margins) into views of it, through ufunc out= arguments.  When each
+q2-positive block allocated and freed its seven 64 KB arrays instead,
+glibc's free trimmed the heap top after every block wherever no live
+chunk sat above them, and the next block faulted the same pages back in
+(about 4600 minor faults per call), so the step's time depended on the
+process's heap layout.  The t-decreasing, T-decreasing and q1-negative
+steps still allocate their arrays per block.
 """
 
 from __future__ import annotations
@@ -120,7 +121,10 @@ def _bracket_num_den(x, u, c1, c2, c3):
 
     ln(N / D) is ln(num) + 3 ln(s) - ln(den).  Neither part forms a power
     of n or of x above 1, so both stay finite for every x in (0, n] and n
-    up to 1e300; 1/n is formed once, so int and float n agree.
+    up to 1e300; 1/n is formed once, so int and float n agree.  With
+    y = x/n, den = 16 - 32y + 28y^2 - 12y^3 + 3y^4 = 3(y-1)^4 + 10(y-1)^2 + 3
+    is at least 3 for every real y, so it never vanishes and its log and
+    square need no check.
     """
     y = x * u
     s = np.maximum(x, 1.0)
@@ -136,8 +140,6 @@ def _general_factors(n) -> tuple:
 
 def _log_ratio_general(x, n, ln_n, u, c1, c2, c3):
     num, den, s = _bracket_num_den(x, u, c1, c2, c3)
-    if np.any(np.asarray(den) <= 0):
-        raise ArithmeticError("denominator of the general ratio vanished; should be impossible")
     return (
         -x
         + 7.0 * (ln_n - np.log(x))
@@ -150,8 +152,6 @@ def _log_ratio_general(x, n, ln_n, u, c1, c2, c3):
 
 def _slope_prefactor(x, n, u, c1, c2, c3):
     _, den, _ = _bracket_num_den(x, u, c1, c2, c3)
-    if np.any(np.asarray(den) == 0):
-        raise ArithmeticError("denominator of the general ratio vanished")
     # den is D / n^4, so the n^8 of (2n - x)^8 cancels against D^2
     return -((2.0 - x / n) ** 8) * np.exp(-x) / (x**8 * den**2)
 
@@ -594,10 +594,8 @@ def _at_n_block(ns: list):
 _Q2_BUFFERS = 1 + _BRACKET_BUFFERS
 
 
-def _q2_block(ns: list, work=None):
-    """The grid and the normalized bracket, both written into work (a fresh one if None)."""
-    if work is None:
-        work = _aligned_empty((_Q2_BUFFERS, len(ns), 1000))
+def _q2_block(ns: list, work):
+    """The grid and the normalized bracket, both written into work."""
     xs = _grid_rows([n / 1000.0 for n in ns], ns, 1000, work[0])
     *p, scale = _columns(lambda n: (*_powers(n, 8), 2688.0 * float(n) ** 7), ns)
     margins = _slope_bracket(xs, p, work[1:])
@@ -657,10 +655,11 @@ def _decomposition_block(ns: list):
 _K_GRID = np.linspace(1.0, 3.0, 201)
 
 
-def _identity_block(ns: list):
+def _identity_block(ns: list, work):
+    """The gap between the assembled and the direct bracket, the direct one written into work."""
     p = _columns(partial(_powers, count=12), ns)
     x = p[1] / _K_GRID
-    direct = _slope_bracket(x, p, np.empty((_BRACKET_BUFFERS, *x.shape)))
+    direct = _slope_bracket(x, p, work)
     gap = 1e-10 - np.abs(_slope_bracket_scaled(_K_GRID, p) - direct) / np.abs(direct)
     return _K_GRID, [("assembled vs direct, tol 1e-10", gap)]
 
@@ -696,7 +695,7 @@ _TABLE: tuple[tuple, ...] = (
      "values (tol 1e-5; exact-root residual 1e-12); sign constant and positive on [1, 3]",
      _part_roots),
     ("Q-identity", "n in {15..60}; 201-point k grid on [1, 3]; |assembled - direct| / |direct| < 1e-10",
-     _blocked(_dense(FamilyClass.GENERAL, 61), 201, _identity_block)),
+     _blocked(_dense(FamilyClass.GENERAL, 61), 201, _identity_block, _BRACKET_BUFFERS)),
     ("T-decreasing", "n in {7..500} u {1e3,1e4,1e6}; 257-point x grid on [offset_n, n]; "
      "log decrease and derivative-bracket positivity",
      _blocked(_CONVEX_ORDERS, 257, partial(_decrease_block, FamilyClass.CONVEX))),

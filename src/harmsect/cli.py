@@ -241,8 +241,6 @@ def cmd_plot(args) -> int:
             xs,
             ys,
             title=f"{label}, n = m = {n}",
-            x_label="r",
-            y_label="margin",
             root=result.radius,
             vline=args.target,
         )

@@ -46,10 +46,12 @@ kernel, a float for jacobian, and a numpy.complex128 (a subclass of
 complex) for evaluate, whose last step is numpy's conj, and so for
 divided_difference.  An array runs on numpy arrays and returns an array.
 The scalar form makes no numpy array: a handful of coefficients costs
-more to put into arrays than to evaluate.  It reads each polynomial's
-coefficients as Python lists, formed once per polynomial on its first
-scalar call rather than converted from the arrays on every call, so the
-array-only passes never form them.  The two forms make the same
+more to put into arrays than to evaluate.  Every Horner evaluation, at a
+point or on an array, reads each polynomial's coefficients as Python
+lists (HarmonicPolynomial._lists), formed once per polynomial on its
+first Horner evaluation rather than converted from the arrays on every
+call; a polynomial that is only sectioned or given to the kernel pass,
+which read the arrays, never forms them.  The two forms make the same
 operations in the same order, but numpy's vectorized complex product and
 modulus can round differently from Python's complex arithmetic (about
 half of all calls differ in the last bit with numpy 2.4 on AVX-512
@@ -64,7 +66,7 @@ import dataclasses
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,17 +84,14 @@ class HarmonicPolynomial:
     """Coefficients a_1..a_n of the analytic part and b_1..b_m of the co-analytic.
 
     Normalized so that a_1 = 1 and b_1 = 0; evaluation is
-    f(z) = sum a_k z^k + conj(sum b_k z^k).  The coefficients k a_k and
-    k b_k of h' and g', in powers z^(k-1), are formed once, here.  The
-    polynomial owns its coefficient arrays, copies of what it was given,
-    and they are read-only, so that nothing formed from them goes stale.
+    f(z) = sum a_k z^k + conj(sum b_k z^k).  The polynomial owns its
+    coefficient arrays, copies of what it was given, and they are
+    read-only, so that nothing formed from them goes stale.
     A map equals and hashes as itself only, so it can key a cache.
     """
 
     a: np.ndarray
     b: np.ndarray
-    _da: np.ndarray = field(init=False, repr=False)
-    _db: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         a = np.array(self.a, dtype=complex, ndmin=1)
@@ -115,9 +114,7 @@ class HarmonicPolynomial:
             raise ValueError(f"normalization requires a_1 = 1, got {a[0]}")
         if b[0] != 0:
             raise ValueError(f"normalization requires b_1 = 0, got {b[0]}")
-        for name, part in (("a", a), ("b", b),
-                           ("_da", np.arange(1, a.size + 1) * a),
-                           ("_db", np.arange(1, b.size + 1) * b)):
+        for name, part in (("a", a), ("b", b)):
             part.flags.writeable = False
             object.__setattr__(self, name, part)
 
@@ -127,12 +124,16 @@ class HarmonicPolynomial:
 
     @functools.cached_property
     def _lists(self) -> tuple:
-        """a, b, _da and _db as Python lists, which the scalar path reads.
+        """The coefficients of h, g, h' and g' as Python lists, which every Horner call reads.
 
-        Formed on the first scalar call, so that the array-only passes
-        never build them.
+        h' and g' have the coefficients k a_k and k b_k, in powers
+        z^(k-1).  Formed on the first Horner evaluation, at a point or on
+        an array, so that a polynomial only sectioned or given to the
+        kernel pass never builds them.
         """
-        return tuple(part.tolist() for part in (self.a, self.b, self._da, self._db))
+        a, b = self.a, self.b
+        return tuple(part.tolist() for part in (a, b, np.arange(1, a.size + 1) * a,
+                                                 np.arange(1, b.size + 1) * b))
 
 
 # the largest degree a kernel pass takes: at this degree a default-grid
@@ -199,14 +200,14 @@ def _all(mask) -> bool:
 def evaluate(p: HarmonicPolynomial, z):
     """f(z) = h(z) + conj(g(z)) by Horner evaluation of both parts."""
     z = _as_points(z)
-    h, g = _horner(p._lists[:2] if isinstance(z, complex) else (p.a, p.b), z)
+    h, g = _horner(p._lists[:2], z)
     return z * h + np.conj(z * g)
 
 
 def jacobian(p: HarmonicPolynomial, z):
     """|h'(z)|^2 - |g'(z)|^2; positive where f is sense-preserving."""
     z = _as_points(z)
-    hp, gp = _horner(p._lists[2:] if isinstance(z, complex) else (p._da, p._db), z)
+    hp, gp = _horner(p._lists[2:], z)
     return abs(hp) ** 2 - abs(gp) ** 2
 
 
@@ -475,7 +476,7 @@ def _jacobian_min(p: HarmonicPolynomial, grid: ProbeGrid) -> float:
     n_theta = 4 * grid.angular_points
     while True:
         thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
-        hp, gp = _horner((p._da, p._db), grid.radius * np.exp(1j * thetas))
+        hp, gp = _horner(p._lists[2:], grid.radius * np.exp(1j * thetas))
         least = float(np.min(abs(hp) ** 2 - abs(gp) ** 2))
         guarded, turns = _windings(hp)
         if guarded or n_theta >= 64 * grid.angular_points:

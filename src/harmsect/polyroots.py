@@ -31,12 +31,12 @@ from fractions import Fraction
 def _horner(coeffs, z) -> list:
     """[sum_k c_k z^k for c in coeffs] by Horner's rule, one value per part.
 
-    Each part holds its coefficients in ascending order.  A Python number z
-    takes parts that are sequences of Python numbers (harmonic's lists,
-    formed once per polynomial by HarmonicPolynomial._lists, or a bracket
-    part's tuple of floats) and runs on Python numbers, several times
-    faster than numpy scalars; an array z takes numpy arrays or tuples and
-    runs elementwise on arrays.  Nothing is converted here.
+    Each part holds its coefficients in ascending order, as a sequence of
+    Python numbers for every z: harmonic's lists, formed once per
+    polynomial by HarmonicPolynomial._lists, or a bracket part's tuple of
+    floats.  A Python number z runs on Python numbers, several times
+    faster than numpy scalars; an array z runs elementwise on arrays.
+    Nothing is converted here.
     """
     values = []
     for part in coeffs:

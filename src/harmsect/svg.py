@@ -137,15 +137,14 @@ def write_curve_plot(
     ys,
     *,
     title: str,
-    x_label: str,
-    y_label: str,
-    root: float | None = None,
+    root: float,
     vline: float | None = None,
 ) -> Frame:
-    """Curve with optional root marker and vertical reference line.
+    """A margin curve against r, with its root marked on the zero line and an optional vertical line.
 
-    The y window is clipped to [-1, *] so the divergence toward r = 1 does
-    not flatten the interesting region; clipped samples are dropped.
+    The axes are labelled "r" and "margin".  The y window is clipped to
+    [-1, *] so the divergence toward r = 1 does not flatten the
+    interesting region; clipped samples are dropped.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -155,9 +154,7 @@ def write_curve_plot(
     width, height = _CURVE_WIDTH, _CURVE_HEIGHT
     frame = Frame(width, height, float(xs.min()), float(xs.max()), y_lo, y_hi)
 
-    desc = {"kind": "curve", **frame.desc_items()}
-    if root is not None:
-        desc["root"] = f"{root:.9g}"
+    desc = {"kind": "curve", **frame.desc_items(), "root": f"{root:.9g}"}
     if vline is not None:
         desc["vline"] = f"{vline:.9g}"
     body = []
@@ -174,12 +171,11 @@ def write_curve_plot(
             f'<line x1="{xpx:.2f}" y1="{_PAD:g}" x2="{xpx:.2f}" y2="{height - _PAD:g}" '
             f'stroke="#2a8f2a" stroke-width="1.2" stroke-dasharray="6 4"/>'
         )
-    if root is not None:
-        body.append(
-            f'<circle cx="{frame.px(root):.2f}" cy="{frame.py(0.0):.2f}" r="4.5" '
-            f'fill="#c23b22" stroke="none"/>'
-        )
-    return _write(path, frame, title, desc, x_label, y_label, body)
+    body.append(
+        f'<circle cx="{frame.px(root):.2f}" cy="{frame.py(0.0):.2f}" r="4.5" '
+        f'fill="#c23b22" stroke="none"/>'
+    )
+    return _write(path, frame, title, desc, "r", "margin", body)
 
 
 def write_boundary_plot(path: str, points, *, title: str, radius: float) -> Frame:

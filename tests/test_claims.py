@@ -166,6 +166,37 @@ class TestGeneralRatio:
         assert value < 0
 
 
+class TestRatioDenominator:
+    """D / n^4 of the general ratio is 3(y-1)^4 + 10(y-1)^2 + 3 >= 3, y = x/n,
+    so neither its log nor its square needs a vanishing check."""
+
+    COEFFICIENTS = (16, -32, 28, -12, 3)  # ascending in y, as _bracket_num_den writes them
+
+    @staticmethod
+    def den(x, n):
+        return claims._bracket_num_den(np.asarray(x, dtype=float), *claims._num_den_factors(n))[1]
+
+    def test_identity_coefficient_by_coefficient(self):
+        # 3(y-1)^4 + 10(y-1)^2 + 3 expanded in Python ints
+        expanded = [3 * math.comb(4, k) * (-1) ** (4 - k) + 10 * math.comb(2, k) * (-1) ** (2 - k)
+                    + 3 * (k == 0) for k in range(5)]
+        assert tuple(expanded) == self.COEFFICIENTS
+        # the code's quartic at y = 0..4 (x = y, n = 1): small integers, exact
+        # in doubles, and five values fix a quartic's five coefficients
+        for y in range(5):
+            assert self.den(float(y), 1) == sum(c * y**k for k, c in enumerate(self.COEFFICIENTS))
+
+    def test_at_least_three_wherever_a_claim_evaluates_it(self):
+        general = GENERAL_ORDERS + [claims.LIMIT_SPOT_ORDER]
+        offsets = [log_offset(FamilyClass.GENERAL, n) for n in general]
+        points = [(np.linspace(offset, n, 257), n) for offset, n in zip(offsets, general)]
+        points += [(offset, n) for offset, n in zip(offsets, general)]
+        points += [(float(n), n) for n in range(1, 501)]
+        points += [(np.linspace(n / 512.0, n, 512), n) for n in Q1_ORDERS]
+        least = min(float(np.min(self.den(x, n))) for x, n in points)
+        assert 3.0 - 1e-12 <= least
+
+
 class TestScaledBracket:
     def test_identity_with_direct_form(self):
         ks = np.linspace(1.0, 3.0, 101)
@@ -474,6 +505,11 @@ def blocks(orders, width):
     return [orders[i : i + size] for i in range(0, len(orders), size)]
 
 
+def step_work(buffers, chunk, width):
+    """A workspace of the shape a blocked step gives a block of chunk's orders."""
+    return claims._aligned_empty((buffers, len(chunk), width))
+
+
 def one_point(fn, x, n):
     # a block row is the public function's array evaluation; on a Python
     # float x, numpy's scalar pow differs from its array pow in the last bit
@@ -536,7 +572,7 @@ class TestBlocks:
 
     def test_q2_block(self):
         for chunk in blocks(RATIO_ORDERS[FamilyClass.GENERAL], 1000):
-            xs, [(_, margins)] = claims._q2_block(chunk)
+            xs, [(_, margins)] = claims._q2_block(chunk, step_work(claims._Q2_BUFFERS, chunk, 1000))
             for i, n in enumerate(chunk):
                 grid = np.linspace(n / 1000.0, n, 1000)
                 assert np.array_equal(xs[i], grid)
@@ -549,7 +585,7 @@ class TestBlocks:
         col = np.array(chunk, dtype=float)[:, None]
         exact = claims._columns(lambda n: claims._powers(n, 8), chunk)
         assert not np.array_equal(col ** np.arange(8), exact[:, :, 0].T)
-        xs, [(_, margins)] = claims._q2_block(chunk)
+        xs, [(_, margins)] = claims._q2_block(chunk, step_work(claims._Q2_BUFFERS, chunk, 1000))
         for i, n in enumerate(chunk):
             assert np.array_equal(margins[i], slope_bracket_general(xs[i], n) / (2688.0 * float(n) ** 7))
 
@@ -566,7 +602,7 @@ class TestBlocks:
         orders = list(range(15, 61))
         assert 55 in orders
         for chunk in blocks(orders, 201):
-            xs, [(_, gaps)] = claims._identity_block(chunk)
+            xs, [(_, gaps)] = claims._identity_block(chunk, step_work(claims._BRACKET_BUFFERS, chunk, 201))
             assert xs is ks
             for i, n in enumerate(chunk):
                 direct = slope_bracket_general(n / ks, n)
@@ -719,9 +755,49 @@ class TestWorkspace:
             xs, [(_, margins)] = claims._q2_block(chunk, work)
             assert np.shares_memory(xs, work[0])
             assert np.shares_memory(margins, work[1:])
-            fresh_xs, [(_, fresh)] = claims._q2_block(chunk)
-            assert xs.tobytes() == fresh_xs.tobytes()
-            assert margins.tobytes() == fresh.tobytes()
+            # a second workspace, filled with NaN first, gives the same bits
+            other = np.full((claims._Q2_BUFFERS, len(chunk), 1000), np.nan)
+            other_xs, [(_, other_margins)] = claims._q2_block(chunk, other)
+            assert xs.tobytes() == other_xs.tobytes()
+            assert margins.tobytes() == other_margins.tobytes()
+
+    def test_identity_block_writes_into_its_workspace(self):
+        for chunk in (GENERAL_ORDERS[:40], GENERAL_ORDERS[40:46]):
+            work = np.full((claims._BRACKET_BUFFERS, len(chunk), 201), np.nan)
+            _, [(_, gaps)] = claims._identity_block(chunk, work)
+            assert not np.isnan(work).any()
+            other = step_work(claims._BRACKET_BUFFERS, chunk, 201)
+            _, [(_, other_gaps)] = claims._identity_block(chunk, other)
+            assert gaps.tobytes() == other_gaps.tobytes()
+            assert not np.shares_memory(gaps, work) and not np.shares_memory(gaps, other)
+
+    @pytest.mark.parametrize("claim_id, orders, width, buffers", [
+        ("q2-positive", GENERAL_ORDERS, 1000, claims._Q2_BUFFERS),
+        ("Q-identity", list(range(15, 61)), 201, claims._BRACKET_BUFFERS),
+    ], ids=["q2-positive", "Q-identity"])
+    def test_every_bracket_call_writes_into_one_aligned_workspace(self, monkeypatch, claim_id, orders,
+                                                                  width, buffers):
+        expected = verify_claim(claim_id)
+        seen = []
+        original = claims._slope_bracket
+
+        def spy(x, p, work):
+            seen.append(work)
+            return original(x, p, work)
+
+        monkeypatch.setattr(claims, "_slope_bracket", spy)
+        counting = CountingNumpy()
+        monkeypatch.setattr(claims, "np", counting)
+        assert verify_claim(claim_id) == expected
+        rows = claims._BLOCK_POINTS // width
+        # one workspace per call: its floats and up to 7 more to start it on a 64-byte boundary
+        assert [a.shape for a in counting.made] == [(buffers * rows * width + 7,)]
+        assert len(seen) == len(blocks(orders, width))
+        for work in seen:
+            assert work.shape[0] == claims._BRACKET_BUFFERS and work.shape[2] == width
+            assert np.shares_memory(work, counting.made[0])
+            assert work.ctypes.data % 64 == 0
+            assert work.ctypes.data == seen[0].ctypes.data
 
     def test_blocks_get_views_of_one_workspace(self):
         seen = []

@@ -91,6 +91,11 @@ def random_polynomial(rng, n=None, m=None):
     return HarmonicPolynomial(a=a, b=b)
 
 
+def derivative_parts(p):
+    """The coefficients k a_k and k b_k of h' and g', in powers z^(k-1)."""
+    return np.arange(1, p.a.size + 1) * p.a, np.arange(1, p.b.size + 1) * p.b
+
+
 class TestSection:
     def test_general_extremal_orders_two(self):
         p = section(GENERAL, 2, 2)
@@ -466,7 +471,8 @@ class TestScalarPath:
         # round differently from Python's (see the module docstring)
         for p, zs, ts in scalar_cases():
             # |h'|^2 + |g'|^2 on the unit disk is at most this
-            scale = np.sum(np.abs(p._da)) ** 2 + np.sum(np.abs(p._db)) ** 2
+            da, db = derivative_parts(p)
+            scale = np.sum(np.abs(da)) ** 2 + np.sum(np.abs(db)) ** 2
             for z in zs:
                 for t in ts:
                     assert kernel(p, z, t) == pytest.approx(kernel(p, np.array([z]), t)[0], rel=1e-13)
@@ -493,7 +499,7 @@ class TestScalarPath:
             # endpoint by an ulp moves f by at most sum k (|a_k| + |b_k|) ulps
             dz = abs(w1 - w2)
             spread = (abs(evaluate(p, w1)) + abs(evaluate(p, w2))) / dz
-            lipschitz = np.sum(np.abs(p._da)) + np.sum(np.abs(p._db))
+            lipschitz = sum(np.sum(np.abs(part)) for part in derivative_parts(p))
             assert abs(value - array) <= 1e-14 * (spread + (lipschitz + abs(value)) * r / dz)
 
 
@@ -598,20 +604,23 @@ class TestScalarOracle:
 
 
 class TestScalarLists:
-    """Each polynomial forms its coefficient lists once, on its first scalar call."""
+    """Each polynomial forms its coefficient lists once, on its first Horner evaluation."""
 
     def test_formed_once_and_equal_to_the_arrays(self):
         p = random_polynomial(np.random.default_rng(7), 7, 5)
         assert "_lists" not in vars(p)
         evaluate(p, 0.3 + 0.1j)
         lists = vars(p)["_lists"]
-        assert lists == (p.a.tolist(), p.b.tolist(), p._da.tolist(), p._db.tolist())
+        assert lists == (p.a.tolist(), p.b.tolist(), *(part.tolist() for part in derivative_parts(p)))
         assert all(type(part) is list for part in lists)
         parts = list(lists)
         jacobian(p, 0.2)
         kernel(p, 0.1j, 0.4)
         divided_difference(p, 0.5, 1.0, 2.0)
         evaluate(p, np.float64(0.5))
+        evaluate(p, np.array([0.1, 0.2j]))
+        jacobian(p, np.array(0.3))
+        harmonic._jacobian_min(p, ProbeGrid(radius=0.4))
         assert p._lists is lists
         assert all(new is old for new, old in zip(p._lists, parts))
 
@@ -622,15 +631,33 @@ class TestScalarLists:
         assert "_lists" in vars(p)
 
     def test_array_only_users_never_form_them(self):
+        # section and the kernel pass read the coefficient arrays; every
+        # Horner evaluation, at a point or on an array, forms the lists
         p = section(GENERAL, 10, 10)
-        grid = ProbeGrid(radius=0.4)
-        kernel_min_modulus(p, grid)
-        harmonic._jacobian_min(p, grid)
-        evaluate(p, np.array([0.1, 0.2j]))
-        jacobian(p, np.array(0.3))
-        divided_difference(p, 0.5, np.array([1.0]), np.array([2.0]))
+        kernel_min_modulus(p, ProbeGrid(radius=0.4))
         for q in [p, section(p, 5, 5), *(extremal_map(family) for family in FamilyClass)]:
             assert "_lists" not in vars(q)
+
+    @pytest.mark.parametrize("call", ["evaluate-point", "evaluate-array", "jacobian-point",
+                                      "jacobian-array", "kernel-point", "kernel-array",
+                                      "empirical_scan"])
+    def test_every_horner_call_reads_lists(self, monkeypatch, call):
+        parts = []
+        original = harmonic._horner
+
+        def spy(coeffs, z):
+            parts.extend(coeffs)
+            return original(coeffs, z)
+
+        monkeypatch.setattr(harmonic, "_horner", spy)
+        p = section(GENERAL, 5, 4)
+        name, _, form = call.partition("-")
+        z = {"point": 0.3 + 0.1j, "array": np.array([0.3 + 0.1j, -0.2j])}.get(form)
+        if name == "empirical_scan":
+            empirical_scan(p, ProbeGrid(angular_points=8, t_points=8))
+        else:
+            getattr(harmonic, name)(p, z, *([0.7] if name == "kernel" else []))
+        assert parts and all(type(part) is list for part in parts)
 
 
 class TestOwnedCoefficients:
@@ -655,7 +682,7 @@ class TestOwnedCoefficients:
         assert hexes(kernel(p, z, 0.7)) == hexes(kernel(fresh, z, 0.7))
         assert np.array_equal(evaluate(p, np.array([z])), evaluate(fresh, np.array([z])))
 
-    @pytest.mark.parametrize("name", ["a", "b", "_da", "_db"])
+    @pytest.mark.parametrize("name", ["a", "b"])
     def test_coefficients_are_read_only(self, name):
         p = HarmonicPolynomial(a=[1, 0.5], b=[0, 0.1])
         z = 0.3 + 0.1j

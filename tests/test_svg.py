@@ -69,7 +69,7 @@ def test_curve_plot_bytes(tmp_path):
     # rounded the same on any IEEE platform
     path = tmp_path / "curve.svg"
     frame = write_curve_plot(str(path), [0.0, 0.5, 1.0], [1.0, 0.0, -0.5], title="curve",
-                             x_label="r", y_label="margin", root=0.5, vline=0.25)
+                             root=0.5, vline=0.25)
     assert path.read_bytes() == CURVE.encode()
     assert frame == Frame(720.0, 480.0, 0.0, 1.0, -0.5, 1.05)
     assert [p.name for p in tmp_path.iterdir()] == ["curve.svg"]

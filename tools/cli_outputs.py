@@ -13,6 +13,13 @@ shows every output that differs:
     python3 tools/cli_outputs.py /tmp/after
     diff -r /tmp/before /tmp/after
 
+The outputs are also recorded under tests/cli_outputs, which
+tests/test_cli_outputs.py compares against byte for byte;
+
+    python3 tools/cli_outputs.py tests/cli_outputs
+
+rewrites them.
+
 The list covers the scan JSON of the six criterion-8 sections and a few
 more (one at HS_GRID_SCALE=2), `radius`, `table`, `thresholds` (7/22/78
 general, 12/43 convex) and `verify all` in all three formats, the curve
@@ -178,7 +185,8 @@ def claim_block_values() -> str:
     The q2-positive grid and margin rows of n = 15, 191, 500 and 10**6,
     each from the block the claim evaluates it in, every gap row of the
     first Q-identity block, and `slope_bracket_general` at seeded Python
-    floats.
+    floats.  Each block writes into a workspace of the shape its step
+    gives it.
     """
     from harmsect import claims
 
@@ -190,13 +198,15 @@ def claim_block_values() -> str:
     for n in (15, 191, 500, 10**6):
         i = claims._GENERAL_ORDERS.index(n)
         chunk = claims._GENERAL_ORDERS[i - i % size : i - i % size + size]
-        xs, [(label, margins)] = claims._q2_block(chunk)
+        work = claims._aligned_empty((claims._Q2_BUFFERS, len(chunk), 1000))
+        xs, [(label, margins)] = claims._q2_block(chunk, work)
         row = chunk.index(n)
         lines += [f"q2-positive n={n} x: {bits(xs[row].tolist())}",
                   f"q2-positive n={n} {label}: {bits(margins[row].tolist())}"]
     orders = list(range(15, 61))
     chunk = orders[: claims._BLOCK_POINTS // len(claims._K_GRID)]
-    _, [(label, gaps)] = claims._identity_block(chunk)
+    work = claims._aligned_empty((claims._BRACKET_BUFFERS, len(chunk), len(claims._K_GRID)))
+    _, [(label, gaps)] = claims._identity_block(chunk, work)
     lines += [f"Q-identity n={n} {label}: {bits(row.tolist())}" for n, row in zip(chunk, gaps)]
     rng = np.random.default_rng(2026)
     for n in (15, 191, 195, 199, 10**6):
@@ -253,15 +263,48 @@ def _environment(env: dict):
                 os.environ[key] = value
 
 
+# the entries that hold values rather than a command's output, and what
+# writes each one's `values`
+VALUES = (("scalar-calls", scalar_values), ("polynomials", polynomial_values),
+          ("claim-blocks", claim_block_values), ("solver", solver_values))
+
+
 def run(main, argv: list[str], env: dict) -> tuple[str, str, int]:
-    """stdout, stderr and exit code of main(argv) under the extra environment."""
+    """stdout, stderr and exit code of main(argv) under the extra environment.
+
+    argparse wraps its usage text at the terminal's width, read from
+    COLUMNS first, so COLUMNS is 80 unless env says otherwise: the
+    outputs do not depend on the terminal the tool runs in.
+    """
     stdout, stderr = io.StringIO(), io.StringIO()
-    with _environment(env), contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+    with (_environment({"COLUMNS": "80", **env}), contextlib.redirect_stdout(stdout),
+          contextlib.redirect_stderr(stderr)):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse's usage errors
             code = exc.code
     return stdout.getvalue(), stderr.getvalue(), code
+
+
+def write_command(main, out_dir: Path, name: str, args: list[str], env: dict) -> None:
+    """Run one listed command through main and write its files under out_dir/name."""
+    target = out_dir / name
+    target.mkdir(parents=True, exist_ok=True)
+    plot = target / "plot.svg"
+    stdout, stderr, code = run(main, [arg.replace("{out}", str(plot)) for arg in args], env)
+    # the plot path is written relative to OUT_DIR, so that it reads the
+    # same whatever OUT_DIR is
+    stdout = stdout.replace(str(plot), f"{name}/plot.svg")
+    (target / "stdout").write_text(stdout, encoding="utf-8")
+    (target / "stderr").write_text(stderr, encoding="utf-8")
+    (target / "exit").write_text(f"{code}\n", encoding="utf-8")
+
+
+def write_values(out_dir: Path, name: str, values) -> None:
+    """Write what values() returns to out_dir/name/values."""
+    target = out_dir / name
+    target.mkdir(parents=True, exist_ok=True)
+    (target / "values").write_text(values(), encoding="utf-8")
 
 
 def main(argv: list[str]) -> int:
@@ -274,21 +317,9 @@ def main(argv: list[str]) -> int:
 
     listed = commands()
     for name, args, env in listed:
-        target = out_dir / name
-        target.mkdir(parents=True, exist_ok=True)
-        plot = target / "plot.svg"
-        stdout, stderr, code = run(cli_main, [arg.replace("{out}", str(plot)) for arg in args], env)
-        # the plot path is written relative to OUT_DIR, so that it reads the
-        # same whatever OUT_DIR is
-        stdout = stdout.replace(str(plot), f"{name}/plot.svg")
-        (target / "stdout").write_text(stdout, encoding="utf-8")
-        (target / "stderr").write_text(stderr, encoding="utf-8")
-        (target / "exit").write_text(f"{code}\n", encoding="utf-8")
-    for name, values in (("scalar-calls", scalar_values), ("polynomials", polynomial_values),
-                         ("claim-blocks", claim_block_values), ("solver", solver_values)):
-        target = out_dir / name
-        target.mkdir(parents=True, exist_ok=True)
-        (target / "values").write_text(values(), encoding="utf-8")
+        write_command(cli_main, out_dir, name, args, env)
+    for name, values in VALUES:
+        write_values(out_dir, name, values)
     print(f"wrote {len(listed)} command outputs, the scalar calls, the polynomials, the claim "
           f"blocks and the solves under {out_dir}")
     return 0
