@@ -506,10 +506,6 @@ def _on_blocks(orders: list, width: int, block: Callable, m: _Margins, buffers: 
         m.add_rows(ns, checks, xs)
 
 
-def _blocked(orders, width: int, block: Callable, buffers: int = 0) -> Callable[[_Margins], None]:
-    return partial(_on_blocks, list(orders), width, block, buffers=buffers)
-
-
 def _columns(factors: Callable, orders: list) -> np.ndarray:
     """factors(n) for each order, formed in Python; row j is factor j as an (orders, 1) column."""
     return np.ascontiguousarray(np.array([factors(n) for n in orders], dtype=float).T)[:, :, None]
@@ -533,9 +529,9 @@ def _grid_rows(starts: list, stops: list, num: int, out=None) -> np.ndarray:
     return out
 
 
-def _dense(family: FamilyClass, stop: int = 501) -> range:
+def _dense(family: FamilyClass, stop: int = 501) -> list:
     """The orders from the family's first bound order up to, not including, stop."""
-    return range(_FAMILIES[family].first_bound_order, stop)
+    return list(range(_FAMILIES[family].first_bound_order, stop))
 
 
 def _decrease_block(family: FamilyClass, ns: list):
@@ -676,32 +672,35 @@ _GENERAL_ORDERS = [*_dense(FamilyClass.GENERAL), *SPOT_ORDERS]
 _CONVEX_ORDERS = [*_dense(FamilyClass.CONVEX), *SPOT_ORDERS]
 
 # The registry: id, the range text its report states, then the steps it runs
-# in order.  CLAIMS maps each id to one run of its row.
+# in order.  A step over orders is partial(_on_blocks, orders, width, block)
+# with the orders in a list; a workspace goes in as buffers=, by keyword,
+# since _on_blocks takes the _Margins fourth.  CLAIMS maps each id to one run
+# of its row.
 _TABLE: tuple[tuple, ...] = (
     ("t-decreasing", "n in {15..500} u {1e3,1e4,1e6}; 257-point x grid on [offset_n, n]; "
      "adjacent strict decrease of the log ratio",
-     _blocked(_GENERAL_ORDERS, 257, partial(_decrease_block, FamilyClass.GENERAL))),
+     partial(_on_blocks, _GENERAL_ORDERS, 257, partial(_decrease_block, FamilyClass.GENERAL))),
     ("t-at-n-positive", "n in {1..500}; ratio at x = n positive and equal to "
      "e^-n (2n^3+6n^2+7n+3)/3 within 1e-12 relative",
-     _blocked(range(1, 501), 1, _at_n_block)),
+     partial(_on_blocks, list(range(1, 501)), 1, _at_n_block)),
     ("t-gamma-lt-1", "n in {15..500} u {1e3,1e4,1e6}; 0 < ratio(offset_n, n) < 1",
-     _blocked(_GENERAL_ORDERS, 1, partial(_below_one_block, FamilyClass.GENERAL))),
+     partial(_on_blocks, _GENERAL_ORDERS, 1, partial(_below_one_block, FamilyClass.GENERAL))),
     ("q2-positive", "n in {15..500} u {1e3,1e4,1e6}; 1000-point x grid on (0, n]; "
      "bracket normalized by its constant term",
-     _blocked(_GENERAL_ORDERS, 1000, _q2_block, _Q2_BUFFERS)),
+     partial(_on_blocks, _GENERAL_ORDERS, 1000, _q2_block, buffers=_Q2_BUFFERS)),
     ("q1-negative", "n in {15..100}; 512-point x grid on (0, n]",
-     _blocked(_dense(FamilyClass.GENERAL, 101), 512, _q1_block)),
+     partial(_on_blocks, _dense(FamilyClass.GENERAL, 101), 512, _q1_block)),
     ("Q-roots", "each scaled-bracket part: real roots on [-10, 10] vs catalogued "
      "values (tol 1e-5; exact-root residual 1e-12); sign constant and positive on [1, 3]",
      _part_roots),
     ("Q-identity", "n in {15..60}; 201-point k grid on [1, 3]; |assembled - direct| / |direct| < 1e-10",
-     _blocked(_dense(FamilyClass.GENERAL, 61), 201, _identity_block, _BRACKET_BUFFERS)),
+     partial(_on_blocks, _dense(FamilyClass.GENERAL, 61), 201, _identity_block, buffers=_BRACKET_BUFFERS)),
     ("T-decreasing", "n in {7..500} u {1e3,1e4,1e6}; 257-point x grid on [offset_n, n]; "
      "log decrease and derivative-bracket positivity",
-     _blocked(_CONVEX_ORDERS, 257, partial(_decrease_block, FamilyClass.CONVEX))),
+     partial(_on_blocks, _CONVEX_ORDERS, 257, partial(_decrease_block, FamilyClass.CONVEX))),
     ("T-beta-lt-1", "direct 0 < ratio(offset_n, n) < 1 for n in {7..500} u {1e3,1e4,1e6}; "
      "summand bound route (1/32, 1/6, 19/24) for n in {16..500}",
-     _blocked(_CONVEX_ORDERS, 1, partial(_below_one_block, FamilyClass.CONVEX)),
+     partial(_on_blocks, _CONVEX_ORDERS, 1, partial(_below_one_block, FamilyClass.CONVEX)),
      partial(_summand_bounds, "part")),
     ("T-limit-half", f"single spot check at n = {LIMIT_SPOT_ORDER}; |ratio(offset_n, n) - 1/2| < 1e-2",
      partial(_ratio_limit, FamilyClass.CONVEX)),
@@ -711,10 +710,10 @@ _TABLE: tuple[tuple, ...] = (
      "{7..500} (a, b) and {16..500} (c); summand bounds on {16..500}; "
      "summand decomposition identity on {7..500}",
      _bound_helpers, partial(_summand_bounds, "summand"),
-     _blocked(_dense(FamilyClass.CONVEX), 1, _decomposition_block)),
+     partial(_on_blocks, _dense(FamilyClass.CONVEX), 1, _decomposition_block)),
     ("distortion-min-rule", "r in {0.01..0.99} step 0.01; general two-point floor below the "
      "local-univalence floor (1-r)^2/(1+r)^4",
-     _blocked((0,), len(_R_GRID), _floor_block)),
+     partial(_on_blocks, [0], len(_R_GRID), _floor_block)),
 )
 
 

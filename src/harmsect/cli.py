@@ -28,6 +28,7 @@ from .claims import UnknownClaimError, verify_all, verify_claim
 from .harmonic import (
     HarmonicPolynomial,
     ProbeGrid,
+    _levels,
     empirical_scan,
     evaluate,
     extremal_map,
@@ -66,15 +67,14 @@ def _emit_csv(rows: list[dict], header: list[str]) -> str:
     return buf.getvalue()
 
 
-def _print_report(rows: list[dict], header: list[str], fmt: str, text_lines: list[str],
-                  *, always_list: bool = False) -> None:
+def _print_report(report: dict | list[dict], header: list[str], fmt: str, text: list[str]) -> None:
+    """One row (a dict, a JSON object) or a list of rows (a JSON array) in the chosen format."""
     if fmt == "json":
-        payload = rows if (always_list or len(rows) != 1) else rows[0]
-        print(json.dumps(payload))
+        print(json.dumps(report))
     elif fmt == "csv":
-        sys.stdout.write(_emit_csv(rows, header))
+        sys.stdout.write(_emit_csv([report] if isinstance(report, dict) else report, header))
     else:
-        for line in text_lines:
+        for line in text:
             print(line)
 
 
@@ -119,7 +119,7 @@ def cmd_radius(args) -> int:
         f"residual = {result.residual:.3e} after {result.iterations} bisections",
         f"lower_bound = {_fmt(result.lower_bound) or 'n/a'}",
     ]
-    _print_report([row], header, args.format, text)
+    _print_report(row, header, args.format, text)
     return EXIT_OK
 
 
@@ -134,7 +134,7 @@ def cmd_table(args) -> int:
             f"n={n:5d}  radius={result.radius:.6f}  "
             f"lower_bound={_fmt(result.lower_bound) or 'n/a'}"
         )
-    _print_report(rows, ["n", "radius", "lower_bound"], args.format, text, always_list=True)
+    _print_report(rows, ["n", "radius", "lower_bound"], args.format, text)
     return EXIT_OK
 
 
@@ -146,7 +146,7 @@ def cmd_thresholds(args) -> int:
         n = threshold_order(family, target)
         rows.append({"target": target, "n": n})
         text.append(f"target={target:g}  smallest n={n}")
-    _print_report(rows, ["target", "n"], args.format, text, always_list=True)
+    _print_report(rows, ["target", "n"], args.format, text)
     return EXIT_OK
 
 
@@ -159,7 +159,7 @@ def cmd_verify(args) -> int:
     ]
     _print_report([rep.as_dict() for rep in reports],
                   ["claim_id", "verdict", "worst_margin", "parameter_range", "witness"],
-                  args.format, text, always_list=True)
+                  args.format, text)
     return EXIT_OK if all(rep.passed for rep in reports) else EXIT_CLAIM_FAILED
 
 
@@ -214,13 +214,13 @@ def cmd_scan(args) -> int:
         f"family={family.value} n={args.n} m={args.m} model={row['model']}",
         f"certified radius = {certified:.9f}",
         f"empirical radius = {scan.radius:.4f} (circle "
-        f"{4 * grid.angular_points}x{grid.t_points}, one-sided)",
+        f"{_levels(grid)[0]}x{grid.t_points}, one-sided)",
         f"binding predicate = {row['binding']}",
         f"kernel minimum at empirical radius = {scan.witness.min_modulus:.6g} at "
         f"z={scan.witness.argmin_z:.6f}, t={scan.witness.argmin_t:.6f}",
         f"jacobian minimum at empirical radius = {scan.min_jacobian:.6g}",
     ]
-    _print_report([row], list(row.keys()), args.format, text)
+    _print_report(row, list(row.keys()), args.format, text)
     return EXIT_OK
 
 
@@ -235,12 +235,11 @@ def cmd_plot(args) -> int:
         lo, hi = curve_window(result.radius, args.target)
         xs = np.linspace(lo, hi, 1000)
         ys = margin_fn(family)(n, n, xs)
-        label = "general margin" if family is FamilyClass.GENERAL else "convex margin"
         write_curve_plot(
             args.out,
             xs,
             ys,
-            title=f"{label}, n = m = {n}",
+            title=f"{family.value} margin, n = m = {n}",
             root=result.radius,
             vline=args.target,
         )

@@ -94,27 +94,22 @@ class HarmonicPolynomial:
     b: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.array(self.a, dtype=complex, ndmin=1)
-        b = np.array(self.b, dtype=complex, ndmin=1)
-        for name, part in (("a", a), ("b", b)):
+        for name, first in (("a", 1), ("b", 0)):
+            part = np.array(getattr(self, name), dtype=complex, ndmin=1)
             if part.ndim != 1:
                 raise ValueError(
                     f"part {name} needs one-dimensional coefficients, got shape {part.shape}"
                 )
-        if a.size < 1 or b.size < 1:
-            raise ValueError("need at least one coefficient in each part")
-        for name, part in (("a", a), ("b", b)):
+            if part.size < 1:
+                raise ValueError("need at least one coefficient in each part")
             bad = np.flatnonzero(~np.isfinite(part))
             if bad.size:
                 k = int(bad[0]) + 1
                 raise ValueError(
                     f"part {name} needs finite coefficients, got {name}_{k} = {part[k - 1]}"
                 )
-        if a[0] != 1:
-            raise ValueError(f"normalization requires a_1 = 1, got {a[0]}")
-        if b[0] != 0:
-            raise ValueError(f"normalization requires b_1 = 0, got {b[0]}")
-        for name, part in (("a", a), ("b", b)):
+            if part[0] != first:
+                raise ValueError(f"normalization requires {name}_1 = {first}, got {part[0]}")
             part.flags.writeable = False
             object.__setattr__(self, name, part)
 
@@ -271,8 +266,8 @@ def divided_difference(p: HarmonicPolynomial, r: float, eta: float, psi: float):
 class ProbeGrid:
     """Resolution of a kernel/Jacobian scan at one radius.
 
-    Both passes run on the circle |z| = radius only, at 4 * angular_points
-    angles or more: the Jacobian once, the kernel for each of the t_points
+    Both passes run on the circle |z| = radius only, at the angle counts
+    of _levels: the Jacobian once, the kernel for each of the t_points
     values of t.  No scan reads radial_points any more; the field is
     still validated and scaled, because the benchmark's point counts
     read it, and it goes when those counts are brought in line with the
@@ -370,6 +365,11 @@ def _ratio_table(ks: np.ndarray, ts: np.ndarray) -> np.ndarray:
     )
 
 
+def _levels(grid: ProbeGrid) -> tuple:
+    """The angle counts of a circle pass: 4 * grid.angular_points, doubled four times."""
+    return tuple(4 * grid.angular_points * 2**k for k in range(5))
+
+
 def _angle_table(ks: np.ndarray, n_theta: int) -> tuple:
     """n_theta equally spaced angles and e^(ik theta), k down the rows."""
     thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
@@ -385,12 +385,12 @@ _PASS_TABLES: dict = {}
 def _pass_tables(degree: int, grid: ProbeGrid) -> tuple:
     """ks, the t values, the (T, K) ratio table, and the first angles and e^(ik theta).
 
-    They depend on the degree, grid.t_points and 4 * grid.angular_points
+    They depend on the degree, grid.t_points and the first of _levels(grid)
     only, not on the radius, and are read-only.  Only the first level is
     kept: refined angle counts are built by the pass and go with it, so
     no table larger than one a pass builds outlives the call.
     """
-    key = (degree, grid.t_points, 4 * grid.angular_points)
+    key = (degree, grid.t_points, _levels(grid)[0])
     tables = _PASS_TABLES.get(key)
     if tables is None:
         _PASS_TABLES.clear()
@@ -407,18 +407,18 @@ def kernel_min_modulus(p: HarmonicPolynomial, grid: ProbeGrid) -> KernelScan:
     """Winding numbers and min |kernel| on the circle |z| = grid.radius.
 
     For every t in grid.t_values() the winding number of
-    theta -> K(r e^(i theta), t) around 0 is counted at 4 *
-    grid.angular_points equally spaced angles, as negative-axis crossings
-    under the pi/2 guard (see _windings).  A count is trusted only when
-    every arg step stays below pi/2 in modulus; the t values where one
-    does not are evaluated again at twice the angles, up to 64 *
-    grid.angular_points, and a t still unguarded there counts as winding
-    0.  By the argument principle a winding other than 1 means a zero of
-    K(., t) in the open disk besides z = 0; winding 1 rules such a zero
-    out only for b = 0 (see KernelScan).  The reduction is over fixed
-    grids, so the result does not depend on evaluation order.  The tables
-    that do not depend on the radius come from _pass_tables, so the
-    passes of one scan build them once.
+    theta -> K(r e^(i theta), t) around 0 is counted at the first of
+    _levels(grid) equally spaced angles, as negative-axis crossings under
+    the pi/2 guard (see _windings).  A count is trusted only when every
+    arg step stays below pi/2 in modulus; the t values where one does not
+    are evaluated again at each further level in turn, and a t still
+    unguarded at the last counts as winding 0.  By the argument principle
+    a winding other than 1 means a zero of K(., t) in the open disk
+    besides z = 0; winding 1 rules such a zero out only for b = 0 (see
+    KernelScan).  The reduction is over fixed grids, so the result does
+    not depend on evaluation order.  The tables that do not depend on the
+    radius come from _pass_tables, so the passes of one scan build them
+    once.
     """
     if p.degree > _MAX_DEGREE:
         raise ValueError(f"the kernel pass takes degrees up to {_MAX_DEGREE}, got {p.degree}")
@@ -432,9 +432,10 @@ def kernel_min_modulus(p: HarmonicPolynomial, grid: ProbeGrid) -> KernelScan:
     windings = np.zeros(ts.size, dtype=int)
     rows = np.arange(ts.size)  # the t values still to count
     best, best_z, best_t = math.inf, 0j, 0.0
-    n_theta = 4 * grid.angular_points
-    while rows.size and n_theta <= 64 * grid.angular_points:
-        if n_theta > 4 * grid.angular_points:
+    for level, n_theta in enumerate(_levels(grid)):
+        if not rows.size:
+            break
+        if level:
             thetas, e = _angle_table(ks, n_theta)  # (K, N_theta): e^(i k theta)
         # real view: the re and im parts of each term are adjacent columns,
         # so a real matmul gives the complex kernel values
@@ -453,7 +454,6 @@ def kernel_min_modulus(p: HarmonicPolynomial, grid: ProbeGrid) -> KernelScan:
             windings[block[guarded]] = turns[guarded]
             unguarded.append(block[~guarded])
         rows = np.concatenate(unguarded)
-        n_theta *= 2
     off = np.flatnonzero(windings != 1)
     winding = int(windings[off[0]]) if off.size else 1
     return KernelScan(min_modulus=best, argmin_z=best_z, argmin_t=best_t, winding=winding)
@@ -462,26 +462,25 @@ def kernel_min_modulus(p: HarmonicPolynomial, grid: ProbeGrid) -> KernelScan:
 def _jacobian_min(p: HarmonicPolynomial, grid: ProbeGrid) -> float:
     """min |h'|^2 - |g'|^2 on the circle |z| = grid.radius, or at most 0.
 
-    The minimum is taken at 4 * grid.angular_points equally spaced angles,
-    where the winding number of h' around 0 is counted as in
+    The minimum is taken at the first of _levels(grid) equally spaced
+    angles, where the winding number of h' around 0 is counted as in
     kernel_min_modulus, by negative-axis crossings under the pi/2 guard: a
-    count whose arg steps are not all below pi/2 is made again at twice
-    the angles, up to 64 * grid.angular_points.  A guarded count of 0
-    means h' has no zero in the disk, and the minimum on the circle then
-    decides the sign on the closed disk (maximum principle, see the
-    module docstring).  Any other count means h' has a zero z0 inside,
-    where J = -|g'(z0)|^2 <= 0, and a count still unguarded fails alike:
-    either way the result is min(minimum, 0.0).
+    count whose arg steps are not all below pi/2 is made again at each
+    further level in turn.  A guarded count of 0 means h' has no zero in
+    the disk, and the minimum on the circle then decides the sign on the
+    closed disk (maximum principle, see the module docstring).  Any other
+    count means h' has a zero z0 inside, where J = -|g'(z0)|^2 <= 0, and
+    a count still unguarded at the last level fails alike: either way the
+    result is min(minimum, 0.0).
     """
-    n_theta = 4 * grid.angular_points
-    while True:
+    for n_theta in _levels(grid):
         thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
         hp, gp = _horner(p._lists[2:], grid.radius * np.exp(1j * thetas))
         least = float(np.min(abs(hp) ** 2 - abs(gp) ** 2))
         guarded, turns = _windings(hp)
-        if guarded or n_theta >= 64 * grid.angular_points:
-            return least if guarded and turns == 0 else min(least, 0.0)
-        n_theta *= 2
+        if guarded:
+            return least if turns == 0 else min(least, 0.0)
+    return min(least, 0.0)
 
 
 @dataclass(frozen=True)

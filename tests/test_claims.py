@@ -489,6 +489,15 @@ class TestRegistry:
         assert rep.passed
         assert rep.worst_margin > 0
 
+    def test_q_roots_fails_on_a_root_the_count_does_not_find(self, monkeypatch):
+        # part 1 has no real root on [-10, 10]; a catalogue listing one
+        # must fail the root count, not pair roots off silently
+        monkeypatch.setattr(claims, "_EXPECTED_PART_ROOTS", ((0.5,), *claims._EXPECTED_PART_ROOTS[1:]))
+        rep = verify_claim("Q-roots")
+        assert not rep.passed
+        assert rep.worst_margin == -1.0
+        assert rep.witness == {"part": 1, "found": 0, "check": "root count"}
+
     def test_limit_claim_witnesses(self):
         rep = verify_claim("T-limit-half")
         assert not rep.passed

@@ -457,11 +457,18 @@ class TestScan:
         assert out == ""
         assert err == "error: section orders must lie in 1..1000, got (100000, 100000)\n"
 
-    def test_grid_scale_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("HS_GRID_SCALE", "0")
-        code, _, err = run(capsys, "scan", "--class", "general", "--n", "2", "--m", "2")
+    @pytest.mark.parametrize(
+        "raw,message",
+        [("0", "must lie in 1..8, got 0"), ("abc", "must be an integer, got 'abc'"),
+         ("2.5", "must be an integer, got '2.5'")],
+        ids=["zero", "word", "fraction"],
+    )
+    def test_grid_scale_env(self, capsys, monkeypatch, raw, message):
+        monkeypatch.setenv("HS_GRID_SCALE", raw)
+        code, out, err = run(capsys, "scan", "--class", "general", "--n", "2", "--m", "2")
         assert code == 2
-        assert "HS_GRID_SCALE" in err
+        assert out == ""
+        assert err == f"error: HS_GRID_SCALE {message}\n"
 
     @pytest.mark.parametrize("scale", [9, 10**6])
     def test_grid_scale_above_the_cap_is_a_usage_error(self, capsys, monkeypatch, scale):

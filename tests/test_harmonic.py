@@ -147,9 +147,9 @@ class TestSection:
         assert p.a.size == p.b.size == 1000
 
     def test_normalization_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^normalization requires a_1 = 1, got \(2\+0j\)$"):
             HarmonicPolynomial(a=np.array([2.0 + 0j]), b=np.array([0j]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^normalization requires b_1 = 0, got \(0\.5\+0j\)$"):
             HarmonicPolynomial(a=np.array([1.0 + 0j]), b=np.array([0.5 + 0j]))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
@@ -171,6 +171,11 @@ class TestSection:
         # a 2-D part once reached the normalization check, where numpy
         # raised "the truth value of an array ... is ambiguous"
         with pytest.raises(ValueError, match=f"part {part} needs one-dimensional coefficients"):
+            HarmonicPolynomial(a=a, b=b)
+
+    @pytest.mark.parametrize("a,b", [([], [0.0]), ([1.0], [])], ids=["a", "b"])
+    def test_empty_part_rejected(self, a, b):
+        with pytest.raises(ValueError, match="^need at least one coefficient in each part$"):
             HarmonicPolynomial(a=a, b=b)
 
 

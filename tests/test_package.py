@@ -17,6 +17,7 @@ import harmsect
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 SPANS = PERFBENCH / "spans.py"
+TEST_BENCH = PERFBENCH / "test_bench.py"
 WORKLOADS = PERFBENCH / "workloads.py"
 
 PUBLIC_NAMES = [
@@ -89,6 +90,35 @@ def traced_bindings():
     raise AssertionError(f"no TRACED table in {SPANS}")
 
 
+def function_node(path, name):
+    """The top-level function `name` in the file at `path`, parsed, not imported."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.FunctionDef) and node.name == name:
+            return node
+    raise AssertionError(f"no function {name} in {path}")
+
+
+def wrong_answer_lines():
+    """The lines perfbench/test_bench.py's wrong-answer test asserts are in harmonic.py.
+
+    Each string constant in a `<constant> in source` test of
+    test_wrong_answer_fails_the_run, read from the source as
+    `traced_bindings` reads spans.py.
+    """
+    test = function_node(TEST_BENCH, "test_wrong_answer_fails_the_run")
+    return [node.left.value for node in ast.walk(test)
+            if isinstance(node, ast.Compare) and isinstance(node.ops[0], ast.In)
+            and isinstance(node.left, ast.Constant)
+            and isinstance(node.comparators[0], ast.Name) and node.comparators[0].id == "source"]
+
+
+def grid_fields():
+    """The attributes of `grid` that perfbench/spans.py's _grid_points reads."""
+    return {node.attr for node in ast.walk(function_node(SPANS, "_grid_points"))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "grid"}
+
+
 def workload_reads():
     """The dotted harmsect names perfbench/workloads.py reads, such as harmsect.cli.main.
 
@@ -147,6 +177,23 @@ class TestBenchmarkBindings:
         assert "harmsect.cli.main" in reads
         for dotted in reads:
             assert resolve(dotted) is not None, dotted
+
+    def test_the_wrong_answer_test_finds_its_line(self):
+        # the benchmark's wrong-answer test flips the sign of this line of
+        # evaluate; a reworded line would fail only the benchmark's own suite
+        lines = wrong_answer_lines()
+        assert lines
+        source = (ROOT / "src" / "harmsect" / "harmonic.py").read_text()
+        for line in lines:
+            assert line in source, line
+
+    def test_every_grid_field_the_spans_read_exists(self):
+        # the scan layers' point counts read these fields of the probe grid
+        fields = grid_fields()
+        assert "radial_points" in fields
+        grid = harmsect.ProbeGrid()
+        for field in fields:
+            assert isinstance(getattr(grid, field, None), int), field
 
 
 def imported_packages(path):
