@@ -166,55 +166,86 @@ def slope_prefactor_general(x, n: int):
     return _slope_prefactor(x, n, *_num_den_factors(n))
 
 
+def _bracket_factors(p) -> tuple:
+    """The slope bracket's 14 factors that depend on the order alone, p[k] = n**k.
+
+    Each is the derived expression's factor, the same operations in the
+    same order: on Python floats each IEEE operation gives the double it
+    gives on a float column, and on the ints of an int n, n - 3 is exact.
+    """
+    n = p[1]
+    return (
+        2688.0 * (n - 3) * p[6],
+        2688.0 * p[7],
+        448.0 * p[7] - 2368.0 * p[6] + 3648.0 * p[5],
+        64.0 * p[4] * (7.0 * p[3] - 48.0 * p[2] + 137.0 * n - 132.0),
+        16.0 * p[2] * (59.0 * p[3] - 128.0 * p[2] + 178.0 * n - 75.0),
+        80.0 * p[4],
+        32.0 * p[5],
+        1672.0 * p[3],
+        4.0 * p[2],
+        2040.0 * n,
+        2.0 * p[2],
+        2.0 * n * (88.0 * p[4] - 240.0 * p[3] + 434.0 * p[2] - 390.0 * n + 81.0),
+        2.0 * n * (78.0 * p[2] - 98.0 * n + 57.0),
+        6.0 * (6.0 * p[3] - 2.0 * p[2] + 6.0 * n - 1.0),
+    )
+
+
 # the arrays of x's shape that _slope_bracket writes into
 _BRACKET_BUFFERS = 6
 
 
 def _slope_bracket(x, p, work):
-    # p[k] is n**k.  Each term is the derived expression's term: the same
-    # operations on the same operands in the same order, each array result
-    # written into work (x^3, x^5 and x^7, which two term groups each use,
-    # the running sum and two scratch arrays), so only the factors formed
-    # from n are new objects.  x^2 is np.power(x, 2): on float arrays that
-    # is np.square's value, as x**2 is, and on the object arrays of a scalar
-    # x it is the scalar's own x**2.  Returns the sum, an array of work.
-    n = p[1]
+    # p[k] is n**k: Python numbers, or (orders, 1) float columns.  Each
+    # term is the derived expression's term: the same operations on the
+    # same operands in the same order, each array result written into work
+    # (x^3, x^5 and x^7, which two term groups each use, the running sum
+    # and two scratch arrays).  The factors formed from n alone are
+    # _bracket_factors of Python numbers, order by order for columns: about
+    # 50 numpy calls on (orders, 1) columns cost more than the Python
+    # arithmetic.  x^2 is np.power(x, 2): on float arrays that is
+    # np.square's value, as x**2 is, and on the object arrays of a scalar x
+    # it is the scalar's own x**2.  Returns the sum, an array of work.
+    if isinstance(p[1], np.ndarray):
+        c = _columns(_bracket_factors, zip(*(column[:, 0].tolist() for column in p[:8])))
+    else:
+        c = _bracket_factors(p)
     x3, x5, x7, total, t, u = work
     np.power(x, 3, out=x3)
     np.power(x, 5, out=x5)
     np.power(x, 7, out=x7)
     # 2688 n^7 + 2688 (n - 3) n^6 x
-    np.multiply(2688.0 * (n - 3) * p[6], x, out=total)
-    np.add(2688.0 * p[7], total, out=total)
+    np.multiply(c[0], x, out=total)
+    np.add(c[1], total, out=total)
     # + 3 (448 n^7 - 2368 n^6 + 3648 n^5 - x^7) x^2
-    np.subtract(448.0 * p[7] - 2368.0 * p[6] + 3648.0 * p[5], x7, out=t)
+    np.subtract(c[2], x7, out=t)
     np.multiply(3.0, t, out=t)
     np.multiply(t, np.power(x, 2, out=u), out=t)
     np.add(total, t, out=total)
     # + 64 n^4 (7 n^3 - 48 n^2 + 137 n - 132) x^3 + 16 n^2 (59 n^3 - 128 n^2 + 178 n - 75) x^5
-    np.multiply(64.0 * p[4] * (7.0 * p[3] - 48.0 * p[2] + 137.0 * n - 132.0), x3, out=t)
+    np.multiply(c[3], x3, out=t)
     np.add(total, t, out=total)
-    np.multiply(16.0 * p[2] * (59.0 * p[3] - 128.0 * p[2] + 178.0 * n - 75.0), x5, out=t)
+    np.multiply(c[4], x5, out=t)
     np.add(total, t, out=total)
     # + 2 n^2 (32 n^5 - 80 n^4 (6 + x) + 1672 n^3 - 4 n^2 (774 + 13 x^3) + 2040 n - 3 x^5) x^4
-    np.multiply(80.0 * p[4], np.add(6.0, x, out=t), out=t)
-    np.subtract(32.0 * p[5], t, out=t)
-    np.add(t, 1672.0 * p[3], out=t)
-    np.multiply(4.0 * p[2], np.add(774.0, np.multiply(13.0, x3, out=u), out=u), out=u)
+    np.multiply(c[5], np.add(6.0, x, out=t), out=t)
+    np.subtract(c[6], t, out=t)
+    np.add(t, c[7], out=t)
+    np.multiply(c[8], np.add(774.0, np.multiply(13.0, x3, out=u), out=u), out=u)
     np.subtract(t, u, out=t)
-    np.add(t, 2040.0 * n, out=t)
+    np.add(t, c[9], out=t)
     np.subtract(t, np.multiply(3.0, x5, out=u), out=t)
-    np.multiply(2.0 * p[2], t, out=t)
+    np.multiply(c[10], t, out=t)
     np.multiply(t, np.power(x, 4, out=u), out=t)
     np.add(total, t, out=total)
     # + 2 n (88 n^4 - 240 n^3 + 434 n^2 - 390 n + 81) x^6 + 2 n (78 n^2 - 98 n + 57) x^7
-    np.multiply(2.0 * n * (88.0 * p[4] - 240.0 * p[3] + 434.0 * p[2] - 390.0 * n + 81.0),
-                np.power(x, 6, out=t), out=t)
+    np.multiply(c[11], np.power(x, 6, out=t), out=t)
     np.add(total, t, out=total)
-    np.multiply(2.0 * n * (78.0 * p[2] - 98.0 * n + 57.0), x7, out=t)
+    np.multiply(c[12], x7, out=t)
     np.add(total, t, out=total)
     # + 6 (6 n^3 - 2 n^2 + 6 n - 1) x^8
-    np.multiply(6.0 * (6.0 * p[3] - 2.0 * p[2] + 6.0 * n - 1.0), np.power(x, 8, out=t), out=t)
+    np.multiply(c[13], np.power(x, 8, out=t), out=t)
     return np.add(total, t, out=total)
 
 

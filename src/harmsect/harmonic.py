@@ -20,12 +20,14 @@ zeros in |z| < r, sense-preserving ones +1 and sense-reversing ones -1.
 It is counted from samples on the circle as negative-axis crossings under
 the pi/2 guard: where every step between consecutive samples turns by
 less than pi/2, the signed crossings of the negative real axis are the
-winding number, found by sign tests alone.  A winding number other than
-1 at any t is a concrete violation witness, found without sampling the
-zero itself.  The evidence is one-sided: for b = 0 every zero counts +1
-and winding 1 proves the disk free of further zeros at that t, but for
-b != 0 a sense-preserving and a sense-reversing zero can cancel, and a
-count of 1 proves nothing.
+winding number, found by sign tests alone, in contiguous passes over the
+products of consecutive samples and over their sign flags (see
+_windings).  A winding number other than 1 at any t is a concrete
+violation witness, found without sampling the zero itself.  The
+evidence is one-sided: for b = 0 every zero counts +1 and winding 1
+proves the disk free of further zeros at that t, but for b != 0 a
+sense-preserving and a sense-reversing zero can cancel, and a count of
+1 proves nothing.
 
 The empirical radius conjoins the kernel's winding test with Jacobian
 positivity, both on the circle, and records which predicate failed first.
@@ -328,12 +330,12 @@ class KernelScan:
     winding: int = 1
 
 
-def _windings(vals: np.ndarray) -> tuple:
+def _windings(vals: np.ndarray, prod: np.ndarray | None = None) -> tuple:
     """Winding numbers around 0 of the closed curves in the rows of vals.
 
     Each row samples a curve at equally spaced angles, the last sample
-    followed by the first; rows must be contiguous, as the circle passes
-    make them.  A row is guarded when every pair of consecutive samples
+    followed by the first; vals must be contiguous, as the circle passes
+    make it.  A row is guarded when every pair of consecutive samples
     has Re(vals[j+1] conj(vals[j])) > 0, so each arg step stays below
     pi/2 in modulus and the pair lies in the same or adjacent half-open
     quadrants.  A guarded row's count is then its negative-axis crossings
@@ -341,18 +343,36 @@ def _windings(vals: np.ndarray) -> tuple:
     im < 0, and -1 for each step from re < 0, im < 0 to im >= 0.  Only
     sign tests are made, no arg.  Returns the per-row guard flags and the
     counts; an unguarded row's count means nothing.
+
+    Every pass over the samples is contiguous.  The guard multiplies the
+    float view by itself one sample on, into prod (a new array when prod
+    is None, else a float array of the view's shape, such as the kernel
+    pass's workspace); the last two columns of each row, which that pairs
+    with the next row, are then overwritten with the wrap step's products,
+    the last sample times the first.  The count reads each sample's two
+    sign flags as one 16-bit integer, re < 0 in the low byte and im < 0 in
+    the high byte.  The '<i2' view names that byte order, so every host
+    reads the same integers (numpy swaps the bytes on a big-endian one).
+    Shifted right by 8 they give the im < 0 flags, and bit 0 of their AND
+    with the flag of the next sample (a slice plus the wrap column), less
+    that of their AND with the sample's own, summed, is the count.
     """
     f = vals.view(float)  # re and im of each sample side by side
+    if prod is None:
+        prod = np.empty(f.shape)
     # re1 re + im1 im = Re(vals[j+1] conj(vals[j])) for each sample and the
     # next, then for the last sample and the first
-    prod = f[..., 2:] * f[..., :-2]
-    wrap = f[..., -2] * f[..., 0] + f[..., -1] * f[..., 1]
-    guarded = (prod[..., 0::2] + prod[..., 1::2] > 0.0).all(axis=-1) & (wrap > 0.0)
-    neg = (f < 0.0).view(np.int8)
-    left, lower = neg[..., 0::2], neg[..., 1::2]
-    # +1 leaving the upper half im >= 0, -1 entering it, counted where re < 0
-    step = np.roll(lower, -1, axis=-1) - lower
-    step *= left
+    np.multiply(f.reshape(-1)[2:], f.reshape(-1)[:-2], out=prod.reshape(-1)[:-2])
+    np.multiply(f[..., -2:], f[..., :2], out=prod[..., -2:])
+    guarded = (prod[..., 0::2] + prod[..., 1::2] > 0.0).all(axis=-1)
+    codes = (f < 0.0).view("<i2")  # left + 256 lower: re < 0, im < 0
+    lower = codes >> 8
+    # left_j lower_(j+1) - left_j lower_j: +1 leaving the upper half
+    # im >= 0, -1 entering it, counted where re < 0
+    step = np.empty_like(codes)
+    np.bitwise_and(codes.reshape(-1)[:-1], lower.reshape(-1)[1:], out=step.reshape(-1)[:-1])
+    np.bitwise_and(codes[..., -1:], lower[..., :1], out=step[..., -1:])
+    step -= np.bitwise_and(codes, lower, out=lower)
     return guarded, step.sum(axis=-1, dtype=int)
 
 
@@ -370,10 +390,37 @@ def _levels(grid: ProbeGrid) -> tuple:
     return tuple(4 * grid.angular_points * 2**k for k in range(5))
 
 
+def _angles(n_theta: int) -> np.ndarray:
+    """n_theta equally spaced angles on the circle, from 0."""
+    return 2.0 * np.pi * np.arange(n_theta) / n_theta
+
+
 def _angle_table(ks: np.ndarray, n_theta: int) -> tuple:
     """n_theta equally spaced angles and e^(ik theta), k down the rows."""
-    thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    thetas = _angles(n_theta)
     return thetas, np.exp(1j * np.outer(ks, thetas))
+
+
+def _level_workspace(rows: int, n_theta: int) -> tuple:
+    """Empty kernel values (complex), moduli and guard products for rows t values.
+
+    One allocation holds the three, each from a 4096-byte boundary.  A
+    pass that loads from one array and stores into another at the same
+    pace, as the guard products do, runs up to twice as slow when the
+    store address lies a few bytes past the load address modulo 4096 (the
+    processor suspects an overlap); three separate allocations lie where
+    malloc puts them, and on a 2-core AVX-512 x86_64 machine the products
+    of a default-grid block took 8 or 16 microseconds by their placement.
+    """
+    shapes = ((rows, 2 * n_theta), (rows, n_theta), (rows, 2 * n_theta))
+    slots = [-(-math.prod(shape) // 512) * 512 for shape in shapes]  # whole pages of floats
+    raw = np.empty(sum(slots) + 511)
+    start = -raw.ctypes.data % 4096 // 8
+    vals, mod, prod = (
+        raw[start + at : start + at + math.prod(shape)].reshape(shape)
+        for shape, at in zip(shapes, (0, slots[0], slots[0] + slots[1]))
+    )
+    return vals.view(complex), mod, prod
 
 
 # the radius-independent tables of the last kernel pass's first level,
@@ -418,7 +465,9 @@ def kernel_min_modulus(p: HarmonicPolynomial, grid: ProbeGrid) -> KernelScan:
     KernelScan).  The reduction is over fixed grids, so the result does
     not depend on evaluation order.  The tables that do not depend on the
     radius come from _pass_tables, so the passes of one scan build them
-    once.
+    once.  Each level allocates one workspace for a block of _T_BLOCK t
+    values, or of all those left when fewer, and every block writes its
+    kernel values, moduli and guard products into its first rows.
     """
     if p.degree > _MAX_DEGREE:
         raise ValueError(f"the kernel pass takes degrees up to {_MAX_DEGREE}, got {p.degree}")
@@ -440,17 +489,19 @@ def kernel_min_modulus(p: HarmonicPolynomial, grid: ProbeGrid) -> KernelScan:
         # real view: the re and im parts of each term are adjacent columns,
         # so a real matmul gives the complex kernel values
         terms = (a_r * e - np.conj(b_r * e)).view(float)
+        vals_work, mod_work, prod_work = _level_workspace(min(_T_BLOCK, rows.size), n_theta)
         unguarded = []
         for start in range(0, rows.size, _T_BLOCK):
             block = rows[start : start + _T_BLOCK]
-            vals = (ratios[block] @ terms).view(complex)  # (block, N_theta)
-            mod = np.abs(vals)
+            vals = vals_work[: block.size]  # (block, N_theta)
+            np.matmul(ratios[block], terms, out=vals.view(float))
+            mod = np.abs(vals, out=mod_work[: block.size])
             flat = int(np.argmin(mod))
             if mod.flat[flat] < best:
                 best = float(mod.flat[flat])
                 best_z = complex(grid.radius * np.exp(1j * thetas[flat % n_theta]))
                 best_t = float(ts[block[flat // n_theta]])
-            guarded, turns = _windings(vals)
+            guarded, turns = _windings(vals, prod_work[: block.size])
             windings[block[guarded]] = turns[guarded]
             unguarded.append(block[~guarded])
         rows = np.concatenate(unguarded)
@@ -474,8 +525,7 @@ def _jacobian_min(p: HarmonicPolynomial, grid: ProbeGrid) -> float:
     result is min(minimum, 0.0).
     """
     for n_theta in _levels(grid):
-        thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
-        hp, gp = _horner(p._lists[2:], grid.radius * np.exp(1j * thetas))
+        hp, gp = _horner(p._lists[2:], grid.radius * np.exp(1j * _angles(n_theta)))
         least = float(np.min(abs(hp) ** 2 - abs(gp) ** 2))
         guarded, turns = _windings(hp)
         if guarded:

@@ -1211,6 +1211,60 @@ class TestWindings:
             assert guarded.all()
             assert turns.tolist() == [winding, 2 * winding, 3 * winding]
 
+    @staticmethod
+    def assert_matches_the_arg_sum(vals):
+        """_windings on vals, on each row alone and on each row as a one-row
+        block, with and without a product buffer, against the arg sum."""
+        expected_guard, expected = atan2_windings(vals)
+        for prod in (None, np.full((*vals.shape[:-1], 2 * vals.shape[-1]), np.nan)):
+            guarded, turns = harmonic._windings(vals, prod)
+            assert np.array_equal(guarded, expected_guard)
+            assert np.array_equal(turns[guarded], expected[guarded])
+        for row, flag, count in zip(vals, expected_guard, expected):
+            for shaped in (row, row[None, :]):
+                row_guarded, row_turns = harmonic._windings(shaped)
+                assert np.shape(row_guarded) == np.shape(row_turns) == shaped.shape[:-1]
+                assert row_guarded == flag
+                assert not flag or row_turns == count
+        return expected_guard, expected
+
+    @pytest.mark.parametrize("n_theta", [8, 16, 64, 256, 1024])
+    def test_sign_codes_match_the_arg_sum(self, n_theta):
+        rng = np.random.default_rng(3000 + n_theta)
+        counts, signed_zeros = set(), set()
+        for _ in range(6):
+            vals = trig_curves(rng, n_theta, rows=24)
+            # re + 1j * im gives every zero imaginary part as +0.0: sign them at random
+            on_axis = vals.imag == 0.0
+            vals.imag[on_axis] = np.where(rng.random(int(on_axis.sum())) < 0.5, 0.0, -0.0)
+            guarded, expected = self.assert_matches_the_arg_sum(vals)
+            counts.update(int(c) for c in expected[guarded])
+            re, im = vals[guarded].real, vals[guarded].imag
+            signed_zeros.update(("imaginary axis", bool(s)) for s in np.signbit(re[re == 0.0]))
+            signed_zeros.update(("negative real axis", bool(s))
+                                for s in np.signbit(im[(im == 0.0) & (re < 0.0)]))
+        # a step below pi/2 allows |winding| < n_theta / 4
+        assert counts == set(range(-min(3, n_theta // 4 - 1), min(3, n_theta // 4 - 1) + 1))
+        if n_theta >= 16:
+            assert len(signed_zeros) == 4  # +0.0 and -0.0 on both
+
+    @pytest.mark.parametrize("n_theta", [8, 16, 64, 256, 1024])
+    def test_crossing_on_the_wrap_step(self, n_theta):
+        # the last sample sits just above the negative real axis and the
+        # first just below it, so the one crossing is the step that wraps
+        step = 2.0 * np.pi / n_theta
+        thetas = np.pi + 0.25 * step + step * np.arange(n_theta)
+        for sign in (1, -1):
+            vals = np.exp(sign * 1j * thetas)
+            assert vals[-1].real < 0.0 and vals[0].real < 0.0
+            assert np.signbit(vals[-1].imag) != np.signbit(vals[0].imag)
+            # every other step that changes the sign of im has re > 0
+            im_changes = np.signbit(vals[1:].imag) != np.signbit(vals[:-1].imag)
+            assert (vals[:-1].real[im_changes] > 0.0).all()
+            guarded, turns = self.assert_matches_the_arg_sum(vals[None, :])
+            assert guarded.all() and turns.tolist() == [sign]
+            assert harmonic._windings(vals)[1] == sign
+
 
 class TestWindingPasses:
     """Both circle passes give bit for bit what they gave with the arg-sum count."""
@@ -1222,12 +1276,77 @@ class TestWindingPasses:
         p = self.CASES[name]()
         grids = [ProbeGrid(radius=r) for r in RADII]
         got = [(kernel_min_modulus(p, g), harmonic._jacobian_min(p, g)) for g in grids]
-        monkeypatch.setattr(harmonic, "_windings", atan2_windings)
+        monkeypatch.setattr(harmonic, "_windings", lambda vals, prod=None: atan2_windings(vals))
         expected = [(kernel_min_modulus(p, g), harmonic._jacobian_min(p, g)) for g in grids]
         assert got == expected
         if name == "refined-to-64x":
             # the count at r = 0.5 stays unguarded up to 64 x the angles
             assert got[RADII.index(0.5)][0].winding == 0
+
+
+class TestPassWorkspace:
+    """Each level of a kernel pass writes its t blocks into one workspace,
+    and a block shorter than _T_BLOCK reads the first rows of it."""
+
+    CASES = {
+        # refined levels of 4, 3, 3 and 2 t values, each one block
+        "refined-to-64x": (zero_between_the_samples, ProbeGrid(radius=0.5)),
+        # a first level of 16 + 4 t values, then 1 t value up to 64 x
+        "refined-to-64x-20-t": (zero_between_the_samples, ProbeGrid(t_points=20, radius=0.5)),
+        # 16 + 4 t values at every level up to 16 x
+        "general-10-20-t": (lambda: section(GENERAL, 10, 10),
+                            ProbeGrid(angular_points=8, t_points=20, radius=0.9)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_short_blocks_read_the_level_workspace(self, name, monkeypatch):
+        make, grid = self.CASES[name]
+        p = make()
+        expected = kernel_min_modulus(p, grid)
+        calls = []
+        original = harmonic._windings
+
+        def spy(vals, prod=None):
+            guarded, turns = original(vals, prod)
+            # the block's flags and counts, checked before the next block
+            # writes over the workspace
+            expected_guard, expected_turns = atan2_windings(vals)
+            assert np.array_equal(guarded, expected_guard)
+            assert np.array_equal(turns[guarded], expected_turns[guarded])
+            calls.append((vals.shape, vals.ctypes.data, prod.shape, prod.ctypes.data,
+                          np.shares_memory(vals, prod)))
+            return guarded, turns
+
+        monkeypatch.setattr(harmonic, "_windings", spy)
+        assert kernel_min_modulus(p, grid) == expected
+        starts = {}
+        short_refined = 0
+        for (rows, n_theta), vals_at, prod_shape, prod_at, shared in calls:
+            assert prod_shape == (rows, 2 * n_theta) and not shared
+            # every block of a level starts at the level's workspace
+            assert starts.setdefault(n_theta, (vals_at, prod_at)) == (vals_at, prod_at)
+            short_refined += rows < harmonic._T_BLOCK and n_theta > harmonic._levels(grid)[0]
+        assert len(starts) >= 3 and short_refined >= 1
+        # with each level in one block, no block is a slice: the same scan
+        monkeypatch.setattr(harmonic, "_windings", original)
+        monkeypatch.setattr(harmonic, "_T_BLOCK", 128)
+        single = kernel_min_modulus(p, grid)
+        assert (single.winding, single.argmin_z, single.argmin_t) == (
+            expected.winding, expected.argmin_z, expected.argmin_t
+        )
+        assert single.min_modulus == pytest.approx(expected.min_modulus, rel=1e-12, abs=1e-16)
+
+    @pytest.mark.parametrize("rows, n_theta", [(16, 1024), (4, 2048), (1, 36), (3, 100)])
+    def test_level_workspace_starts_each_buffer_on_a_page(self, rows, n_theta):
+        for _ in range(10):
+            vals, mod, prod = harmonic._level_workspace(rows, n_theta)
+            assert (vals.dtype, mod.dtype, prod.dtype) == (complex, float, float)
+            assert vals.shape == mod.shape == (rows, n_theta) and prod.shape == (rows, 2 * n_theta)
+            for buffer in (vals, mod, prod):
+                assert buffer.ctypes.data % 4096 == 0
+                assert buffer.flags.c_contiguous and buffer.flags.writeable
+            assert not np.shares_memory(vals, mod)
+            assert not np.shares_memory(mod, prod) and not np.shares_memory(vals, prod)
 
 
 class TestPassTables:
