@@ -19,8 +19,10 @@ order, and one runner turns a row into its report.  The checks the general
 and convex ratios share (adjacent decrease, 0 < ratio < 1 at the offset,
 the limit spot check) are single steps that read the family's log ratio,
 limit and tolerance from its _RATIO_FAMILIES entry.  The log offset comes
-from radius.log_offset, and every dense range starts at the family's
-first bound order, read from the one family record in radius.
+from radius._log_offset, the unchecked core of radius.log_offset (every
+order a claim passes is an int it forms itself), and every dense range
+starts at the family's first bound order, read from the one family
+record in radius.
 
 Large-n evaluation of the ratios accumulates logarithms and exponentiates
 once, and the general ratio's N and D are evaluated in scaled form (see
@@ -38,6 +40,15 @@ A block's row is then the public function's array evaluation at that order,
 bit for bit, and _Margins.add_rows keeps the witness a loop over the orders
 would keep.  The Q-roots claim's Sturm counts decide each sign in integers
 (see polyroots).
+
+Each step computes only what its check reads, and each value once per
+call: q1-negative evaluates the general ratio's D alone (_den, which
+_bracket_num_den calls too), not N and s; T-decreasing forms x^2, x^3
+and 8 + 8x + 4x^2 + x^3 once per block in _convex_bracket and normalizes
+by that factor; q2-positive and Q-identity form the slope bracket's order
+factors from the int orders; the summand bounds and the helpers a, b and
+c form each order's values once (_convex_parts, _helpers) and report a
+whole range of orders through one _Margins.add_rows call.
 
 The q2-positive and Q-identity steps, which evaluate the slope bracket,
 write into one workspace per call: _on_blocks allocates one float array
@@ -64,7 +75,7 @@ from typing import Callable
 import numpy as np
 
 from .polyroots import _horner, isolate_real_roots
-from .radius import _FAMILIES, FamilyClass, distortion_floor, log_offset
+from .radius import _FAMILIES, FamilyClass, _log_offset, distortion_floor
 
 SPOT_ORDERS = (1_000, 10_000, 1_000_000)
 LIMIT_SPOT_ORDER = 1_000_000
@@ -116,22 +127,29 @@ def _num_den_factors(n) -> tuple[float, float, float, float]:
     return u, 12.0 * (1.0 - u), 3.0 * (2.0 - 2.0 * u + u**2), 2.0 + u**2
 
 
+def _den(x, u):
+    """D(x, n) / n^4 of the general ratio, u = 1/n.
+
+    With y = x/n, this is 16 - 32y + 28y^2 - 12y^3 + 3y^4
+    = 3(y-1)^4 + 10(y-1)^2 + 3, at least 3 for every real y, so it never
+    vanishes and its log and square need no check.
+    """
+    y = x * u
+    return 16.0 - 32.0 * y + 28.0 * y**2 - 12.0 * y**3 + 3.0 * y**4
+
+
 def _bracket_num_den(x, u, c1, c2, c3):
     """N(x, n) / (n^4 s^3), D(x, n) / n^4 and s = max(x, 1) of the general ratio.
 
     ln(N / D) is ln(num) + 3 ln(s) - ln(den).  Neither part forms a power
     of n or of x above 1, so both stay finite for every x in (0, n] and n
-    up to 1e300; 1/n is formed once, so int and float n agree.  With
-    y = x/n, den = 16 - 32y + 28y^2 - 12y^3 + 3y^4 = 3(y-1)^4 + 10(y-1)^2 + 3
-    is at least 3 for every real y, so it never vanishes and its log and
-    square need no check.
+    up to 1e300; 1/n is formed once, so int and float n agree.  den is
+    _den's.
     """
-    y = x * u
     s = np.maximum(x, 1.0)
     v, w = 1.0 / s, x / s
     num = 12.0 * v**3 + c1 * w * v**2 + c2 * w**2 * v + c3 * w**3
-    den = 16.0 - 32.0 * y + 28.0 * y**2 - 12.0 * y**3 + 3.0 * y**4
-    return num, den, s
+    return num, _den(x, u), s
 
 
 def _general_factors(n) -> tuple:
@@ -150,10 +168,10 @@ def _log_ratio_general(x, n, ln_n, u, c1, c2, c3):
     )
 
 
-def _slope_prefactor(x, n, u, c1, c2, c3):
-    _, den, _ = _bracket_num_den(x, u, c1, c2, c3)
-    # den is D / n^4, so the n^8 of (2n - x)^8 cancels against D^2
-    return -((2.0 - x / n) ** 8) * np.exp(-x) / (x**8 * den**2)
+def _minus_prefactor(x, n, u):
+    # u is 1/n; _den is D / n^4, so the n^8 of (2n - x)^8 cancels against D^2.
+    # Rounding is symmetric in sign, so minus this is the prefactor's bits.
+    return (2.0 - x / n) ** 8 * np.exp(-x) / (x**8 * _den(x, u) ** 2)
 
 
 def slope_prefactor_general(x, n: int):
@@ -163,7 +181,7 @@ def slope_prefactor_general(x, n: int):
     slope_bracket_general.
     """
     _check_x_range(x, n)
-    return _slope_prefactor(x, n, *_num_den_factors(n))
+    return -_minus_prefactor(x, n, 1.0 / n)
 
 
 def _bracket_factors(p) -> tuple:
@@ -196,21 +214,17 @@ def _bracket_factors(p) -> tuple:
 _BRACKET_BUFFERS = 6
 
 
-def _slope_bracket(x, p, work):
-    # p[k] is n**k: Python numbers, or (orders, 1) float columns.  Each
-    # term is the derived expression's term: the same operations on the
-    # same operands in the same order, each array result written into work
-    # (x^3, x^5 and x^7, which two term groups each use, the running sum
-    # and two scratch arrays).  The factors formed from n alone are
-    # _bracket_factors of Python numbers, order by order for columns: about
-    # 50 numpy calls on (orders, 1) columns cost more than the Python
-    # arithmetic.  x^2 is np.power(x, 2): on float arrays that is
-    # np.square's value, as x**2 is, and on the object arrays of a scalar x
-    # it is the scalar's own x**2.  Returns the sum, an array of work.
-    if isinstance(p[1], np.ndarray):
-        c = _columns(_bracket_factors, zip(*(column[:, 0].tolist() for column in p[:8])))
-    else:
-        c = _bracket_factors(p)
+def _slope_bracket(x, c, work):
+    # c is _bracket_factors of the order: Python numbers, or (orders, 1)
+    # float columns that a blocked step forms order by order from the int
+    # powers (about 50 numpy calls on (orders, 1) columns cost more than
+    # the Python arithmetic).  Each term is the derived expression's term:
+    # the same operations on the same operands in the same order, each
+    # array result written into work (x^3, x^5 and x^7, which two term
+    # groups each use, the running sum and two scratch arrays).  x^2 is
+    # np.power(x, 2): on float arrays that is np.square's value, as x**2
+    # is, and on the object arrays of a scalar x it is the scalar's own
+    # x**2.  Returns the sum, an array of work.
     x3, x5, x7, total, t, u = work
     np.power(x, 3, out=x3)
     np.power(x, 5, out=x5)
@@ -277,7 +291,7 @@ def slope_bracket_general(x, n: int):
     scalar = np.isscalar(x)
     xs = np.array(x, dtype=object if scalar else None, ndmin=1)
     work = np.empty((_BRACKET_BUFFERS, *xs.shape), dtype=object if scalar else float)
-    value = _slope_bracket(xs, _powers(n, 8), work)
+    value = _slope_bracket(xs, _bracket_factors(_powers(n, 8)), work)
     return value if np.ndim(x) else value[0]
 
 
@@ -337,17 +351,22 @@ def _log_ratio_convex(x, n, ln_n):
 
 @dataclass(frozen=True)
 class _RatioFamily:
-    """One family's tail-to-floor ratio: its core, the core's factors, and the claimed limit."""
+    """One family's tail-to-floor ratio: its core, the core's factors, its offset and the claimed limit."""
 
     log_ratio: Callable  # the private core: log_ratio(x, *factors(n))
     factors: Callable
+    offset: Callable  # n -> the log offset, unchecked: every order a claim passes is an int from 7 on
     limit: Fraction  # exact, so the check states it as str(limit) and measures with float(limit)
     tol: str  # text, so the report states the tolerance as written
 
 
 _RATIO_FAMILIES = {
-    FamilyClass.GENERAL: _RatioFamily(_log_ratio_general, _general_factors, Fraction(64, 2401), "1e-3"),
-    FamilyClass.CONVEX: _RatioFamily(_log_ratio_convex, _convex_factors, Fraction(1, 2), "1e-2"),
+    FamilyClass.GENERAL: _RatioFamily(_log_ratio_general, _general_factors,
+                                      partial(_log_offset, _FAMILIES[FamilyClass.GENERAL]),
+                                      Fraction(64, 2401), "1e-3"),
+    FamilyClass.CONVEX: _RatioFamily(_log_ratio_convex, _convex_factors,
+                                     partial(_log_offset, _FAMILIES[FamilyClass.CONVEX]),
+                                     Fraction(1, 2), "1e-2"),
 }
 
 
@@ -374,12 +393,14 @@ def tail_ratio(family: FamilyClass, x, n: int):
 
 
 def _convex_bracket(x, n, n2):
-    # n2 is n**2
-    return (
-        2.0 * n2 * (8.0 + 8.0 * x + 4.0 * x**2 + x**3)
-        - n * x * (8.0 + 4.0 * x + x**2 + x**3)
-        + x**3
-    )
+    """The convex slope bracket and its leading factor g = 8 + 8x + 4x^2 + x^3, n2 = n**2.
+
+    x^2 and x^3 are formed once; T-decreasing normalizes the bracket by
+    2 n^2 g.
+    """
+    x2, x3 = x**2, x**3
+    g = 8.0 + 8.0 * x + 4.0 * x2 + x3
+    return 2.0 * n2 * g - n * x * (8.0 + 4.0 * x + x2 + x3) + x3, g
 
 
 # The bracket forms n**2, which for a larger order leaves the double range:
@@ -398,7 +419,7 @@ def convex_slope_bracket(x, n: int):
     if not n <= _MAX_CONVEX_ORDER:  # NaN fails too
         raise ValueError(f"n must be at most {math.sqrt(sys.float_info.max)!r}, where n**2 leaves "
                          f"the double range, got {_order_text(n)}")
-    return _convex_bracket(x, n, n**2)
+    return _convex_bracket(x, n, n**2)[0]
 
 
 # --------------------------------------------------------------------------
@@ -406,32 +427,29 @@ def convex_slope_bracket(x, n: int):
 # --------------------------------------------------------------------------
 
 
-def _aux_a(x: float) -> float:
-    lx, llx = math.log(x), math.log(math.log(x))
-    return lx - llx + llx**2 / (4.0 * lx)
+def _helpers(x: float) -> tuple[float, float, float]:
+    """The helpers a, b and c at x, from one ln x and one ln ln x.
+
+    a = ln x - ln ln x + (ln ln x)^2 / (4 ln x), b = ln x - (ln ln x)/2 and
+    c = 2 - (ln ln x)/ln x.
+    """
+    lx = math.log(x)
+    llx = math.log(lx)
+    return lx - llx + llx**2 / (4.0 * lx), lx - llx / 2.0, 2.0 - llx / lx
 
 
-def _aux_b(x: float) -> float:
-    return math.log(x) - math.log(math.log(x)) / 2.0
+_convex_offset = _RATIO_FAMILIES[FamilyClass.CONVEX].offset
 
 
-def _aux_c(x: float) -> float:
-    return 2.0 - math.log(math.log(x)) / math.log(x)
-
-
-# bound once: reading an Enum member off its class costs about 0.2 us, and
-# the convex offset is taken once per order
-_convex_offset = partial(log_offset, FamilyClass.CONVEX)
-
-
-def _convex_ratio_parts(n: int) -> tuple[float, float, float]:
+def _convex_parts(n: int) -> tuple[float, float, float, float, float]:
+    """beta_n, ln n and the three summands t1, t2, t3 of the convex ratio at x = beta_n."""
     beta = _convex_offset(n)
     ln = math.log(n)
     common = (1.0 - beta / (2.0 * n)) ** 3
-    t1 = 16.0 * ln**2 / beta**4 * common
-    t2 = 16.0 * ln**2 / beta**3 * common * (1.0 - 1.0 / (2.0 * n))
-    t3 = 8.0 * ln**2 / beta**2 * common
-    return t1, t2, t3
+    ln2 = ln**2
+    scale = 16.0 * ln2
+    return (beta, ln, scale / beta**4 * common, scale / beta**3 * common * (1.0 - 1.0 / (2.0 * n)),
+            8.0 * ln2 / beta**2 * common)
 
 
 # --------------------------------------------------------------------------
@@ -446,6 +464,9 @@ class ClaimReport:
     worst_margin is a "distance to failure": positive means the claim held
     everywhere on the stated range, with the witness recording where the
     margin was smallest.  Tolerance-style claims use margin = tol - |error|.
+    A margin that is NaN, a check that gave no number, counts as the
+    worst: worst_margin is then NaN, the witness records the first such
+    point, and the verdict is Fail.
     """
 
     claim_id: str
@@ -463,7 +484,11 @@ class ClaimReport:
 
 
 class _Margins:
-    """Tracks the minimum margin and its witness across a claim's checks."""
+    """Tracks the minimum margin and its witness across a claim's checks.
+
+    A NaN margin counts below every number: the first one added becomes
+    the minimum, with its witness, and stays it.
+    """
 
     def __init__(self) -> None:
         self.value = math.inf
@@ -471,7 +496,7 @@ class _Margins:
 
     def add(self, margin: float, **witness) -> None:
         margin = float(margin)
-        if margin < self.value:
+        if margin < self.value or (math.isnan(margin) and not math.isnan(self.value)):
             self.value = margin
             self.witness = {k: (float(v) if isinstance(v, np.floating) else v) for k, v in witness.items()}
 
@@ -487,12 +512,13 @@ class _Margins:
         lows, at = [], []
         for _, margins in checks:
             margins = np.asarray(margins).reshape(rows, -1)
+            # np.argmin gives the first NaN where there is one, as add() ranks it
             j = np.argmin(margins, axis=1)
             lows.append(margins[np.arange(rows), j])
             at.append(j)
         lows = np.stack(lows, axis=1)
-        # first smallest in loop order; add() skips a NaN minimum, so it never wins
-        r, c = divmod(int(np.argmin(np.where(np.isnan(lows), np.inf, lows))), len(checks))
+        # first smallest in loop order
+        r, c = divmod(int(np.argmin(lows)), len(checks))
         point = {} if xs is None else {"x": float(xs[r, at[c][r]] if np.ndim(xs) == 2 else xs[at[c][r]])}
         self.add(lows[r, c], n=orders[r], **point, check=checks[c][0])
 
@@ -568,19 +594,19 @@ def _dense(family: FamilyClass, stop: int = 501) -> list:
 def _decrease_block(family: FamilyClass, ns: list):
     """Adjacent decrease of the log ratio on [offset_n, n]; convex also checks its derivative bracket."""
     fam = _RATIO_FAMILIES[family]
-    xs = _grid_rows([log_offset(family, n) for n in ns], ns, 257)
+    xs = _grid_rows([fam.offset(n) for n in ns], ns, 257)
     logs = fam.log_ratio(xs, *_columns(fam.factors, ns))
     checks = [("log-ratio decrease", logs[:, :-1] - logs[:, 1:])]
     if family is FamilyClass.CONVEX:
         n, n2, scale = _columns(lambda n: (n, n**2, 2.0 * float(n) ** 2), ns)
-        brackets = _convex_bracket(xs, n, n2) / (scale * (8.0 + 8.0 * xs + 4.0 * xs**2 + xs**3))
-        checks.append(("derivative bracket > 0 (normalized)", brackets))
+        bracket, g = _convex_bracket(xs, n, n2)
+        checks.append(("derivative bracket > 0 (normalized)", bracket / (scale * g)))
     return xs, checks
 
 
 def _below_one_block(family: FamilyClass, ns: list):
     fam = _RATIO_FAMILIES[family]
-    x, *factors = _columns(lambda n: (log_offset(family, n), *fam.factors(n)), ns)
+    x, *factors = _columns(lambda n: (fam.offset(n), *fam.factors(n)), ns)
     value = np.exp(fam.log_ratio(x, *factors))
     return None, [("ratio < 1", 1.0 - value), ("ratio > 0", value)]
 
@@ -588,19 +614,19 @@ def _below_one_block(family: FamilyClass, ns: list):
 def _ratio_limit(family: FamilyClass, m: _Margins) -> None:
     fam = _RATIO_FAMILIES[family]
     n = LIMIT_SPOT_ORDER
-    value = np.exp(fam.log_ratio(log_offset(family, n), *fam.factors(n)))
+    value = np.exp(fam.log_ratio(fam.offset(n), *fam.factors(n)))
     m.add(float(fam.tol) - abs(value - float(fam.limit)), n=n, value=value,
           check=f"|ratio - {fam.limit}| < {fam.tol}")
 
 
 _SUMMAND_BOUNDS = (Fraction(1, 32), Fraction(1, 6), Fraction(19, 24))
+_SUMMAND_ORDERS = list(range(16, 501))
 
 
-def _summand_bounds(word: str, m: _Margins) -> None:
-    checks = [(float(bound), f"{word} {i} < {bound}") for i, bound in enumerate(_SUMMAND_BOUNDS, start=1)]
-    for n in range(16, 501):
-        for t, (bound, label) in zip(_convex_ratio_parts(n), checks):
-            m.add(bound - t, n=n, check=label)
+def _summand_block(word: str, ns: list):
+    _, _, *parts = _columns(_convex_parts, ns)
+    return None, [(f"{word} {i} < {bound}", float(bound) - t)
+                  for i, (bound, t) in enumerate(zip(_SUMMAND_BOUNDS, parts), start=1)]
 
 
 def _closed_at_n(n: int) -> float:
@@ -624,15 +650,14 @@ _Q2_BUFFERS = 1 + _BRACKET_BUFFERS
 def _q2_block(ns: list, work):
     """The grid and the normalized bracket, both written into work."""
     xs = _grid_rows([n / 1000.0 for n in ns], ns, 1000, work[0])
-    *p, scale = _columns(lambda n: (*_powers(n, 8), 2688.0 * float(n) ** 7), ns)
-    margins = _slope_bracket(xs, p, work[1:])
+    *c, scale = _columns(lambda n: (*_bracket_factors(_powers(n, 8)), 2688.0 * float(n) ** 7), ns)
+    margins = _slope_bracket(xs, c, work[1:])
     return xs, [("bracket / 2688 n^7 > 0", np.divide(margins, scale, out=margins))]
 
 
 def _q1_block(ns: list):
     xs = _grid_rows([n / 512.0 for n in ns], ns, 512)
-    factors = _columns(lambda n: (n, *_num_den_factors(n)), ns)
-    return xs, [("prefactor < 0", -_slope_prefactor(xs, *factors))]
+    return xs, [("prefactor < 0", _minus_prefactor(xs, *_columns(lambda n: (n, 1.0 / n), ns)))]
 
 
 _EXPECTED_PART_ROOTS: tuple[tuple[float, ...], ...] = (
@@ -661,32 +686,38 @@ def _part_roots(m: _Margins) -> None:
 
 
 def _bound_helpers(m: _Margins) -> None:
-    m.add(_aux_a(9) - math.sqrt(2.0), n=9, check="helper a(9) > sqrt(2)")
-    m.add(1e-4 - abs(_aux_b(16) - 2.2627), n=16, check="helper b(16), tol 1e-4")
-    m.add(1e-5 - abs(_aux_c(16) - 1.63219), n=16, check="helper c(16), tol 1e-5")
-    for n in _dense(FamilyClass.CONVEX, 500):
-        m.add(_aux_a(n + 1) - _aux_a(n), n=n, check="helper a increasing")
-        m.add(_aux_b(n + 1) - _aux_b(n), n=n, check="helper b increasing")
-    for n in range(16, 500):
-        m.add(_aux_c(n + 1) - _aux_c(n), n=n, check="helper c increasing")
+    """The spot values, then a and b increasing from n to n + 1 on {7..499}, c on {16..499}."""
+    orders = _dense(FamilyClass.CONVEX)
+    a, b, c = np.array([_helpers(n) for n in orders]).T
+    i9, i16 = orders.index(9), orders.index(16)
+    m.add(a[i9] - math.sqrt(2.0), n=9, check="helper a(9) > sqrt(2)")
+    m.add(1e-4 - abs(b[i16] - 2.2627), n=16, check="helper b(16), tol 1e-4")
+    m.add(1e-5 - abs(c[i16] - 1.63219), n=16, check="helper c(16), tol 1e-5")
+    m.add_rows(orders[:-1], [("helper a increasing", a[1:] - a[:-1]), ("helper b increasing", b[1:] - b[:-1])])
+    m.add_rows(orders[i16:-1], [("helper c increasing", c[i16 + 1 :] - c[i16:-1])])
 
 
 def _decomposition_block(ns: list):
-    x, parts, *factors = _columns(
-        lambda n: (_convex_offset(n), sum(_convex_ratio_parts(n)), *_convex_factors(n)), ns
-    )
-    direct = np.exp(_log_ratio_convex(x, *factors))
-    return None, [("summand decomposition, tol 1e-12", 1e-12 - np.abs(parts - direct) / direct)]
+    n, beta, ln, t1, t2, t3 = _columns(lambda n: (n, *_convex_parts(n)), ns)
+    direct = np.exp(_log_ratio_convex(beta, n, ln))
+    return None, [("summand decomposition, tol 1e-12", 1e-12 - np.abs(t1 + t2 + t3 - direct) / direct)]
 
 
 _K_GRID = np.linspace(1.0, 3.0, 201)
 
 
+def _powers_and_factors(n) -> tuple:
+    """n**0 .. n**11, then the slope bracket's 14 factors formed from them."""
+    p = _powers(n, 12)
+    return (*p, *_bracket_factors(p))
+
+
 def _identity_block(ns: list, work):
     """The gap between the assembled and the direct bracket, the direct one written into work."""
-    p = _columns(partial(_powers, count=12), ns)
+    columns = _columns(_powers_and_factors, ns)
+    p, c = columns[:12], columns[12:]
     x = p[1] / _K_GRID
-    direct = _slope_bracket(x, p, work)
+    direct = _slope_bracket(x, c, work)
     gap = 1e-10 - np.abs(_slope_bracket_scaled(_K_GRID, p) - direct) / np.abs(direct)
     return _K_GRID, [("assembled vs direct, tol 1e-10", gap)]
 
@@ -732,7 +763,7 @@ _TABLE: tuple[tuple, ...] = (
     ("T-beta-lt-1", "direct 0 < ratio(offset_n, n) < 1 for n in {7..500} u {1e3,1e4,1e6}; "
      "summand bound route (1/32, 1/6, 19/24) for n in {16..500}",
      partial(_on_blocks, _CONVEX_ORDERS, 1, partial(_below_one_block, FamilyClass.CONVEX)),
-     partial(_summand_bounds, "part")),
+     partial(_on_blocks, _SUMMAND_ORDERS, 1, partial(_summand_block, "part"))),
     ("T-limit-half", f"single spot check at n = {LIMIT_SPOT_ORDER}; |ratio(offset_n, n) - 1/2| < 1e-2",
      partial(_ratio_limit, FamilyClass.CONVEX)),
     ("t-limit-64-2401", f"single spot check at n = {LIMIT_SPOT_ORDER}; |ratio(offset_n, n) - 64/2401| < 1e-3",
@@ -740,7 +771,7 @@ _TABLE: tuple[tuple, ...] = (
     ("abc-bounds", "helper values at 9/16 with stated tolerances; helpers increasing on "
      "{7..500} (a, b) and {16..500} (c); summand bounds on {16..500}; "
      "summand decomposition identity on {7..500}",
-     _bound_helpers, partial(_summand_bounds, "summand"),
+     _bound_helpers, partial(_on_blocks, _SUMMAND_ORDERS, 1, partial(_summand_block, "summand")),
      partial(_on_blocks, _dense(FamilyClass.CONVEX), 1, _decomposition_block)),
     ("distortion-min-rule", "r in {0.01..0.99} step 0.01; general two-point floor below the "
      "local-univalence floor (1-r)^2/(1+r)^4",

@@ -28,10 +28,12 @@ co-analytic tails, the constants (a, b) of the asymptotic bound
 positive.  Each row ends in the tail's weight w(k) = k |a_k| (or k |b_k|),
 so the family's coefficient bounds, which the maps of `harmonic.extremal_map`
 take with equality, are read off the same rows.  `distortion_floor`,
-`log_offset` and `lower_bound` take the family and read its record, and
-both margins are the one core `_margin`: the floor minus two tails of the
-one tail core.  The combined equal-order, polynomial and elementary-tail
-forms that cross-check it live with the tests.
+`log_offset` and `lower_bound` take the family and read its record;
+the two bounds check the order once and evaluate the one unchecked core
+`_log_offset`, which the claims call directly.  Both margins are the one
+core `_margin`: the floor minus two tails of the one tail core.  The
+combined equal-order, polynomial and elementary-tail forms that
+cross-check it live with the tests.
 
 Arguments are checked once, at the public entry: the public floor and
 each margin check their orders and r, then evaluate the unchecked cores
@@ -287,14 +289,20 @@ def _order_from(n, least: int, what: str, *args) -> int:
     return n
 
 
+def _log_offset(fam: _Family, n) -> float:
+    # the unchecked core of log_offset, for an order already shown to be an
+    # integer from 2 on; ln n is formed once
+    ln = math.log(n)
+    return fam.log_a * ln - fam.log_b * math.log(ln)
+
+
 def log_offset(family: FamilyClass, n: int) -> float:
     """a ln n - b ln ln n, with (a, b) = (7, 4) general and (4, 2) convex.
 
     The family's lower bound is 1 minus this over n.
     """
     fam = _FAMILIES[family]
-    n = _order_from(n, 2, "the {0.value} log offset", family)
-    return fam.log_a * math.log(n) - fam.log_b * math.log(math.log(n))
+    return _log_offset(fam, _order_from(n, 2, "the {0.value} log offset", family))
 
 
 def _one_minus_over(offset: float, n: int) -> float:
@@ -312,8 +320,9 @@ def lower_bound(family: FamilyClass, n: int) -> float:
     Positive exactly from n = 15 (general) and n = 7 (convex) on, hence the
     domain restriction.
     """
-    n = _order_from(n, _FAMILIES[family].first_bound_order, "{0.value} lower bound", family)
-    return _one_minus_over(log_offset(family, n), n)
+    fam = _FAMILIES[family]
+    n = _order_from(n, fam.first_bound_order, "{0.value} lower bound", family)
+    return _one_minus_over(_log_offset(fam, n), n)
 
 
 def close_to_convex_radius(n: int) -> float:

@@ -36,17 +36,32 @@ parts.
 one Python expression, the way `claims._slope_bracket` once did, with
 numpy allocating every intermediate, as the oracle for the core that
 writes its terms into a workspace.
+
+`summand_bounds_loop` and `bound_helpers_loop` add the margins of the
+summand bounds and of the helpers a, b and c one at a time, order by
+order, the way `claims._summand_bounds` and `claims._bound_helpers` once
+did (each helper evaluated at n and again at n + 1), as the oracles for
+the steps that form each value once and report through
+`_Margins.add_rows`; `convex_ratio_parts` forms the summands the way
+`claims._convex_ratio_parts` did, with ln n squared once per summand.
+`slope_prefactor_expression` evaluates the general slope prefactor as
+one expression, with D written out as `claims._bracket_num_den` wrote it
+when the prefactor took D from there (and threw N and s away), as the
+oracle for the prefactor on the D core alone.  `log_offset_formula` states each
+family's a ln n - b ln ln n again, as the oracle for the one unchecked
+log-offset core.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from harmsect.harmonic import jacobian
-from harmsect.radius import _FAMILIES, FamilyClass
+from harmsect.radius import _FAMILIES, FamilyClass, log_offset
 from harmsect.tails import tail_weighted
 
 GENERAL, CONVEX = FamilyClass.GENERAL, FamilyClass.CONVEX
@@ -292,3 +307,64 @@ def slope_bracket_expression(x, p):
         + 2.0 * n * (78.0 * p[2] - 98.0 * n + 57.0) * x7
         + 6.0 * (6.0 * p[3] - 2.0 * p[2] + 6.0 * n - 1.0) * x**8
     )
+
+
+def convex_ratio_parts(n: int) -> tuple[float, float, float]:
+    """The three summands of the convex ratio at its log offset, each formed
+    in full."""
+    beta = log_offset(CONVEX, n)
+    ln = math.log(n)
+    common = (1.0 - beta / (2.0 * n)) ** 3
+    t1 = 16.0 * ln**2 / beta**4 * common
+    t2 = 16.0 * ln**2 / beta**3 * common * (1.0 - 1.0 / (2.0 * n))
+    t3 = 8.0 * ln**2 / beta**2 * common
+    return t1, t2, t3
+
+
+def summand_bounds_loop(word: str, m) -> None:
+    """The summand bounds t_i < 1/32, 1/6, 19/24 on n = 16..500, added to m
+    one margin at a time."""
+    checks = [(float(bound), f"{word} {i} < {bound}")
+              for i, bound in enumerate((Fraction(1, 32), Fraction(1, 6), Fraction(19, 24)), start=1)]
+    for n in range(16, 501):
+        for t, (bound, label) in zip(convex_ratio_parts(n), checks):
+            m.add(bound - t, n=n, check=label)
+
+
+def aux_a(x: float) -> float:
+    lx, llx = math.log(x), math.log(math.log(x))
+    return lx - llx + llx**2 / (4.0 * lx)
+
+
+def aux_b(x: float) -> float:
+    return math.log(x) - math.log(math.log(x)) / 2.0
+
+
+def aux_c(x: float) -> float:
+    return 2.0 - math.log(math.log(x)) / math.log(x)
+
+
+def bound_helpers_loop(m) -> None:
+    """abc-bounds' helper checks, added to m one margin at a time."""
+    m.add(aux_a(9) - math.sqrt(2.0), n=9, check="helper a(9) > sqrt(2)")
+    m.add(1e-4 - abs(aux_b(16) - 2.2627), n=16, check="helper b(16), tol 1e-4")
+    m.add(1e-5 - abs(aux_c(16) - 1.63219), n=16, check="helper c(16), tol 1e-5")
+    for n in range(7, 500):
+        m.add(aux_a(n + 1) - aux_a(n), n=n, check="helper a increasing")
+        m.add(aux_b(n + 1) - aux_b(n), n=n, check="helper b increasing")
+    for n in range(16, 500):
+        m.add(aux_c(n + 1) - aux_c(n), n=n, check="helper c increasing")
+
+
+def slope_prefactor_expression(x, n):
+    """-(2n - x)^8 e^-x / (x^8 D(x, n)^2), with D / n^4 in y = x/n."""
+    u = 1.0 / n
+    y = x * u
+    den = 16.0 - 32.0 * y + 28.0 * y**2 - 12.0 * y**3 + 3.0 * y**4
+    return -((2.0 - x / n) ** 8) * np.exp(-x) / (x**8 * den**2)
+
+
+def log_offset_formula(family, n) -> float:
+    """a ln n - b ln ln n, (a, b) = (7, 4) general and (4, 2) convex."""
+    a, b = (7.0, 4.0) if family is GENERAL else (4.0, 2.0)
+    return a * math.log(n) - b * math.log(math.log(n))

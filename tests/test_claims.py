@@ -7,9 +7,20 @@ from functools import partial
 
 import numpy as np
 import pytest
-from oracles import real_horner, slope_bracket_expression
+from oracles import (
+    aux_a,
+    aux_b,
+    aux_c,
+    bound_helpers_loop,
+    convex_ratio_parts,
+    log_offset_formula,
+    real_horner,
+    slope_bracket_expression,
+    slope_prefactor_expression,
+    summand_bounds_loop,
+)
 
-from harmsect import claims
+from harmsect import claims, radius
 from harmsect.claims import (
     CLAIMS,
     SCALED_BRACKET_PARTS,
@@ -170,11 +181,11 @@ class TestRatioDenominator:
     """D / n^4 of the general ratio is 3(y-1)^4 + 10(y-1)^2 + 3 >= 3, y = x/n,
     so neither its log nor its square needs a vanishing check."""
 
-    COEFFICIENTS = (16, -32, 28, -12, 3)  # ascending in y, as _bracket_num_den writes them
+    COEFFICIENTS = (16, -32, 28, -12, 3)  # ascending in y, as _den writes them
 
     @staticmethod
     def den(x, n):
-        return claims._bracket_num_den(np.asarray(x, dtype=float), *claims._num_den_factors(n))[1]
+        return claims._den(np.asarray(x, dtype=float), 1.0 / n)
 
     def test_identity_coefficient_by_coefficient(self):
         # 3(y-1)^4 + 10(y-1)^2 + 3 expanded in Python ints
@@ -400,7 +411,7 @@ class TestConvexOrderBound:
     def test_the_bound_is_taken(self, x, n):
         # the square is a finite double there; 2 n^2 (8 + 8x + 4x^2 + x^3) is not
         assert math.isfinite(float(n**2))
-        assert np.array_equal(convex_slope_bracket(x, n), claims._convex_bracket(x, n, n**2))
+        assert np.array_equal(convex_slope_bracket(x, n), claims._convex_bracket(x, n, n**2)[0])
         assert np.all(convex_slope_bracket(x, n) == math.inf)
 
     def test_the_decrease_block_skips_the_check(self, monkeypatch):
@@ -414,19 +425,20 @@ class TestConvexOrderBound:
 
 class TestBoundParts:
     def test_helper_values(self):
-        assert claims._aux_a(9) > math.sqrt(2.0)
-        assert claims._aux_b(16) == pytest.approx(2.2627, abs=1e-4)
-        assert claims._aux_c(16) == pytest.approx(1.63219, abs=1e-5)
+        assert claims._helpers(9)[0] > math.sqrt(2.0)
+        assert claims._helpers(16)[1] == pytest.approx(2.2627, abs=1e-4)
+        assert claims._helpers(16)[2] == pytest.approx(1.63219, abs=1e-5)
 
     @pytest.mark.parametrize("n", [7, 16, 50, 500])
     def test_summands_reassemble_ratio(self, n):
-        total = sum(claims._convex_ratio_parts(n))
+        total = sum(claims._convex_parts(n)[2:])
         direct = tail_ratio(FamilyClass.CONVEX, log_offset(FamilyClass.CONVEX, n), n)
         assert abs(total - direct) / direct < 1e-12
 
     @pytest.mark.parametrize("n", [16, 100, 500])
     def test_summand_bounds(self, n):
-        t1, t2, t3 = claims._convex_ratio_parts(n)
+        beta, ln, t1, t2, t3 = claims._convex_parts(n)
+        assert (beta, ln) == (log_offset(FamilyClass.CONVEX, n), math.log(n))
         assert t1 < 1.0 / 32.0
         assert t2 < 1.0 / 6.0
         assert t3 < 19.0 / 24.0
@@ -624,7 +636,7 @@ class TestBlocks:
         _, [(_, margins)] = claims._decomposition_block(chunk)
         ratio = partial(tail_ratio, FamilyClass.CONVEX)
         direct = np.array([one_point(ratio, log_offset(FamilyClass.CONVEX, n), n) for n in ns])
-        parts = np.array([sum(claims._convex_ratio_parts(n)) for n in ns])
+        parts = np.array([sum(claims._convex_parts(n)[2:]) for n in ns])
         assert np.array_equal(margins.ravel(), 1e-12 - np.abs(parts - direct) / direct)
 
     def test_blocks_respect_the_point_budget(self):
@@ -653,8 +665,9 @@ STEP_GRIDS = {
 
 
 def workspace_bracket(x, p):
-    """The bracket core on a fresh workspace of x's shape."""
-    return claims._slope_bracket(x, p, np.empty((claims._BRACKET_BUFFERS, *np.shape(x))))
+    """The bracket core at p[k] = n**k on a fresh workspace of x's shape."""
+    work = np.empty((claims._BRACKET_BUFFERS, *np.shape(x)))
+    return claims._slope_bracket(x, claims._bracket_factors(p), work)
 
 
 class TestBracketBits:
@@ -790,9 +803,9 @@ class TestWorkspace:
         seen = []
         original = claims._slope_bracket
 
-        def spy(x, p, work):
+        def spy(x, c, work):
             seen.append(work)
-            return original(x, p, work)
+            return original(x, c, work)
 
         monkeypatch.setattr(claims, "_slope_bracket", spy)
         counting = CountingNumpy()
@@ -845,15 +858,32 @@ class TestWorkspace:
         assert [a.shape for a in counting.made] == [(claims._Q2_BUFFERS * rows * 1000 + 7,)]
 
 
+class PointMargins(claims._Margins):
+    """_Margins that adds every margin alone, add_rows' too (order by order,
+    then check by check, then point by point), and records the bits and the
+    witness of each margin it adds."""
+
+    def __init__(self):
+        super().__init__()
+        self.added = []
+
+    def add(self, margin, **witness):
+        self.added.append((float(margin).hex(), witness))
+        super().add(margin, **witness)
+
+    def add_rows(self, orders, checks, xs=None):
+        for r, n in enumerate(orders):
+            for label, margins in checks:
+                row = np.asarray(margins).reshape(len(orders), -1)[r]
+                for i, margin in enumerate(row.tolist()):
+                    point = {} if xs is None else {"x": float((xs[r] if np.ndim(xs) == 2 else xs)[i])}
+                    self.add(margin, n=n, **point, check=label)
+
+
 def margins_by_loop(orders, checks, xs):
-    """The witness the per-order loop keeps: each order's first minimum, check by check."""
-    m = claims._Margins()
-    for r, n in enumerate(orders):
-        for label, margins in checks:
-            row = np.asarray(margins).reshape(len(orders), -1)[r]
-            i = int(np.argmin(row))
-            point = {} if xs is None else {"x": float((xs[r] if np.ndim(xs) == 2 else xs)[i])}
-            m.add(row[i], n=n, **point, check=label)
+    """The witness a loop keeps that adds every margin alone."""
+    m = PointMargins()
+    m.add_rows(orders, checks, xs)
     return m
 
 
@@ -872,11 +902,114 @@ class TestAddRows:
         m = claims._Margins()
         m.add_rows(orders, checks, xs)
         expected = margins_by_loop(orders, checks, xs)
-        assert (m.value, m.witness) == (expected.value, expected.witness)
+        # hex, so that a NaN value compares equal to itself
+        assert (m.value.hex(), m.witness) == (expected.value.hex(), expected.witness)
         assert list(m.witness) == list(expected.witness)
+
+    @pytest.mark.parametrize("rows", [
+        [[math.nan, -3.0, 2.0]],
+        [[1.0, -3.0, 2.0], [math.nan, 5.0, -7.0]],
+        [[math.nan, math.nan, math.nan]],
+        [[-math.inf, 1.0, 1.0], [1.0, math.nan, 1.0]],
+    ], ids=["nan-before-a-negative", "nan-in-a-later-order", "all-nan", "nan-after-minus-inf"])
+    def test_a_nan_margin_fails_the_claim(self, rows):
+        xs = np.array([0.25, 0.5, 0.75])
+        checks = [("check", np.array(rows))]
+        orders = list(range(7, 7 + len(rows)))
+        m = claims._Margins()
+        m.add_rows(orders, checks, xs)
+        r, i = np.argwhere(np.isnan(checks[0][1]))[0]
+        assert math.isnan(m.value)
+        assert m.witness == {"n": orders[r], "x": xs[i], "check": "check"}
+        expected = margins_by_loop(orders, checks, xs)
+        assert (m.value.hex(), m.witness) == (expected.value.hex(), expected.witness)
+        report = m.report("id", "range")
+        assert report.verdict == "Fail" and not report.passed
+
+    def test_a_nan_in_a_claim_step_fails_the_claim(self, monkeypatch):
+        monkeypatch.setattr(claims, "_den", lambda x, u: np.full(np.shape(x), math.nan))
+        report = verify_claim("q1-negative")
+        assert report.verdict == "Fail" and math.isnan(report.worst_margin)
+        assert report.witness == {"n": 15, "x": 15 / 512.0, "check": "prefactor < 0"}
+
+    def test_the_first_nan_stays_the_worst(self):
+        m = claims._Margins()
+        m.add(-3.0, n=1, check="negative")
+        m.add(math.nan, n=2, check="first nan")
+        m.add(-math.inf, n=3, check="minus inf")
+        m.add(np.float64(math.nan), n=4, check="second nan")
+        assert math.isnan(m.value) and m.witness == {"n": 2, "check": "first nan"}
+        assert m.report("id", "range").verdict == "Fail"
 
     def test_keeps_an_earlier_smaller_margin(self):
         m = claims._Margins()
         m.add(-5.0, n=1, check="first")
         m.add_rows([2, 3], [("later", np.array([[-1.0], [-4.0]]))])
         assert (m.value, m.witness) == (-5.0, {"n": 1, "check": "first"})
+
+
+class TestComputedOnce:
+    """The steps that form each value once give the per-order loops' margins, bit for bit."""
+
+    @staticmethod
+    def assert_same_margins(step, loop):
+        # every margin's bits and witness in loop order, then the reported minimum
+        seen, expected = PointMargins(), PointMargins()
+        step(seen)
+        loop(expected)
+        assert seen.added == expected.added
+        fast = claims._Margins()
+        step(fast)
+        assert (fast.value.hex(), fast.witness) == (expected.value.hex(), expected.witness)
+        assert list(fast.witness) == list(expected.witness)
+
+    @pytest.mark.parametrize("word", ["part", "summand"])
+    def test_summand_bounds(self, word):
+        step = partial(claims._on_blocks, claims._SUMMAND_ORDERS, 1, partial(claims._summand_block, word))
+        self.assert_same_margins(step, partial(summand_bounds_loop, word))
+
+    def test_bound_helpers(self):
+        self.assert_same_margins(claims._bound_helpers, bound_helpers_loop)
+
+    def test_helpers_are_the_three_functions(self):
+        for n in range(7, 501):
+            assert [v.hex() for v in claims._helpers(n)] == [aux(n).hex() for aux in (aux_a, aux_b, aux_c)]
+
+    def test_convex_parts_are_the_summands(self):
+        for n in claims._CONVEX_ORDERS:
+            assert [t.hex() for t in claims._convex_parts(n)[2:]] == [t.hex() for t in convex_ratio_parts(n)]
+
+    def test_prefactor_on_every_q1_grid(self):
+        for chunk in blocks(Q1_ORDERS, 512):
+            xs, [(_, margins)] = claims._q1_block(chunk)
+            for i, n in enumerate(chunk):
+                expected = slope_prefactor_expression(xs[i], n)
+                assert slope_prefactor_general(xs[i], n).tobytes() == expected.tobytes()
+                assert margins[i].tobytes() == (-expected).tobytes()
+
+    @pytest.mark.parametrize("n", [15, 100, 10**6, 2**80, LARGEST_DOUBLE])
+    def test_prefactor_at_scalar_and_array_x(self, n):
+        xs = np.random.default_rng(n % 1000).uniform(0.0, min(float(n), 50.0), 40)
+        assert slope_prefactor_general(xs, n).tobytes() == slope_prefactor_expression(xs, n).tobytes()
+        for x in xs.tolist():
+            assert slope_prefactor_general(x, n).hex() == slope_prefactor_expression(x, n).hex()
+
+    @pytest.mark.parametrize("family", list(FamilyClass))
+    def test_offsets_are_the_checked_offsets(self, family):
+        offset = claims._RATIO_FAMILIES[family].offset
+        for n in [*RATIO_ORDERS[family], claims.LIMIT_SPOT_ORDER]:
+            assert offset(n).hex() == log_offset(family, n).hex() == log_offset_formula(family, n).hex()
+
+    def test_no_claim_checks_an_order(self, monkeypatch):
+        # the claims pass their own int orders, so they take the unchecked offset core
+        expected = verify_all()
+        calls = []
+        original = radius._order_from
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(radius, "_order_from", counting)
+        assert verify_all() == expected
+        assert calls == []

@@ -1153,7 +1153,9 @@ def trig_curves(rng, n_theta, rows=16):
         zeros = np.where(rng.random(n_theta) < 0.5, 0.0, -0.0)
         near_re, near_im = np.abs(re) < 0.05, np.abs(im) < 0.05
         re[near_re], im[near_im] = zeros[near_re], zeros[near_im]
-        v = re + 1j * im
+        # re + 1j * im would turn every -0.0 imaginary part into +0.0
+        v = re.astype(complex)
+        v.imag = im
         if rng.random() < 0.15:
             v[int(rng.integers(n_theta))] = complex(*zeros[:2])
         curves.append(v)
@@ -1172,7 +1174,8 @@ class TestWindings:
     def test_sign_tests_match_the_arg_sum(self):
         # the guard flags agree exactly, and so do the counts of guarded rows
         rng = np.random.default_rng(22)
-        counts, unguarded, on_negative_axis = set(), 0, {0.0: 0, -0.0: 0}
+        # guarded rows with a +0.0 (False) or a -0.0 (True) imaginary part on the negative real axis
+        counts, unguarded, on_negative_axis = set(), 0, {False: 0, True: 0}
         for n_theta in (8, 16, 64, 256) * 6:
             vals = trig_curves(rng, n_theta)
             expected_guard, expected = atan2_windings(vals)
@@ -1187,9 +1190,9 @@ class TestWindings:
             counts.update(int(c) for c in expected[expected_guard])
             unguarded += int((~expected_guard).sum())
             for row in vals[expected_guard]:
-                axis = row[(row.imag == 0.0) & (row.real < 0.0)].imag
-                on_negative_axis[0.0] += int(np.signbit(axis).sum() < axis.size)
-                on_negative_axis[-0.0] += int(np.signbit(axis).any())
+                signs = np.signbit(row[(row.imag == 0.0) & (row.real < 0.0)].imag)
+                on_negative_axis[False] += int(not signs.all())
+                on_negative_axis[True] += int(signs.any())
         assert counts == set(range(-3, 4))
         assert unguarded >= 50
         assert min(on_negative_axis.values()) >= 10, on_negative_axis
@@ -1234,9 +1237,6 @@ class TestWindings:
         counts, signed_zeros = set(), set()
         for _ in range(6):
             vals = trig_curves(rng, n_theta, rows=24)
-            # re + 1j * im gives every zero imaginary part as +0.0: sign them at random
-            on_axis = vals.imag == 0.0
-            vals.imag[on_axis] = np.where(rng.random(int(on_axis.sum())) < 0.5, 0.0, -0.0)
             guarded, expected = self.assert_matches_the_arg_sum(vals)
             counts.update(int(c) for c in expected[guarded])
             re, im = vals[guarded].real, vals[guarded].imag

@@ -27,6 +27,7 @@ from harmsect.tails import tail_weighted
 from oracles import (
     TAILS,
     margin_convex_diag,
+    log_offset_formula,
     margin_general_diag,
     record_row,
     record_tail,
@@ -703,6 +704,31 @@ class TestBounds:
     @pytest.mark.parametrize("family", list(FamilyClass))
     def test_lower_bound_bits_up_to_the_largest_double(self, family, n):
         assert lower_bound(family, n).hex() == (1.0 - log_offset(family, n) / n).hex()
+
+    @pytest.mark.parametrize("family", list(FamilyClass))
+    def test_offset_and_bound_bits_on_a_ladder(self, family):
+        first = FIRST_BOUND_ORDER[family]
+        ladder = [2, 3, first - 1, first, first + 1, 100, 287, 10**3, 10**6, 2**53 + 1, 10**18,
+                  10**100, int(sys.float_info.max), 10**400]
+        for n in ladder:
+            offset = log_offset_formula(family, n)
+            assert log_offset(family, n).hex() == offset.hex()
+            if n >= first:
+                bound = 1.0 if n > sys.float_info.max else 1.0 - offset / n
+                assert lower_bound(family, n).hex() == bound.hex()
+
+    @pytest.mark.parametrize("fn", [*per_family(lower_bound), *per_family(log_offset)])
+    def test_each_bound_checks_its_order_once(self, monkeypatch, fn):
+        calls = []
+        original = radius._order_from
+
+        def counting(*args):
+            calls.append(args[0])
+            return original(*args)
+
+        monkeypatch.setattr(radius, "_order_from", counting)
+        fn(287)
+        assert calls == [287]
 
     @IN_RANGE
     def test_close_to_convex_bits_up_to_the_largest_double(self, n):
